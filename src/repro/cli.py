@@ -36,8 +36,8 @@ Subcommands:
   writes the batch as a replayable v2 manifest; see :mod:`repro.dag`);
 * ``batch`` — solve a manifest of instances through the batch service:
   canonical-form result cache (in-memory + optional on-disk), parallel
-  workers with per-job timeouts, retry with exponential backoff and the
-  SSP → cycle-cancelling → two-phase fallback ladder, emitting a
+  workers with per-job timeouts, one exact solve per cache miss (a
+  solver error fails its job and the command exits 1), emitting a
   versioned batch report and (``--sarif``) a merged multi-run SARIF log
   with one run per job (see :mod:`repro.service`);
 * ``serve`` — run the long-lived allocation server: an HTTP gateway
@@ -75,7 +75,13 @@ import sys
 
 from repro.analysis import compare_allocators, format_table, improvement_factor
 from repro.baselines import two_phase_allocate
-from repro.core import AllocationProblem, allocate, allocate_block
+from repro.core import (
+    AllocationProblem,
+    SolveOptions,
+    StorageSpec,
+    allocate,
+    allocate_block,
+)
 from repro.energy import (
     ActivityEnergyModel,
     MemoryConfig,
@@ -138,26 +144,22 @@ def _model(name: str):
     return ActivityEnergyModel()
 
 
-def _solve_options(args: argparse.Namespace) -> "SolveOptions":
-    """Fold the shared CLI flags into a :class:`SolveOptions`.
+def _storage(args: argparse.Namespace) -> StorageSpec | None:
+    """The storage hierarchy the ``--banks`` flag family describes.
 
-    The ``--banks`` family describes an interleaved multi-bank storage
-    hierarchy (see :meth:`repro.core.StorageSpec.banked`); without it
-    the options carry no storage override and solves stay on the
-    classic two-level path.
+    The flags describe an interleaved multi-bank memory (see
+    :meth:`repro.core.StorageSpec.banked`); without ``--banks`` there is
+    no storage override and solves stay on the classic two-level path.
     """
-    from repro.core import SolveOptions, StorageSpec
-
-    storage = None
-    if getattr(args, "banks", None):
-        storage = StorageSpec.banked(
-            args.banks,
-            args.bank_period,
-            ports=args.bank_ports,
-            capacity=args.bank_capacity,
-            stagger=not args.no_stagger,
-        )
-    return SolveOptions(storage=storage)
+    if not args.banks:
+        return None
+    return StorageSpec.banked(
+        args.banks,
+        args.bank_period,
+        ports=args.bank_ports,
+        capacity=args.bank_capacity,
+        stagger=not args.no_stagger,
+    )
 
 
 def _add_bank_flags(p: argparse.ArgumentParser) -> None:
@@ -198,7 +200,9 @@ def _add_bank_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_demo(args: argparse.Namespace) -> int:
     block = _kernel(args)
     result = allocate_block(
-        block, register_count=args.registers, options=_solve_options(args)
+        block,
+        register_count=args.registers,
+        options=SolveOptions(storage=_storage(args)),
     )
     print(result.summary())
     return 0
@@ -783,14 +787,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         report_to_json,
     )
 
-    inject: dict[str, int] = {}
-    for item in args.inject_fault or ():
-        rung, _, budget = item.partition("=")
-        try:
-            inject[rung] = int(budget) if budget else -1
-        except ValueError:
-            print(f"bad --inject-fault {item!r}", file=sys.stderr)
-            return 2
     try:
         manifest = load_manifest(args.manifest)
         workloads = manifest.build()
@@ -807,14 +803,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         executor = BatchExecutor(
             workers=args.workers,
             cache=cache,
-            max_retries=args.retries,
             timeout=args.timeout,
             chunksize=args.chunksize,
             lint_gate=lint_gate,
             certify_fraction=args.certify_fraction,
             seed=args.seed,
-            inject_faults=inject,
-            options=_solve_options(args),
+            storage=_storage(args),
         )
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -879,9 +873,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             shard_width=args.shard_width,
             timeout=args.timeout,
-            retries=args.retries,
             chunksize=args.chunksize,
-            lint=args.lint,
             admission_lint=(
                 None
                 if args.admission_lint == "off"
@@ -1207,12 +1199,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-job time budget in seconds (needs --workers > 1)",
     )
     batch.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="same-solver retries before falling back (default: 1)",
-    )
-    batch.add_argument(
         "--chunksize",
         type=int,
         default=1,
@@ -1241,13 +1227,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     batch.add_argument("--seed", type=int, default=0)
     _add_bank_flags(batch)
-    batch.add_argument(
-        "--inject-fault",
-        action="append",
-        metavar="RUNG[=N]",
-        help="chaos-test: force N failures (default: always) of a "
-        "solver rung, e.g. ssp=2 (repeatable)",
-    )
     batch.add_argument(
         "--format",
         choices=("json", "text"),
@@ -1325,22 +1304,10 @@ def main(argv: list[str] | None = None) -> int:
         help="per-job time budget in seconds (needs --workers > 1)",
     )
     serve_cmd.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="same-solver retries before falling back (default: 1)",
-    )
-    serve_cmd.add_argument(
         "--chunksize",
         type=int,
         default=1,
         help="jobs dispatched per worker task (default: 1)",
-    )
-    serve_cmd.add_argument(
-        "--lint",
-        choices=("error", "warning", "note"),
-        default=None,
-        help="pre-solve lint gate severity per job (default: off)",
     )
     serve_cmd.add_argument(
         "--admission-lint",

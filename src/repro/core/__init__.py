@@ -36,7 +36,7 @@ from repro.core.pipeline import (
     allocate_block,
     allocate_schedule,
 )
-from repro.core.options import SolveOptions, resolve_options
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem, GraphStyle
 from repro.core.solver import allocate, allocate_flow, solve_built
 from repro.core.storage import (
@@ -83,7 +83,6 @@ __all__ = [
     "optimal_interval_chains",
     "partition_memory_hierarchy",
     "reallocate_memory",
-    "resolve_options",
     "solve_built",
     "solve_with_banking",
     "variable_legal_banks",

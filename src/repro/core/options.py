@@ -1,44 +1,23 @@
 """Unified solve options for every ``allocate*`` entry point.
 
-Historically each entry point (:func:`repro.core.solver.allocate`,
+:class:`SolveOptions` is the one frozen bundle that
+:func:`repro.core.solver.allocate`,
 :func:`repro.core.pipeline.allocate_schedule` /
 :func:`~repro.core.pipeline.allocate_block`,
-:func:`repro.core.ports.allocate_with_port_limit`,
-:func:`repro.core.task_pipeline.allocate_task_graph`) re-declared its own
-overlapping ``lint=`` / ``certify=`` / ``warm_cache=`` keywords, and every
-new capability widened all of them by hand.  :class:`SolveOptions` is the
-single frozen bundle they all accept now; the old keywords remain as thin
-deprecation shims resolved through :func:`resolve_options`.
+:func:`repro.core.ports.allocate_with_port_limit` and
+:func:`repro.core.task_pipeline.allocate_task_graph` accept in place of
+per-function ``lint=`` / ``certify=`` / ``warm_cache=`` keywords, so a new
+capability widens one dataclass instead of five signatures.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from repro.core.storage import StorageSpec
 from repro.flow.warm_start import WarmStartCache
 
-__all__ = ["SolveOptions", "resolve_options", "UNSET"]
-
-
-class _Unset:
-    """Sentinel type distinguishing 'not passed' from explicit ``None``."""
-
-    _instance: "_Unset | None" = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSET"
-
-
-#: Sentinel default for deprecated keyword parameters.
-UNSET = _Unset()
+__all__ = ["SolveOptions"]
 
 
 @dataclass(frozen=True)
@@ -58,10 +37,6 @@ class SolveOptions:
             :class:`~repro.flow.warm_start.WarmStartCache`; cost-only
             perturbations of a previously solved topology re-solve
             incrementally.  Results are identical with or without it.
-        ladder: Solver-ladder rung names for the service executor
-            (``None`` = the direct successive-shortest-paths solve).
-            The in-process entry points ignore it; the batch executor
-            routes it to :func:`repro.service.solvers.run_ladder`.
         storage: Optional :class:`~repro.core.storage.StorageSpec`
             applied to problems that do not already carry one — the
             switch that turns a classic two-level solve into a
@@ -72,41 +47,8 @@ class SolveOptions:
     certify: bool = False
     lint: str | None = None
     warm_cache: WarmStartCache | None = None
-    ladder: tuple[str, ...] | None = None
     storage: StorageSpec | None = None
 
     def replace(self, **changes) -> "SolveOptions":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-
-def resolve_options(
-    options: SolveOptions | None,
-    legacy: Mapping[str, object],
-    stacklevel: int = 3,
-) -> SolveOptions:
-    """Merge deprecated keyword arguments into a :class:`SolveOptions`.
-
-    Args:
-        options: The options object the caller passed (or ``None``).
-        legacy: Deprecated keyword values keyed by field name; entries
-            equal to :data:`UNSET` were not passed and are ignored.
-        stacklevel: ``warnings.warn`` stack level so the deprecation
-            points at the caller of the entry point.
-
-    Returns:
-        *options* (or defaults) with any explicitly passed legacy
-        keywords folded in; passing one emits a ``DeprecationWarning``.
-    """
-    base = options if options is not None else SolveOptions()
-    updates = {k: v for k, v in legacy.items() if v is not UNSET}
-    if updates:
-        names = ", ".join(sorted(updates))
-        warnings.warn(
-            f"keyword argument(s) {names} are deprecated; pass "
-            f"options=SolveOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        base = replace(base, **updates)
-    return base

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.memory_realloc import MemoryLayout, reallocate_memory
-from repro.core.options import UNSET, SolveOptions, resolve_options
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.core.allocation import Allocation
@@ -79,8 +79,6 @@ def allocate_schedule(
     energy_model: EnergyModel | None = None,
     memory: MemoryConfig | None = None,
     reallocate: bool = True,
-    lint: str | None = UNSET,
-    certify: bool = UNSET,
     options: SolveOptions | None = None,
     **problem_options,
 ) -> PipelineResult:
@@ -92,13 +90,11 @@ def allocate_schedule(
         energy_model: Defaults to the static model at nominal voltage.
         memory: Memory operating point; defaults to full-speed memory.
         reallocate: Run the second (memory reallocation) flow pass.
-        lint: Deprecated — use ``options.lint``.  The gate runs here
-            rather than in the solver so the RA1xx schedule rules see
-            the schedule.
-        certify: Deprecated — use ``options.certify``.
         options: Solve-shaping switches (see
             :class:`~repro.core.options.SolveOptions`); ``options.storage``
-            attaches a storage hierarchy to the constructed problem.
+            attaches a storage hierarchy to the constructed problem, and
+            the ``options.lint`` gate runs here rather than in the solver
+            so the RA1xx schedule rules see the schedule.
         **problem_options: Forwarded to :class:`AllocationProblem`
             (``graph_style``, ``split_at_reads``,
             ``allow_unused_registers``, ``storage``).
@@ -110,9 +106,7 @@ def allocate_schedule(
         LintGateError: If the lint gate is armed and the static analysis
             finds defects at or above the requested severity.
     """
-    options = resolve_options(
-        options, {"lint": lint, "certify": certify}
-    )
+    options = options or SolveOptions()
     if options.storage is not None and "storage" not in problem_options:
         problem_options["storage"] = options.storage
     with obs.span("pipeline.build_problem"):
@@ -144,15 +138,10 @@ def allocate_block(
     energy_model: EnergyModel | None = None,
     memory: MemoryConfig | None = None,
     reallocate: bool = True,
-    lint: str | None = UNSET,
-    certify: bool = UNSET,
     options: SolveOptions | None = None,
     **problem_options,
 ) -> PipelineResult:
-    """Schedule *block* (list scheduling) and run the allocation pipeline.
-
-    ``lint``/``certify`` are deprecated shims for the corresponding
-    :class:`~repro.core.options.SolveOptions` fields."""
+    """Schedule *block* (list scheduling) and run the allocation pipeline."""
     with obs.span("pipeline.schedule"):
         schedule = list_schedule(block, resources)
     return allocate_schedule(
@@ -161,8 +150,6 @@ def allocate_block(
         energy_model=energy_model,
         memory=memory,
         reallocate=reallocate,
-        lint=lint,
-        certify=certify,
         options=options,
         **problem_options,
     )

@@ -13,8 +13,7 @@ populated.
 Solve-shaping switches (validation, certification, lint gating, warm
 starts, storage hierarchy) travel in one frozen
 :class:`~repro.core.options.SolveOptions` bundle shared by every
-``allocate*`` entry point; the historical per-function keywords remain as
-deprecation shims.
+``allocate*`` entry point.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.core.allocation import (
     memory_intervals,
 )
 from repro.core.network_builder import BuiltNetwork, build_network
-from repro.core.options import UNSET, SolveOptions, resolve_options
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.exceptions import AllocationError, InfeasibleFlowError
 from repro.flow.lower_bounds import solve as flow_solve
@@ -42,13 +41,7 @@ _ENERGY_TOLERANCE = 1e-6
 
 
 def allocate(
-    problem: AllocationProblem,
-    options: SolveOptions | None = None,
-    *,
-    validate: bool = UNSET,
-    certify: bool = UNSET,
-    lint: str | None = UNSET,
-    warm_cache=UNSET,
+    problem: AllocationProblem, options: SolveOptions | None = None
 ) -> Allocation:
     """Solve *problem* and return the optimal :class:`Allocation`.
 
@@ -58,10 +51,6 @@ def allocate(
             :class:`~repro.core.options.SolveOptions`); ``None`` uses the
             defaults.  ``options.storage`` applies a hierarchy to
             problems that do not already carry one.
-        validate: Deprecated — use ``options.validate``.
-        certify: Deprecated — use ``options.certify``.
-        lint: Deprecated — use ``options.lint``.
-        warm_cache: Deprecated — use ``options.warm_cache``.
 
     Raises:
         LintGateError: If the lint gate is armed and the static analysis
@@ -72,15 +61,7 @@ def allocate(
             overflow pins exhaust the register file.
         AllocationError: If internal invariants are violated (a bug).
     """
-    options = resolve_options(
-        options,
-        {
-            "validate": validate,
-            "certify": certify,
-            "lint": lint,
-            "warm_cache": warm_cache,
-        },
-    )
+    options = options or SolveOptions()
     if options.storage is not None and problem.storage is None:
         problem = problem.with_options(storage=options.storage)
     if options.lint is not None:
@@ -109,12 +90,7 @@ def allocate_flow(
 
 
 def solve_built(
-    built: BuiltNetwork,
-    options: SolveOptions | None = None,
-    *,
-    validate: bool = UNSET,
-    certify: bool = UNSET,
-    warm_cache=UNSET,
+    built: BuiltNetwork, options: SolveOptions | None = None
 ) -> Allocation:
     """Solve an already-constructed network (used by ablation benches
     and warm-started sweeps).
@@ -122,18 +98,8 @@ def solve_built(
     Args:
         built: The constructed network.
         options: Solve-shaping switches; ``None`` uses the defaults.
-        validate: Deprecated — use ``options.validate``.
-        certify: Deprecated — use ``options.certify``.
-        warm_cache: Deprecated — use ``options.warm_cache``.
     """
-    options = resolve_options(
-        options,
-        {
-            "validate": validate,
-            "certify": certify,
-            "warm_cache": warm_cache,
-        },
-    )
+    options = options or SolveOptions()
     problem = built.problem
     with obs.span("solver.flow_solve"):
         # Counter twin of the span: spans carry wall time only, and the
@@ -174,9 +140,8 @@ def extract_allocation(
     Decomposes the flow into register chains, derives segment residency,
     assigns memory addresses and re-accounts the energy independently of
     the flow objective.  Exposed separately from :func:`solve_built` so
-    alternative solving strategies (e.g. the cycle-cancelling fallback in
-    :mod:`repro.service.solvers`) share one extraction and one
-    energy-accounting cross-check with the production path.
+    a flow from any solver over the same network shares one extraction
+    and one energy-accounting cross-check with the production path.
 
     Args:
         built: The constructed network the flow was solved on.

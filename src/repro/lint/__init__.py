@@ -31,9 +31,10 @@ RA9xx    engine-internal (a rule crashed)
 =======  ==============================================================
 
 Entry points: :func:`run_lint` for a report, :func:`gate_problem` for
-the opt-in pre-solve gate (``allocate(..., lint="error")``), text/JSON
-reporters, and a SARIF 2.1.0 exporter for CI consumption.  The RA6xx
-prover is also callable directly: :func:`prove_infeasible` returns an
+the opt-in pre-solve gate (``SolveOptions(lint="error")`` on any
+``allocate*`` entry point), text/JSON reporters, and a SARIF 2.1.0
+exporter for CI consumption.  The RA6xx prover is also callable
+directly: :func:`prove_infeasible` returns an
 :class:`InfeasibilityCertificate` (or ``None``) without ever solving a
 flow, and :func:`check_certificate` re-verifies one through an
 independent derivation.  The dynamic post-solve counterpart — oracles

@@ -7,7 +7,7 @@ stable code order, and folds their findings into a
 and side-effect free — no flow is ever solved.
 
 :func:`gate_problem` is the opt-in pipeline gate behind
-``allocate(..., lint="error")``: it raises
+``allocate(problem, SolveOptions(lint="error"))``: it raises
 :class:`~repro.exceptions.LintGateError` when the report contains
 findings at or above the requested severity.
 """
@@ -97,8 +97,8 @@ def gate_problem(
     """Lint *problem* and raise when findings reach *fail_on*.
 
     This is the opt-in pre-solve gate used by
-    ``repro.core.solver.allocate(..., lint="error")`` and the pipeline
-    entry points.
+    ``repro.core.solver.allocate(problem, SolveOptions(lint="error"))``
+    and the pipeline entry points.
 
     Args:
         problem: The instance about to be solved.

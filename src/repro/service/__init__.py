@@ -13,9 +13,9 @@ layer (the ROADMAP's production-scale direction).  Three pillars:
   provenance (which solver produced them, when they were inserted);
 * :mod:`repro.service.executor` — a batch executor
   (``submit``/``map_blocks``/``gather``) over a ``ProcessPoolExecutor``
-  with per-job timeouts, bounded exponential-backoff retry, and the
-  graceful-degradation solver ladder of :mod:`repro.service.solvers`
-  (SSP → cycle-cancelling → two-phase baseline).
+  with per-job timeouts that solves every miss with one call to the
+  exact allocator; a solver error fails its job, which is never cached,
+  retried or answered by an approximate fallback.
 
 :mod:`repro.service.manifest` loads JSON workload manifests and
 :mod:`repro.service.report` emits the versioned
@@ -53,13 +53,7 @@ from repro.service.report import (
     report_to_json,
 )
 from repro.service.server import AllocationServer, ServerConfig, serve
-from repro.service.solvers import (
-    DEFAULT_LADDER,
-    LadderOutcome,
-    SolverFault,
-    SolveSummary,
-    run_ladder,
-)
+from repro.service.solvers import SolveSummary
 
 __all__ = [
     "AdmissionController",
@@ -68,16 +62,13 @@ __all__ = [
     "BuiltWorkload",
     "CachedResult",
     "CanonicalInstance",
-    "DEFAULT_LADDER",
     "JobResult",
-    "LadderOutcome",
     "Manifest",
     "REPORT_SCHEMA",
     "ResultCache",
     "ServerConfig",
     "ShardedResultCache",
     "SolveSummary",
-    "SolverFault",
     "TokenBucket",
     "Verdict",
     "WorkloadSpec",
@@ -89,6 +80,5 @@ __all__ = [
     "parse_manifest",
     "render_batch_text",
     "report_to_json",
-    "run_ladder",
     "serve",
 ]

@@ -35,6 +35,13 @@ schedule they came from, and the schedule-aware rules (RA1xx, RA602)
 would otherwise serve a stale verdict to an instance with identical
 lifetimes but a different schedule.
 
+Every entry records the solver that wrote it and whether that solver is
+exact.  The service writes only :data:`EXACT_SOLVER` entries; an entry
+with any other provenance — e.g. an approximate ``exact: false`` answer
+left in a ``--cache-dir`` by an older release — is *stale*: a lookup
+counts it as a miss, so the job is re-solved exactly and the entry
+overwritten.
+
 Every lookup bumps the ``service.cache.hit`` / ``service.cache.miss``
 (results) or ``service.lint.cache_hit`` / ``service.lint.cache_miss``
 (verdicts) observability counters (:mod:`repro.obs`).
@@ -53,7 +60,13 @@ from typing import Any, Iterable, Mapping
 from repro.exceptions import ServiceError
 from repro.obs import trace as obs
 
-__all__ = ["CachedLint", "CachedResult", "ResultCache", "ShardedResultCache"]
+__all__ = [
+    "EXACT_SOLVER",
+    "CachedLint",
+    "CachedResult",
+    "ResultCache",
+    "ShardedResultCache",
+]
 
 #: Per-process sequence making concurrent temp-file names unique.
 _TMP_COUNTER = itertools.count()
@@ -64,6 +77,10 @@ ENTRY_SCHEMA = "repro.service/cache-entry/v1"
 #: Schema identifier of one serialised lint verdict.
 LINT_SCHEMA = "repro.service/lint-entry/v1"
 
+#: Provenance tag of the one solver the service runs: the exact
+#: successive-shortest-paths min-cost-flow allocator.
+EXACT_SOLVER = "ssp"
+
 
 @dataclass(frozen=True)
 class CachedResult:
@@ -71,9 +88,10 @@ class CachedResult:
 
     Attributes:
         key: Canonical cache key the entry is stored under.
-        solver: Ladder rung that produced the result (provenance).
-        exact: Whether the producing solver is exact (``False`` for the
-            two-phase baseline fallback).
+        solver: Solver that produced the result (provenance).
+        exact: Whether the producing solver is exact.  Only entries
+            written by the exact allocator are served (see
+            :attr:`stale`).
         objective: Absolute storage energy of the solution.
         mem_accesses: Memory accesses of the solution.
         reg_accesses: Register-file accesses of the solution.
@@ -97,6 +115,16 @@ class CachedResult:
     address_count: int
     residency: tuple[tuple[str, int, int], ...] = ()
     memory_addresses: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def stale(self) -> bool:
+        """Whether the exact allocator did not write this entry.
+
+        Older releases cached answers from fallback solvers, including
+        approximate (``exact: false``) ones; lookups treat those as
+        misses rather than replay them.
+        """
+        return not self.exact or self.solver != EXACT_SOLVER
 
     def remap(self, inverse: Mapping[str, str]) -> "CachedResult":
         """The same result expressed in an instance's own variable names.
@@ -263,30 +291,35 @@ class ResultCache:
         return (self._path(key),)
 
     def get(self, key: str) -> CachedResult | None:
-        """Look up *key*; promote on hit, fall back to the disk store."""
+        """Look up *key*; promote on hit, fall back to the disk store.
+
+        A :attr:`~CachedResult.stale` entry counts as a miss.
+        """
         entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            obs.count("service.cache.hit")
-            return entry
-        if self.directory is not None:
-            for path in self._candidate_paths(key):
-                if not path.is_file():
-                    continue
-                try:
-                    entry = CachedResult.from_dict(
-                        json.loads(path.read_text(encoding="utf-8"))
-                    )
-                except (OSError, ValueError, ServiceError):
-                    entry = None  # corrupt entries count as misses
-                if entry is not None and entry.key == key:
-                    self._remember(key, entry)
-                    self.hits += 1
-                    obs.count("service.cache.hit")
-                    return entry
-        self.misses += 1
-        obs.count("service.cache.miss")
+        if entry is None and self.directory is not None:
+            entry = self._load(key)
+        if entry is None or entry.stale:
+            self.misses += 1
+            obs.count("service.cache.miss")
+            return None
+        self._remember(key, entry)
+        self.hits += 1
+        obs.count("service.cache.hit")
+        return entry
+
+    def _load(self, key: str) -> CachedResult | None:
+        """The disk entry of *key*, if one parses (corrupt = absent)."""
+        for path in self._candidate_paths(key):
+            if not path.is_file():
+                continue
+            try:
+                entry = CachedResult.from_dict(
+                    json.loads(path.read_text(encoding="utf-8"))
+                )
+            except (OSError, ValueError, ServiceError):
+                continue
+            if entry.key == key:
+                return entry
         return None
 
     def put(self, entry: CachedResult) -> None:

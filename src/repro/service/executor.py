@@ -1,19 +1,25 @@
-"""Parallel batch executor over the cache and the solver ladder.
+"""Parallel batch executor over the cache and the exact allocator.
 
 :class:`BatchExecutor` is the serving engine: jobs are submitted as
 :class:`~repro.core.problem.AllocationProblem` instances, deduplicated
 through the canonical cache (:mod:`repro.service.canonical` /
 :mod:`repro.service.cache`), and the remaining misses are solved — in
 process for ``workers == 1``, or fanned out over a
-``concurrent.futures.ProcessPoolExecutor`` with configurable chunking —
-through the retry/fallback ladder of :mod:`repro.service.solvers`.
+``concurrent.futures.ProcessPoolExecutor`` with configurable chunking.
+
+Each miss is one call to the exact min-cost-flow allocator
+(:func:`repro.core.solver.allocate`).  An
+:class:`~repro.exceptions.InfeasibleFlowError` settles the job as
+``"infeasible"``; any other exception makes it ``"failed"`` with
+``"<ExceptionClass>: <message>"`` in its error (the traceback goes to
+this module's logger), and a failed job is never cached.  There is no
+retry and no fallback solver: the allocator is deterministic, and the
+service never swaps in an approximate answer.
 
 Observability: a ``service.batch`` span wraps each gather;
-``service.jobs`` / ``service.failures`` / ``service.retry`` /
-``service.fallback`` and the cache hit/miss counters accumulate, the
-``service.queue_depth`` gauge tracks outstanding work while the pool
-drains, and each worker process's wall time accumulates into
-``service.worker.<pid>.wall_s``.
+``service.jobs`` / ``service.failures`` and the cache hit/miss counters
+accumulate, and the ``service.queue_depth`` gauge tracks outstanding
+work while the pool drains.
 
 Timeouts are enforced per dispatched chunk (``timeout * chunk length``
 seconds) on the parent side; a chunk that blows its deadline marks its
@@ -23,28 +29,29 @@ cannot preempt a running solve, so timeouts require ``workers > 1``.
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
-from repro.exceptions import ServiceError
+from repro.core.solver import allocate
+from repro.core.storage import StorageSpec
+from repro.exceptions import InfeasibleFlowError, ServiceError
 from repro.flow.warm_start import WarmStartCache
 from repro.obs import trace as obs
 from repro.service.cache import ResultCache
 from repro.service.canonical import canonicalize
 from repro.service.lintgate import LintGate, LintVerdict
-from repro.service.solvers import (
-    DEFAULT_LADDER,
-    SolveSummary,
-    run_ladder,
-)
+from repro.service.solvers import SolveSummary
 from repro.workloads.random_blocks import spawn_rng
 
 __all__ = ["BatchExecutor", "JobResult"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -59,13 +66,10 @@ class JobResult:
             or ``"rejected"`` (blocked by the admission lint gate
             before reaching a solver).
         cached: Whether the result was served from the cache.
-        solver: Ladder rung (or cached provenance) that produced the
-            result; ``None`` when no rung succeeded.
+        solver: Solver (or cached provenance) that produced the result;
+            ``None`` unless ``status == "ok"``.
         summary: Full solution summary in the instance's own variable
             names (``None`` unless ``status == "ok"``).
-        attempts: Chronological ladder attempt log (empty for hits).
-        retries: Same-rung retries spent on the job.
-        fallbacks: Rung transitions spent on the job.
         certified: Whether an optimality certificate was spot-checked.
         wall_time_s: Solve wall time (0 for cache hits).
         worker: PID of the process that solved the job, if any.
@@ -79,9 +83,6 @@ class JobResult:
     cached: bool = False
     solver: str | None = None
     summary: SolveSummary | None = None
-    attempts: list[dict] = field(default_factory=list)
-    retries: int = 0
-    fallbacks: int = 0
     certified: bool = False
     wall_time_s: float = 0.0
     worker: int | None = None
@@ -110,10 +111,7 @@ class JobResult:
             "status": self.status,
             "cached": self.cached,
             "solver": self.solver,
-            "retries": self.retries,
-            "fallbacks": self.fallbacks,
             "certified": self.certified,
-            "attempts": list(self.attempts),
             "wall_time_s": self.wall_time_s,
             "worker": self.worker,
             "error": self.error,
@@ -133,57 +131,47 @@ class JobResult:
 
 
 def _execute_job(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Worker entry point: lint gate + ladder walk for one job.
+    """Worker entry point: one exact solve for one job.
 
     Runs in the worker process (or inline for ``workers == 1``); both
-    arguments and the returned record are plain picklable data.
+    the payload and the returned record are plain picklable data.
     """
     start = time.perf_counter()
-    problem: AllocationProblem = payload["problem"]
+    certify = payload["certify"]
     record: dict[str, Any] = {
-        "status": "failed",
+        "status": "ok",
         "summary": None,
-        "attempts": [],
-        "retries": 0,
-        "fallbacks": 0,
         "certified": False,
         "error": None,
         "worker": os.getpid(),
     }
-    lint = payload.get("lint")
+    options = SolveOptions(certify=certify, warm_cache=payload["warm_cache"])
     try:
-        if lint is not None:
-            from repro.lint import gate_problem
-
-            gate_problem(problem, fail_on=lint)
-        outcome = run_ladder(
-            problem,
-            ladder=tuple(payload.get("ladder", DEFAULT_LADDER)),
-            max_retries=int(payload.get("max_retries", 1)),
-            backoff_base=float(payload.get("backoff_base", 0.0)),
-            backoff_cap=float(payload.get("backoff_cap", 1.0)),
-            inject_faults=payload.get("inject_faults"),
-            certify=bool(payload.get("certify", False)),
-            warm_cache=payload.get("warm_cache"),
-        )
-        record.update(
-            {
-                "status": outcome.status,
-                "summary": (
-                    outcome.summary.to_dict() if outcome.summary else None
-                ),
-                "attempts": outcome.attempts,
-                "retries": outcome.retries,
-                "fallbacks": outcome.fallbacks,
-                "certified": outcome.certified,
-                "error": outcome.error,
-            }
-        )
+        with obs.span("service.solve.ssp"):
+            allocation = allocate(payload["problem"], options)
+        record["summary"] = SolveSummary.from_allocation(allocation).to_dict()
+        record["certified"] = certify
+    except InfeasibleFlowError as exc:
+        # A property of the instance, not a solver fault.
+        record.update(status="infeasible", error=str(exc))
     except Exception as exc:  # noqa: BLE001 - worker boundary: failures
         # become job records, never batch-level crashes.
-        record["error"] = f"{type(exc).__name__}: {exc}"
+        _log.exception("solver failed on a batch job")
+        record.update(status="failed", error=f"{type(exc).__name__}: {exc}")
     record["wall_time_s"] = time.perf_counter() - start
     return record
+
+
+def _unsolved_record(status: str, error: str, wall: float) -> dict[str, Any]:
+    """The record of a job whose worker never reported back."""
+    return {
+        "status": status,
+        "summary": None,
+        "certified": False,
+        "error": error,
+        "wall_time_s": wall,
+        "worker": None,
+    }
 
 
 def _execute_chunk(
@@ -209,19 +197,9 @@ class BatchExecutor:
         workers: Worker processes; 1 solves in-process (no pool).
         cache: Shared :class:`~repro.service.cache.ResultCache`
             (``None`` disables caching entirely).
-        ladder: Solver rung order (see
-            :data:`repro.service.solvers.DEFAULT_LADDER`).
-        max_retries: Same-rung retries per job.
-        backoff_base: First retry delay, seconds (exponential after).
-        backoff_cap: Upper bound on any retry delay, seconds.
         timeout: Per-job time budget, seconds (enforced per chunk on the
             pool path; ``None`` disables).
         chunksize: Jobs dispatched per worker task.
-        lint: Optional per-job pre-solve lint gate severity
-            (``"error"``, ``"warning"``, ``"note"``), enforced inside
-            each worker.  Superseded by *lint_gate*: when a gate is
-            configured the worker-side check is skipped (the gate
-            already analysed every job, with caching).
         lint_gate: Optional admission-time
             :class:`~repro.service.lintgate.LintGate`.  Every job —
             including result-cache hits — is linted in the parent before
@@ -232,20 +210,13 @@ class BatchExecutor:
         certify_fraction: Fraction of jobs (seeded sample) whose
             solutions get an optimality-certificate spot-check.
         seed: Seed of the certify sampler.
-        inject_faults: Rung → forced-failure budget, forwarded to
-            :func:`repro.service.solvers.run_ladder` (chaos testing).
         warm_cache: Optional
             :class:`~repro.flow.warm_start.WarmStartCache` kept hot
             across gathers.  Only the in-process path (``workers == 1``)
             uses it — kernel state is not shipped to pool workers — so a
             long-lived single-worker server re-solves cost-only sweeps
             incrementally.  Results are identical with or without.
-        options: Optional :class:`~repro.core.options.SolveOptions`
-            bundle seeding the per-solve knobs: ``options.ladder``,
-            ``options.lint`` and ``options.warm_cache`` fill the
-            matching executor arguments when those are left at their
-            defaults, ``options.certify`` forces a full
-            ``certify_fraction`` of 1, and ``options.storage`` is
+        storage: Optional :class:`~repro.core.storage.StorageSpec`
             attached to every submitted problem that does not already
             carry a hierarchy.
     """
@@ -254,38 +225,18 @@ class BatchExecutor:
         self,
         workers: int = 1,
         cache: ResultCache | None = None,
-        ladder: tuple[str, ...] = DEFAULT_LADDER,
-        max_retries: int = 1,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         timeout: float | None = None,
         chunksize: int = 1,
-        lint: str | None = None,
         lint_gate: LintGate | None = None,
         certify_fraction: float = 0.0,
         seed: int = 0,
-        inject_faults: Mapping[str, int] | None = None,
         warm_cache: WarmStartCache | None = None,
-        options: SolveOptions | None = None,
+        storage: StorageSpec | None = None,
     ) -> None:
-        if options is not None:
-            if options.ladder is not None and ladder is DEFAULT_LADDER:
-                ladder = tuple(options.ladder)
-            if options.lint is not None and lint is None:
-                lint = options.lint
-            if options.warm_cache is not None and warm_cache is None:
-                warm_cache = options.warm_cache
-            if options.certify:
-                certify_fraction = 1.0
-        self.options = options or SolveOptions()
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         if chunksize < 1:
             raise ServiceError(f"chunksize must be >= 1, got {chunksize}")
-        if max_retries < 0:
-            raise ServiceError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
         if not 0.0 <= certify_fraction <= 1.0:
             raise ServiceError(
                 f"certify fraction {certify_fraction} outside [0, 1]"
@@ -294,18 +245,13 @@ class BatchExecutor:
             raise ServiceError(f"timeout must be positive, got {timeout}")
         self.workers = workers
         self.cache = cache
-        self.ladder = tuple(ladder)
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
         self.chunksize = chunksize
-        self.lint = lint
         self.lint_gate = lint_gate
         self.certify_fraction = certify_fraction
         self.seed = seed
-        self.inject_faults = dict(inject_faults or {})
         self.warm_cache = warm_cache
+        self.storage = storage
         #: Verdicts of the last :meth:`gather`, in submission order
         #: (empty when no *lint_gate* is configured).
         self.lint_verdicts: list[LintVerdict] = []
@@ -329,8 +275,8 @@ class BatchExecutor:
         """
         if job_id is None:
             job_id = f"job-{self._submitted}"
-        if self.options.storage is not None and problem.storage is None:
-            problem = problem.with_options(storage=self.options.storage)
+        if self.storage is not None and problem.storage is None:
+            problem = problem.with_options(storage=self.storage)
         self._pending.append((self._submitted, job_id, problem, schedule))
         self._submitted += 1
         return job_id
@@ -417,20 +363,11 @@ class BatchExecutor:
             # The warm-start kernel state is process-local (numpy arrays
             # + CSR views); it rides along only on the inline path.
             warm_cache = self.warm_cache if self.workers == 1 else None
-            # The admission gate subsumes the worker-side lint check —
-            # running both would analyse every miss twice.
-            worker_lint = None if self.lint_gate is not None else self.lint
             payloads = [
                 (
                     index,
                     {
                         "problem": problem,
-                        "ladder": self.ladder,
-                        "max_retries": self.max_retries,
-                        "backoff_base": self.backoff_base,
-                        "backoff_cap": self.backoff_cap,
-                        "inject_faults": self.inject_faults,
-                        "lint": worker_lint,
                         "certify": self._certify(job_id),
                         "warm_cache": warm_cache,
                     },
@@ -524,34 +461,17 @@ class BatchExecutor:
                 except FutureTimeout:
                     future.cancel()
                     for index, _ in chunk:
-                        records[index] = {
-                            "status": "timeout",
-                            "summary": None,
-                            "attempts": [],
-                            "retries": 0,
-                            "fallbacks": 0,
-                            "certified": False,
-                            "error": (
-                                f"chunk exceeded its "
-                                f"{deadline:.3f}s deadline"
-                            ),
-                            "wall_time_s": deadline or 0.0,
-                            "worker": None,
-                        }
+                        records[index] = _unsolved_record(
+                            "timeout",
+                            f"chunk exceeded its {deadline:.3f}s deadline",
+                            deadline or 0.0,
+                        )
                 except Exception as exc:  # noqa: BLE001 - pool failures
                     # (e.g. BrokenProcessPool) degrade to job failures.
                     for index, _ in chunk:
-                        records[index] = {
-                            "status": "failed",
-                            "summary": None,
-                            "attempts": [],
-                            "retries": 0,
-                            "fallbacks": 0,
-                            "certified": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "wall_time_s": 0.0,
-                            "worker": None,
-                        }
+                        records[index] = _unsolved_record(
+                            "failed", f"{type(exc).__name__}: {exc}", 0.0
+                        )
                 else:
                     for (index, _), record in zip(chunk, chunk_records):
                         records[index] = record
@@ -566,10 +486,6 @@ class BatchExecutor:
         summary = None
         if record.get("summary") is not None:
             summary = SolveSummary.from_dict(record["summary"])
-        worker = record.get("worker")
-        wall = float(record.get("wall_time_s", 0.0))
-        if worker is not None:
-            obs.count(f"service.worker.{worker}.wall_s", wall)
         return JobResult(
             job_id=job_id,
             index=index,
@@ -578,11 +494,8 @@ class BatchExecutor:
             cached=False,
             solver=summary.solver if summary else None,
             summary=summary,
-            attempts=list(record.get("attempts", ())),
-            retries=int(record.get("retries", 0)),
-            fallbacks=int(record.get("fallbacks", 0)),
             certified=bool(record.get("certified", False)),
-            wall_time_s=wall,
-            worker=worker,
+            wall_time_s=float(record.get("wall_time_s", 0.0)),
+            worker=record.get("worker"),
             error=record.get("error"),
         )

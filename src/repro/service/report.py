@@ -3,7 +3,7 @@
 :func:`build_batch_report` folds a list of
 :class:`~repro.service.executor.JobResult` into the
 ``repro.service/batch-report/v1`` document: per-job records plus batch
-totals (status counts, cache hit rate, retry/fallback spend, per-solver
+totals (status counts, cache hit rate, certified solves, per-solver
 provenance counts, wall times).  :func:`report_to_json` and
 :func:`render_batch_text` are the two output formats of the
 ``repro-alloc batch`` subcommand; the CI batch-smoke job parses the JSON
@@ -48,8 +48,6 @@ def build_batch_report(
         "rejected": 0,
     }
     by_solver: dict[str, int] = {}
-    retries = 0
-    fallbacks = 0
     certified = 0
     cached = 0
     solve_wall = 0.0
@@ -59,8 +57,6 @@ def build_batch_report(
             cached += 1
         if result.solver is not None:
             by_solver[result.solver] = by_solver.get(result.solver, 0) + 1
-        retries += result.retries
-        fallbacks += result.fallbacks
         certified += result.certified
         solve_wall += result.wall_time_s
     totals: dict[str, Any] = {
@@ -68,8 +64,6 @@ def build_batch_report(
         **statuses,
         "cached": cached,
         "solved": len(results) - cached,
-        "retries": retries,
-        "fallbacks": fallbacks,
         "certified": certified,
         "by_solver": dict(sorted(by_solver.items())),
         "solve_wall_s": round(solve_wall, 6),
@@ -114,16 +108,12 @@ def render_batch_text(report: Mapping[str, Any]) -> str:
             f"{stats['misses']} miss "
             f"(rate {stats['hit_rate']:.2%})"
         )
-    lines.append(
-        f"  ladder:   retries {totals['retries']}  "
-        f"fallbacks {totals['fallbacks']}  "
-        f"certified {totals['certified']}"
+    solvers = "  ".join(
+        f"{name}:{count}" for name, count in totals["by_solver"].items()
     )
-    if totals["by_solver"]:
-        solvers = "  ".join(
-            f"{name}:{count}" for name, count in totals["by_solver"].items()
-        )
-        lines.append(f"  solvers:  {solvers}")
+    lines.append(
+        f"  solvers:  {solvers or '-'}  certified {totals['certified']}"
+    )
     width = max(
         [len(str(job["job_id"])) for job in report["jobs"]] or [3]
     )

@@ -21,7 +21,7 @@ whole request stream —
   consecutive points of a voltage sweep — re-solve incrementally in
   O(changed arcs);
 * a process-global :class:`~repro.obs.trace.TraceCollector`, exported
-  by ``/metrics``, so warm-start hits, solver-ladder rung counts and
+  by ``/metrics``, so warm-start hits, solve and failure counts and
   shed totals are observable without restarting anything.
 
 Protocol (HTTP/1.1, ``Connection: close``):
@@ -114,10 +114,7 @@ class ServerConfig:
         shard_width: Hex digits of the cache shard prefix (see
             :class:`~repro.service.cache.ShardedResultCache`).
         timeout: Per-job solve budget in seconds (pool mode only).
-        retries: Same-rung solver retries per job.
         chunksize: Jobs per worker-pool task.
-        lint: Optional per-job pre-solve lint gate severity (legacy
-            worker-side check; ignored while *admission_lint* is on).
         admission_lint: Severity threshold of the admission-time lint
             gate (``"error"``, ``"warning"``, ``"note"``; unknown names
             fail closed to ``"error"``).  ``"never"`` lints — verdicts
@@ -138,9 +135,7 @@ class ServerConfig:
     cache_capacity: int = 1024
     shard_width: int = 2
     timeout: float | None = None
-    retries: int = 1
     chunksize: int = 1
-    lint: str | None = None
     admission_lint: str | None = "error"
     drain_grace: float = 60.0
     max_body_bytes: int = 8 * 1024 * 1024
@@ -372,17 +367,11 @@ class AllocationServer:
                 workloads = ticket.manifest.build()
             except ServiceError as exc:
                 return 400, {"error": str(exc)}
-        # The admission gate already linted (and cached verdicts for)
-        # every job; re-linting in the workers would analyse each miss
-        # twice for no new information.
-        worker_lint = None if self.lint_gate is not None else cfg.lint
         executor = BatchExecutor(
             workers=cfg.workers,
             cache=self.cache,
-            max_retries=cfg.retries,
             timeout=cfg.timeout,
             chunksize=cfg.chunksize,
-            lint=worker_lint,
             warm_cache=self.warm_cache,
         )
         results = executor.map_blocks(
@@ -652,8 +641,9 @@ class AllocationServer:
 
         Exports every :mod:`repro.obs` counter and gauge accumulated
         since the server started — warm-start hit kinds
-        (``solver.warm_start.cold/replay/incremental``), solver-ladder
-        rung attempts/successes (``service.rung.*``), shed totals
+        (``solver.warm_start.cold/replay/incremental``), flow solves
+        (``solver.flow_solve.calls``), job and failure totals
+        (``service.jobs``, ``service.failures``), shed totals
         (``service.shed*``), task-graph pipeline counters (``dag.*``,
         grouped under ``dag``) — plus admission, result-cache and
         server stats.

@@ -1,58 +1,23 @@
-"""Graceful-degradation solver ladder with retry and fault injection.
+"""The plain-data solution summary the batch service ships and caches.
 
-The batch executor never fails a whole batch because one solve went
-wrong: each job walks a *ladder* of solving strategies, retrying each
-rung with bounded exponential backoff before falling through to the
-next, and records exactly which rung produced its result:
-
-1. ``ssp`` — the production successive-shortest-path allocator
-   (:func:`repro.core.solver.allocate`), exact;
-2. ``cycle_canceling`` — the independent Klein cycle-cancelling solver
-   run over the same network (through the lower-bound transformation
-   when segments are forced), exact;
-3. ``two_phase`` — the Chang–Pedram-style two-phase baseline, an
-   *approximate* last resort (skipped when the instance has restricted
-   access times or forced segments, which baselines cannot honour).
-
-Infeasibility is not retried or degraded: every rung agrees on it, so
-the first :class:`~repro.exceptions.InfeasibleFlowError` settles the
-job.  For tests and chaos drills, *inject_faults* forces named rungs to
-raise :class:`SolverFault` for a configurable number of attempts.
+Every service job is one call to the exact min-cost-flow allocator
+(:func:`repro.core.solver.allocate`, made by
+:mod:`repro.service.executor`).  :class:`SolveSummary` is what such a
+solve leaves behind: headline numbers plus the residency and address
+maps, in the instance's own variable names, convertible to and from the
+canonical-space cache entry (:class:`~repro.service.cache.CachedResult`)
+and the JSON job record.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
-from repro.core.options import SolveOptions
-from repro.core.problem import AllocationProblem
-from repro.core.network_builder import build_network
-from repro.core.solver import allocate, extract_allocation
-from repro.exceptions import InfeasibleFlowError, ServiceError
-from repro.flow.cycle_canceling import solve_by_cycle_canceling
-from repro.flow.lower_bounds import transform_lower_bounds
-from repro.flow.validate import check_flow
-from repro.flow.warm_start import WarmStartCache
-from repro.obs import trace as obs
-from repro.service.cache import CachedResult
+from repro.service.cache import EXACT_SOLVER, CachedResult
 from repro.service.canonical import CanonicalInstance
 
-__all__ = [
-    "DEFAULT_LADDER",
-    "LadderOutcome",
-    "SolveSummary",
-    "SolverFault",
-    "run_ladder",
-]
-
-#: Rung order of the graceful-degradation ladder.
-DEFAULT_LADDER = ("ssp", "cycle_canceling", "two_phase")
-
-
-class SolverFault(ServiceError):
-    """An (injected or simulated) solver failure on one ladder rung."""
+__all__ = ["SolveSummary"]
 
 
 @dataclass(frozen=True)
@@ -64,8 +29,10 @@ class SolveSummary:
     to and from the canonical-space cache entry.
 
     Attributes:
-        solver: Ladder rung that produced the solution.
-        exact: Whether that rung is an exact optimiser.
+        solver: Provenance tag of the solver that produced the solution
+            (:data:`~repro.service.cache.EXACT_SOLVER` for every solve
+            the service makes; cache hits carry the entry's tag).
+        exact: Whether that solver is an exact optimiser.
         objective: Absolute storage energy.
         mem_accesses: Memory accesses of the solution.
         reg_accesses: Register-file accesses of the solution.
@@ -88,10 +55,10 @@ class SolveSummary:
     memory_addresses: tuple[tuple[str, int], ...] = ()
 
     @classmethod
-    def from_allocation(cls, allocation, solver: str) -> "SolveSummary":
-        """Summarise a flow :class:`~repro.core.allocation.Allocation`."""
+    def from_allocation(cls, allocation) -> "SolveSummary":
+        """Summarise an exact :class:`~repro.core.allocation.Allocation`."""
         return cls(
-            solver=solver,
+            solver=EXACT_SOLVER,
             exact=True,
             # total_energy == objective except under a multi-bank
             # storage hierarchy, where per-bank deltas are added on top.
@@ -109,30 +76,6 @@ class SolveSummary:
             ),
             memory_addresses=tuple(
                 sorted(allocation.memory_addresses.items())
-            ),
-        )
-
-    @classmethod
-    def from_baseline(cls, result, register_count: int) -> "SolveSummary":
-        """Summarise a two-phase baseline result (approximate rung)."""
-        return cls(
-            solver="two_phase",
-            exact=False,
-            objective=result.objective,
-            mem_accesses=result.report.mem_accesses,
-            reg_accesses=result.report.reg_accesses,
-            registers_used=result.registers_used,
-            unused_registers=max(0, register_count - result.registers_used),
-            address_count=result.address_count,
-            residency=tuple(
-                sorted(
-                    (lifetime.name, 0, register)
-                    for register, chain in enumerate(result.chains)
-                    for lifetime in chain
-                )
-            ),
-            memory_addresses=tuple(
-                sorted(result.memory_addresses.items())
             ),
         )
 
@@ -216,226 +159,3 @@ class SolveSummary:
                 for name, address in data.get("memory_addresses", ())
             ),
         )
-
-
-@dataclass
-class LadderOutcome:
-    """Everything one walk of the ladder produced.
-
-    Attributes:
-        status: ``"ok"``, ``"infeasible"`` or ``"failed"`` (every rung
-            exhausted).
-        summary: The solution summary when ``status == "ok"``.
-        attempts: Chronological attempt log — one entry per try with the
-            rung name, 1-based attempt number and error (``None`` on
-            success).
-        retries: Same-rung re-tries performed.
-        fallbacks: Rung transitions taken after a rung was exhausted.
-        error: Message of the last failure when the ladder failed.
-        certified: Whether an optimality certificate was checked on the
-            returned solution.
-    """
-
-    status: str
-    summary: SolveSummary | None = None
-    attempts: list[dict] = field(default_factory=list)
-    retries: int = 0
-    fallbacks: int = 0
-    error: str | None = None
-    certified: bool = False
-
-
-def _solve_ssp(
-    problem: AllocationProblem,
-    certify: bool,
-    warm_cache: WarmStartCache | None = None,
-) -> SolveSummary:
-    """Rung 1: the production SSP allocator (optionally warm-started)."""
-    options = SolveOptions(certify=certify, warm_cache=warm_cache)
-    return SolveSummary.from_allocation(allocate(problem, options), "ssp")
-
-
-def _solve_cycle_canceling(
-    problem: AllocationProblem,
-    certify: bool,
-    warm_cache: WarmStartCache | None = None,
-) -> SolveSummary:
-    """Rung 2: independent cycle-cancelling solve of the same network."""
-    storage = problem.storage
-    if storage is not None and (
-        not storage.is_degenerate
-        or storage.reference.capacity is not None
-        or storage.reference.ports is not None
-    ):
-        raise SolverFault(
-            "cycle-cancelling rung solves the union network only and "
-            "cannot honour bank placement or capacity/port limits"
-        )
-    built = build_network(problem)
-    if built.network.has_lower_bounds():
-        transform = transform_lower_bounds(
-            built.network, built.source, built.sink, built.flow_value
-        )
-        inner = solve_by_cycle_canceling(
-            transform.network,
-            transform.super_source,
-            transform.super_sink,
-            transform.demand,
-        )
-        flow = transform.recover(inner)
-    else:
-        flow = solve_by_cycle_canceling(
-            built.network, built.source, built.sink, built.flow_value
-        )
-    check_flow(flow, built.source, built.sink, built.flow_value)
-    if certify:
-        from repro.verify.certificates import certify_flow
-
-        certify_flow(flow)
-    return SolveSummary.from_allocation(
-        extract_allocation(built, flow), "cycle_canceling"
-    )
-
-
-def _solve_two_phase(
-    problem: AllocationProblem,
-    certify: bool,
-    warm_cache: WarmStartCache | None = None,
-) -> SolveSummary:
-    """Rung 3: approximate two-phase baseline (graceful degradation)."""
-    if problem.memory.restricted or problem.forced_segments:
-        raise SolverFault(
-            "two-phase baseline cannot honour restricted access times "
-            "or forced segments"
-        )
-    if problem.storage is not None:
-        raise SolverFault(
-            "two-phase baseline cannot honour a storage hierarchy"
-        )
-    from repro.baselines.two_phase import two_phase_allocate
-
-    result = two_phase_allocate(
-        problem.lifetimes,
-        problem.horizon,
-        problem.register_count,
-        problem.energy_model,
-    )
-    return SolveSummary.from_baseline(result, problem.register_count)
-
-
-_RUNGS: dict[
-    str,
-    Callable[
-        [AllocationProblem, bool, WarmStartCache | None], SolveSummary
-    ],
-] = {
-    "ssp": _solve_ssp,
-    "cycle_canceling": _solve_cycle_canceling,
-    "two_phase": _solve_two_phase,
-}
-
-
-def run_ladder(
-    problem: AllocationProblem,
-    *,
-    ladder: tuple[str, ...] = DEFAULT_LADDER,
-    max_retries: int = 1,
-    backoff_base: float = 0.0,
-    backoff_cap: float = 1.0,
-    inject_faults: Mapping[str, int] | None = None,
-    certify: bool = False,
-    warm_cache: WarmStartCache | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> LadderOutcome:
-    """Solve *problem* down the degradation ladder.
-
-    Each rung is tried up to ``max_retries + 1`` times with bounded
-    exponential backoff (``min(backoff_cap, backoff_base * 2**attempt)``
-    seconds between tries) before falling through to the next rung.
-
-    Args:
-        problem: The instance to solve.
-        ladder: Rung names to walk, in order (subset of
-            :data:`DEFAULT_LADDER`).
-        max_retries: Same-rung retries after the first attempt.
-        backoff_base: First retry delay in seconds (0 disables sleeping).
-        backoff_cap: Upper bound on any single retry delay.
-        inject_faults: Rung name → number of leading attempts to fail
-            with :class:`SolverFault` (negative = every attempt).  Used
-            by tests and the ``--inject-fault`` chaos option.
-        certify: Verify an optimality certificate on exact-rung
-            solutions (approximate rungs are never certified).
-        warm_cache: Optional :class:`~repro.flow.warm_start.WarmStartCache`
-            shared across ladder walks; the SSP rung re-solves cost-only
-            perturbations of a seen topology incrementally (the other
-            rungs ignore it).  Results are identical with or without.
-        sleep: Backoff sleeper (injectable for tests).
-
-    Returns:
-        The :class:`LadderOutcome`; ``status`` is ``"failed"`` only when
-        every rung was exhausted.
-
-    Raises:
-        ServiceError: If *ladder* names an unknown rung.
-    """
-    for name in ladder:
-        if name not in _RUNGS:
-            raise ServiceError(
-                f"unknown ladder rung {name!r}; expected one of "
-                f"{sorted(_RUNGS)}"
-            )
-    faults = dict(inject_faults or {})
-    fault_counts: dict[str, int] = {}
-    outcome = LadderOutcome(status="failed")
-
-    for rung_index, name in enumerate(ladder):
-        rung = _RUNGS[name]
-        if rung_index > 0:
-            outcome.fallbacks += 1
-            obs.count("service.fallback")
-        for attempt in range(max_retries + 1):
-            if attempt > 0:
-                outcome.retries += 1
-                obs.count("service.retry")
-                delay = min(backoff_cap, backoff_base * (2 ** (attempt - 1)))
-                if delay > 0:
-                    sleep(delay)
-            try:
-                budget = faults.get(name, 0)
-                used = fault_counts.get(name, 0)
-                obs.count(f"service.rung.{name}.attempts")
-                if budget < 0 or used < budget:
-                    fault_counts[name] = used + 1
-                    raise SolverFault(f"injected fault in {name!r}")
-                certify_here = certify and name != "two_phase"
-                with obs.span(f"service.solve.{name}"):
-                    summary = rung(problem, certify_here, warm_cache)
-            except InfeasibleFlowError as exc:
-                # Infeasibility is a property of the instance; no rung
-                # can do better, so settle the job immediately.
-                outcome.attempts.append(
-                    {"solver": name, "attempt": attempt + 1,
-                     "error": f"infeasible: {exc}"}
-                )
-                outcome.status = "infeasible"
-                outcome.error = str(exc)
-                return outcome
-            except Exception as exc:  # noqa: BLE001 - the ladder is the
-                # error boundary: any rung failure must degrade, not
-                # propagate and kill the batch.
-                outcome.attempts.append(
-                    {"solver": name, "attempt": attempt + 1,
-                     "error": f"{type(exc).__name__}: {exc}"}
-                )
-                outcome.error = f"{type(exc).__name__}: {exc}"
-                continue
-            outcome.attempts.append(
-                {"solver": name, "attempt": attempt + 1, "error": None}
-            )
-            obs.count(f"service.rung.{name}.ok")
-            outcome.status = "ok"
-            outcome.summary = summary
-            outcome.error = None
-            outcome.certified = certify_here
-            return outcome
-    return outcome

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.ports import port_usage
-from repro.core import AllocationProblem, allocate
+from repro.core import AllocationProblem, SolveOptions, allocate
 from repro.energy import MemoryConfig, StaticEnergyModel
 from repro.exceptions import InfeasibleFlowError
 from repro.moa.access import access_sequence
@@ -44,7 +44,7 @@ def solved_instances(draw):
         memory=MemoryConfig(divisor=divisor, voltage=3.3),
     )
     try:
-        return problem, allocate(problem, validate=True)
+        return problem, allocate(problem, SolveOptions(validate=True))
     except InfeasibleFlowError:
         return None
 

@@ -1,10 +1,10 @@
-"""SolveOptions: the unified option bundle and its deprecation shims."""
+"""SolveOptions: the one option bundle of every allocate* entry point."""
 
 import warnings
 
 import pytest
 
-from repro.core.options import UNSET, SolveOptions, resolve_options
+from repro.core.options import SolveOptions
 from repro.core.pipeline import allocate_block, allocate_schedule
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
@@ -29,40 +29,14 @@ def test_options_are_frozen_with_replace():
     assert certified.validate  # untouched fields carried over
 
 
-def test_resolve_options_ignores_unset():
-    base = SolveOptions(certify=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any warning fails the test
-        resolved = resolve_options(
-            base, {"certify": UNSET, "lint": UNSET}
-        )
-    assert resolved is base
-
-
-def test_resolve_options_folds_legacy_with_warning():
-    with pytest.warns(DeprecationWarning, match="lint"):
-        resolved = resolve_options(None, {"lint": "error", "certify": UNSET})
-    assert resolved.lint == "error"
-    assert resolved.validate  # defaults kept
-
-
-def test_allocate_legacy_keywords_warn_and_agree():
+def test_options_are_the_only_way_to_set_a_switch():
     problem = fig3_problem()
-    modern = allocate(problem, SolveOptions(certify=True))
-    with pytest.warns(DeprecationWarning, match="certify"):
-        legacy = allocate(problem, certify=True)
-    assert legacy.objective == modern.objective
-    assert legacy.residency == modern.residency
-
-
-def test_allocate_schedule_legacy_keywords_warn():
+    with pytest.raises(TypeError):
+        allocate(problem, certify=True)
     schedule = list_schedule(kernel_block("fir", taps=4))
-    with pytest.warns(DeprecationWarning, match="lint"):
-        legacy = allocate_schedule(schedule, register_count=4, lint="error")
-    modern = allocate_schedule(
-        schedule, register_count=4, options=SolveOptions(lint="error")
-    )
-    assert legacy.allocation.objective == modern.allocation.objective
+    # Unknown keywords reach AllocationProblem, which rejects them.
+    with pytest.raises(TypeError):
+        allocate_schedule(schedule, register_count=4, lint="error")
 
 
 def test_modern_path_emits_no_deprecation_warnings():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import two_phase_allocate
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.energy import ActivityEnergyModel, MemoryConfig, StaticEnergyModel
@@ -38,7 +39,7 @@ def test_solution_invariants(instance):
     problem = AllocationProblem(
         lifetimes, registers, HORIZON, energy_model=StaticEnergyModel()
     )
-    allocation = allocate(problem, validate=True)
+    allocation = allocate(problem, SolveOptions(validate=True))
 
     # Chains respect time and use each segment at most once.
     seen = set()
@@ -146,7 +147,7 @@ def test_restricted_access_forced_segments_registered(instance, divisor):
         memory=MemoryConfig(divisor=divisor, voltage=3.3),
     )
     try:
-        allocation = allocate(problem, validate=True)
+        allocation = allocate(problem, SolveOptions(validate=True))
     except InfeasibleFlowError:
         return  # forced density exceeded R: a legal outcome
     for name, segments in problem.segments.items():
@@ -162,7 +163,7 @@ def test_activity_model_solutions_validate(instance):
     problem = AllocationProblem(
         lifetimes, registers, HORIZON, energy_model=ActivityEnergyModel()
     )
-    allocation = allocate(problem, validate=True)
+    allocation = allocate(problem, SolveOptions(validate=True))
     assert allocation.objective == pytest.approx(
         allocation.report.total_energy
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.energy import ActivityEnergyModel, MemoryConfig, StaticEnergyModel
@@ -78,12 +79,13 @@ def test_residency_matches_chains():
 
 
 def test_energy_identity_flow_vs_accounting():
-    # allocate(validate=True) enforces objective == recomputed energy; run
-    # across models and register counts.
+    # SolveOptions(validate=True) enforces objective == recomputed energy;
+    # run across models and register counts.
     for model in (StaticEnergyModel(), ActivityEnergyModel()):
         for r in range(4):
             allocation = allocate(
-                five_var_problem(r, energy_model=model), validate=True
+                five_var_problem(r, energy_model=model),
+                SolveOptions(validate=True),
             )
             assert allocation.report.total_energy == pytest.approx(
                 allocation.objective

@@ -3,7 +3,7 @@
 The contract under test (DESIGN.md "Performance model", THEORY.md §7):
 warm starts change how much work a re-solve does, never its result.
 Energies are compared against independent cold solves, warm allocations
-are certificate-checked (``allocate(certify=True)``), and a capacity
+are certificate-checked (``SolveOptions(certify=True)``), and a capacity
 change — a topology perturbation — must miss the cache and fall back to
 a cold solve rather than reuse anything.
 """
@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.exploration import explore_design_space
 from repro.core.network_builder import build_network, recost_network
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate, solve_built
 from repro.energy import MemoryConfig, StaticEnergyModel
@@ -118,6 +119,8 @@ class TestWarmAllocations:
     def test_voltage_sweep_energies_match_cold_and_certify(self, registers):
         """Seeded cost perturbations: warm == cold, certificate-checked."""
         cache = WarmStartCache()
+        certified = SolveOptions(certify=True)
+        warm_options = certified.replace(warm_cache=cache)
         model = StaticEnergyModel()
         for voltage in VOLTAGES:
             problem = AllocationProblem(
@@ -128,12 +131,12 @@ class TestWarmAllocations:
                 memory=MemoryConfig(divisor=2, voltage=voltage),
             )
             try:
-                cold = allocate(problem, certify=True)
+                cold = allocate(problem, certified)
             except InfeasibleFlowError:
                 with pytest.raises(InfeasibleFlowError):
-                    allocate(problem, certify=True, warm_cache=cache)
+                    allocate(problem, warm_options)
                 continue
-            warm = allocate(problem, certify=True, warm_cache=cache)
+            warm = allocate(problem, warm_options)
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert warm.residency == cold.residency
 
@@ -152,10 +155,11 @@ class TestWarmAllocations:
         ]
         with obs.collect() as trace:
             built = build_network(problems[0])
-            energies = [solve_built(built, warm_cache=cache).objective]
+            warm = SolveOptions(warm_cache=cache)
+            energies = [solve_built(built, warm).objective]
             for problem in problems[1:]:
                 built = recost_network(built, problem)
-                energies.append(solve_built(built, warm_cache=cache).objective)
+                energies.append(solve_built(built, warm).objective)
         assert trace.counters["network.builds"] == 1
         assert trace.counters["network.recosts"] == len(VOLTAGES) - 1
         assert trace.counters["solver.warm_start.cold"] == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import AllocationProblem, allocate
+from repro.core import AllocationProblem, SolveOptions, allocate
 from repro.core.pipeline import allocate_block, allocate_schedule
 from repro.energy import MemoryConfig, PairwiseSwitchingModel
 from repro.exceptions import LintGateError
@@ -111,13 +111,13 @@ def test_run_emits_obs_counters():
 # ----------------------------------------------------------------------
 def test_gate_passes_clean_instance():
     problem = next(iter(paper_problems()))
-    report = allocate(problem, lint="error")
+    report = allocate(problem, SolveOptions(lint="error"))
     assert report.objective == allocate(problem).objective
 
 
 def test_gate_raises_with_report_attached():
     with pytest.raises(LintGateError) as excinfo:
-        allocate(overloaded_problem(), lint="error")
+        allocate(overloaded_problem(), SolveOptions(lint="error"))
     exc = excinfo.value
     assert "RA301" in str(exc)
     assert exc.report is not None
@@ -140,10 +140,14 @@ def test_gate_threshold_is_respected():
 
 def test_pipeline_gate_sees_schedule(rng):
     block = fir_filter(4, rng)
-    result = allocate_block(block, register_count=4, lint="warning")
+    result = allocate_block(
+        block, register_count=4, options=SolveOptions(lint="warning")
+    )
     assert result.allocation.objective == result.total_energy
     schedule = list_schedule(block)
-    result = allocate_schedule(schedule, register_count=4, lint="error")
+    result = allocate_schedule(
+        schedule, register_count=4, options=SolveOptions(lint="error")
+    )
     assert result.problem.register_count == 4
 
 

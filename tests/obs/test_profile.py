@@ -6,6 +6,7 @@ import json
 import random
 import time
 
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.energy import StaticEnergyModel
@@ -89,7 +90,7 @@ def test_disabled_tracing_overhead_is_negligible():
         lifetimes, 4, 12, energy_model=StaticEnergyModel()
     )
     start = time.perf_counter()
-    allocate(problem, validate=False)
+    allocate(problem, SolveOptions(validate=False))
     solve_time = time.perf_counter() - start
 
     calls = 10_000

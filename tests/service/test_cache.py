@@ -89,6 +89,48 @@ def test_mismatched_key_on_disk_is_a_miss(tmp_path):
     assert cache.get("sha256:aa") is None
 
 
+def stale_entry_text(key: str, solver: str, exact: bool) -> str:
+    """A cache-entry/v1 document written by hand, as an older release
+    that cached fallback-solver answers would have left it."""
+    return f"""{{
+  "schema": "repro.service/cache-entry/v1",
+  "key": "{key}",
+  "solver": "{solver}",
+  "exact": {str(exact).lower()},
+  "objective": 357.5,
+  "mem_accesses": 9,
+  "reg_accesses": 4,
+  "registers_used": 2,
+  "unused_registers": 0,
+  "address_count": 3,
+  "residency": [["x0", 0, 1]],
+  "memory_addresses": [["x1", 0]]
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "solver, exact", [("two_phase", False), ("cycle_canceling", True)]
+)
+def test_entry_not_written_by_the_exact_allocator_is_a_miss(
+    tmp_path, solver, exact
+):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "aa.json").write_text(
+        stale_entry_text("sha256:aa", solver, exact), encoding="utf-8"
+    )
+    cache = ResultCache(directory=store)
+    assert cache.get("sha256:aa") is None
+    assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
+    # The exact answer overwrites the stale one and is served from then on.
+    cache.put(entry("sha256:aa", objective=209.0))
+    stored = json.loads((store / "aa.json").read_text(encoding="utf-8"))
+    assert stored["solver"] == "ssp" and stored["exact"] is True
+    hit = ResultCache(directory=store).get("sha256:aa")
+    assert hit is not None and hit.objective == 209.0
+
+
 def test_entry_round_trip_and_remap():
     original = entry("sha256:aa")
     rebuilt = CachedResult.from_dict(original.to_dict())

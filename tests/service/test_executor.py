@@ -1,11 +1,14 @@
-"""Batch executor: caching, fault tolerance, the parallel path."""
+"""Batch executor: caching, solver failures, the parallel path."""
+
+import json
 
 import pytest
 
+import repro.service.executor as executor_module
 from repro.core import allocate
 from repro.core.problem import AllocationProblem
 from repro.exceptions import ServiceError
-from repro.service import BatchExecutor, ResultCache
+from repro.service import BatchExecutor, ResultCache, canonicalize
 from repro.workloads.random_blocks import random_lifetimes, spawn_rng
 from tests.conftest import make_lifetime
 
@@ -26,6 +29,28 @@ def random_batch(count: int, seed: int = 7) -> list[AllocationProblem]:
         lifetimes = random_lifetimes(rng, 8, 12)
         problems.append(AllocationProblem(lifetimes, 3, 12))
     return problems
+
+
+class PlantedSolverBug(RuntimeError):
+    """Stands in for a defect inside the exact allocator."""
+
+
+def allocate_with_planted_bug(problem, options=None):
+    """:func:`allocate`, except that single-register instances crash."""
+    if problem.register_count == 1:
+        raise PlantedSolverBug("kernel lost an arc")
+    return allocate(problem, options)
+
+
+def doomed_problem() -> AllocationProblem:
+    lifetimes = {"a": make_lifetime("a", 1, 3), "b": make_lifetime("b", 2, 5)}
+    return AllocationProblem(lifetimes, 1, 6)
+
+
+@pytest.fixture
+def planted_bug(monkeypatch):
+    # Pool workers fork after the patch, so they inherit it too.
+    monkeypatch.setattr(executor_module, "allocate", allocate_with_planted_bug)
 
 
 def test_serial_batch_matches_direct_solve():
@@ -56,22 +81,23 @@ def test_repeat_batch_is_cache_served_with_identical_energies():
         assert before.summary.residency == after.summary.residency
 
 
-def test_fault_injected_batch_completes_via_fallback():
-    problems = random_batch(100)
-    executor = BatchExecutor(
-        workers=2,
-        cache=ResultCache(),
-        chunksize=10,
-        inject_faults={"ssp": -1},
-        backoff_base=0.0,
-    )
+@pytest.mark.parametrize("workers", [1, 2])
+def test_solver_exception_is_a_job_failure_not_a_crash(planted_bug, workers):
+    problems = random_batch(3) + [doomed_problem()] + random_batch(2, seed=9)
+    cache = ResultCache()
+    executor = BatchExecutor(workers=workers, cache=cache)
     results = executor.map_blocks(problems)
-    assert len(results) == 100
-    assert all(result.status in ("ok", "infeasible") for result in results)
-    solved = [result for result in results if result.ok]
-    assert solved, "batch produced no solutions at all"
-    assert all(result.solver == "cycle_canceling" for result in solved)
-    assert all(result.fallbacks >= 1 for result in solved)
+    assert [result.status for result in results] == [
+        "ok", "ok", "ok", "failed", "ok", "ok",
+    ]
+    failed = results[3]
+    assert failed.error == "PlantedSolverBug: kernel lost an arc"
+    assert failed.solver is None and failed.summary is None
+    assert not failed.certified
+    assert all(r.solver == "ssp" and r.summary.exact for r in results if r.ok)
+    # Only the five exact answers were cached.
+    assert len(cache) == 5
+    assert cache.get(canonicalize(doomed_problem()).key) is None
 
 
 def test_pool_and_serial_paths_agree():
@@ -109,29 +135,54 @@ def test_duplicate_instances_inside_one_batch_hit_the_cache():
     assert repeat[0].cached
 
 
-def test_exhausted_ladder_is_a_job_failure_not_a_crash():
-    executor = BatchExecutor(
-        workers=1,
-        cache=None,
-        inject_faults={"ssp": -1, "cycle_canceling": -1, "two_phase": -1},
-        max_retries=0,
-    )
-    result = executor.map_blocks([small_problem()])[0]
-    assert result.status == "failed"
-    assert result.summary is None
-    assert "injected fault" in result.error
-
-
-def test_failed_jobs_are_not_cached():
+def test_failed_jobs_are_not_cached(planted_bug):
     cache = ResultCache()
-    executor = BatchExecutor(
-        workers=1,
-        cache=cache,
-        inject_faults={"ssp": -1, "cycle_canceling": -1, "two_phase": -1},
-        max_retries=0,
-    )
-    executor.map_blocks([small_problem()])
+    executor = BatchExecutor(workers=1, cache=cache)
+    executor.map_blocks([doomed_problem()])
     assert len(cache) == 0
+    # Still a miss (and a fresh solve attempt) the next time round.
+    again = executor.map_blocks([doomed_problem()])[0]
+    assert again.status == "failed" and not again.cached
+
+
+def test_stale_inexact_cache_entry_is_re_solved_and_overwritten(tmp_path):
+    problem = small_problem()
+    canonical = canonicalize(problem)
+    store = tmp_path / "store"
+    store.mkdir()
+    path = store / f"{canonical.key.split(':', 1)[1]}.json"
+    # What an older release's approximate fallback left on disk.
+    path.write_text(
+        json.dumps(
+            {
+                "schema": "repro.service/cache-entry/v1",
+                "key": canonical.key,
+                "solver": "two_phase",
+                "exact": False,
+                "objective": 999.0,
+                "mem_accesses": 6,
+                "reg_accesses": 0,
+                "registers_used": 0,
+                "unused_registers": 2,
+                "address_count": 3,
+                "residency": [],
+                "memory_addresses": [["x0", 0], ["x1", 1], ["x2", 2]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    cache = ResultCache(directory=store)
+    result = BatchExecutor(workers=1, cache=cache).map_blocks([problem])[0]
+    assert result.ok and not result.cached
+    assert result.solver == "ssp" and result.summary.exact
+    assert result.objective == allocate(problem).objective
+    assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    assert stored["solver"] == "ssp" and stored["exact"] is True
+    replay = BatchExecutor(
+        workers=1, cache=ResultCache(directory=store)
+    ).map_blocks([problem])[0]
+    assert replay.cached and replay.objective == result.objective
 
 
 def test_certify_fraction_samples_jobs():
@@ -144,6 +195,7 @@ def test_certify_fraction_samples_jobs():
 
 def test_lint_gate_failure_becomes_a_job_failure():
     from repro.energy import MemoryConfig
+    from repro.service.lintgate import LintGate
 
     # RA405: restricted memory at 3.3 V while the model still charges
     # memory at the nominal 5 V — a warning-severity finding.
@@ -156,10 +208,13 @@ def test_lint_gate_failure_becomes_a_job_failure():
         6,
         memory=MemoryConfig(divisor=2, voltage=3.3),
     )
-    executor = BatchExecutor(workers=1, cache=None, lint="warning")
+    executor = BatchExecutor(
+        workers=1, cache=None, lint_gate=LintGate(fail_on="warning")
+    )
     result = executor.map_blocks([problem])[0]
-    assert result.status == "failed"
-    assert "lint" in (result.error or "").lower()
+    assert result.status == "rejected"
+    assert not result.ok
+    assert "RA405" in (result.error or "")
 
 
 def test_invalid_parameters_rejected():
@@ -171,17 +226,14 @@ def test_invalid_parameters_rejected():
         BatchExecutor(certify_fraction=1.5)
     with pytest.raises(ServiceError, match="timeout"):
         BatchExecutor(timeout=-1.0)
-    with pytest.raises(ServiceError, match="retries"):
-        BatchExecutor(max_retries=-1)
 
 
 def test_job_result_to_dict_is_json_ready():
-    import json
-
     executor = BatchExecutor(workers=1, cache=None)
     result = executor.map_blocks([small_problem()])[0]
     data = json.loads(json.dumps(result.to_dict()))
     assert data["status"] == "ok"
+    assert data["solver"] == "ssp" and data["exact"] is True
     assert data["objective"] == pytest.approx(result.objective)
 
 

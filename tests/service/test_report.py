@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.service.executor as executor_module
 from repro.service import (
     BatchExecutor,
     REPORT_SCHEMA,
@@ -45,6 +46,7 @@ def test_totals_add_up(batch):
     ) == 5
     assert totals["cached"] + totals["solved"] == 5
     assert sum(totals["by_solver"].values()) == totals["ok"]
+    assert totals["by_solver"] == {"ssp": totals["ok"]}
     assert totals["cache"]["misses"] >= totals["solved"]
     assert len(report["jobs"]) == 5
 
@@ -68,20 +70,22 @@ def test_text_rendering_mentions_every_job(batch):
     for i in range(5):
         assert f"job-{i}" in text
     assert "cache" in text
-    assert "ladder" in text
+    assert "solvers:  ssp:5  certified 0" in text
 
 
-def test_failed_jobs_surface_their_errors():
-    executor = BatchExecutor(
-        workers=1,
-        cache=None,
-        inject_faults={"ssp": -1, "cycle_canceling": -1, "two_phase": -1},
-        max_retries=0,
-    )
+def test_failed_jobs_surface_their_errors(monkeypatch):
+    def broken_allocate(problem, options=None):
+        raise ArithmeticError("negative reduced cost on a tree arc")
+
+    monkeypatch.setattr(executor_module, "allocate", broken_allocate)
+    executor = BatchExecutor(workers=1, cache=None)
     rng = spawn_rng(2, "report", 0)
     problem = AllocationProblem(random_lifetimes(rng, 6, 10), 2, 10)
     results = executor.map_blocks([problem], ids=["doomed"])
     report = build_batch_report(results)
     assert report["totals"]["failed"] == 1
+    assert report["totals"]["by_solver"] == {}
+    job = report["jobs"][0]
+    assert job["solver"] is None and "objective" not in job
     text = render_batch_text(report)
-    assert "doomed" in text and "injected fault" in text
+    assert "doomed" in text and "ArithmeticError: negative" in text

@@ -1,12 +1,11 @@
-"""Ladder semantics: retries, fallbacks, infeasibility, summaries."""
+"""The one solver path: summaries of exact solves, infeasibility."""
 
 import pytest
 
 from repro.core import allocate
 from repro.core.problem import AllocationProblem
 from repro.energy import MemoryConfig
-from repro.exceptions import ServiceError
-from repro.service import canonicalize, run_ladder
+from repro.service import BatchExecutor, ResultCache, canonicalize
 from repro.service.solvers import SolveSummary
 from tests.conftest import make_lifetime
 
@@ -22,69 +21,13 @@ def problem() -> AllocationProblem:
     return AllocationProblem(lifetimes, 2, 6)
 
 
-def test_happy_path_uses_first_rung(problem):
-    outcome = run_ladder(problem)
-    assert outcome.status == "ok"
-    assert outcome.summary.solver == "ssp"
-    assert outcome.summary.exact
-    assert outcome.retries == 0 and outcome.fallbacks == 0
-    assert outcome.attempts == [
-        {"solver": "ssp", "attempt": 1, "error": None}
-    ]
-    assert outcome.summary.objective == pytest.approx(
-        allocate(problem).objective
-    )
-
-
-def test_transient_fault_is_retried_on_the_same_rung(problem):
-    naps: list[float] = []
-    outcome = run_ladder(
-        problem,
-        inject_faults={"ssp": 1},
-        max_retries=1,
-        backoff_base=0.25,
-        sleep=naps.append,
-    )
-    assert outcome.status == "ok"
-    assert outcome.summary.solver == "ssp"
-    assert outcome.retries == 1 and outcome.fallbacks == 0
-    assert naps == [0.25]
-
-
-def test_backoff_grows_exponentially_and_is_capped(problem):
-    naps: list[float] = []
-    run_ladder(
-        problem,
-        inject_faults={"ssp": -1, "cycle_canceling": -1, "two_phase": -1},
-        max_retries=3,
-        backoff_base=0.5,
-        backoff_cap=1.5,
-        sleep=naps.append,
-    )
-    assert naps == [0.5, 1.0, 1.5] * 3
-
-
-def test_persistent_fault_falls_back_with_equal_energy(problem):
-    outcome = run_ladder(problem, inject_faults={"ssp": -1})
-    assert outcome.status == "ok"
-    assert outcome.summary.solver == "cycle_canceling"
-    assert outcome.fallbacks == 1
-    assert outcome.summary.objective == pytest.approx(
-        allocate(problem).objective
-    )
-
-
-def test_exhausted_ladder_reports_failure(problem):
-    outcome = run_ladder(
-        problem,
-        inject_faults={"ssp": -1, "cycle_canceling": -1, "two_phase": -1},
-        max_retries=0,
-    )
-    assert outcome.status == "failed"
-    assert outcome.summary is None
-    assert outcome.fallbacks == 2
-    assert "injected fault" in outcome.error
-    assert len(outcome.attempts) == 3
+def test_summary_of_an_allocation_is_exact_ssp(problem):
+    allocation = allocate(problem)
+    summary = SolveSummary.from_allocation(allocation)
+    assert summary.solver == "ssp"
+    assert summary.exact
+    assert summary.objective == allocation.objective
+    assert summary.mem_accesses == allocation.report.mem_accesses
 
 
 def test_infeasible_settles_immediately():
@@ -95,59 +38,16 @@ def test_infeasible_settles_immediately():
     problem = AllocationProblem(
         lifetimes, 1, 6, memory=MemoryConfig(divisor=6, voltage=2.0)
     )
-    outcome = run_ladder(problem, max_retries=3)
-    assert outcome.status == "infeasible"
-    assert outcome.retries == 0 and outcome.fallbacks == 0
-    assert len(outcome.attempts) == 1
-
-
-def test_two_phase_rung_refuses_restricted_memory():
-    lifetimes = {
-        "a": make_lifetime("a", 1, 3),
-        "b": make_lifetime("b", 2, 5),
-    }
-    problem = AllocationProblem(
-        lifetimes, 1, 6, memory=MemoryConfig(divisor=2, voltage=3.3)
-    )
-    outcome = run_ladder(
-        problem,
-        ladder=("two_phase",),
-        inject_faults=None,
-        max_retries=0,
-    )
-    assert outcome.status == "failed"
-    assert "restricted" in outcome.error
-
-
-def test_two_phase_fallback_is_marked_inexact(problem):
-    outcome = run_ladder(
-        problem, inject_faults={"ssp": -1, "cycle_canceling": -1}
-    )
-    assert outcome.status == "ok"
-    assert outcome.summary.solver == "two_phase"
-    assert not outcome.summary.exact
-    # Approximate: never better than the optimum.
-    assert outcome.summary.objective >= allocate(problem).objective - 1e-9
-
-
-def test_certified_flag_set_only_on_exact_rungs(problem):
-    assert run_ladder(problem, certify=True).certified
-    degraded = run_ladder(
-        problem,
-        inject_faults={"ssp": -1, "cycle_canceling": -1},
-        certify=True,
-    )
-    assert degraded.status == "ok" and not degraded.certified
-
-
-def test_unknown_rung_rejected(problem):
-    with pytest.raises(ServiceError, match="unknown ladder rung"):
-        run_ladder(problem, ladder=("ssp", "simplex"))
+    cache = ResultCache()
+    result = BatchExecutor(workers=1, cache=cache).map_blocks([problem])[0]
+    assert result.status == "infeasible"
+    assert result.solver is None and result.summary is None
+    assert result.error
+    assert len(cache) == 0
 
 
 def test_summary_round_trips_through_dict_and_cache(problem):
-    outcome = run_ladder(problem)
-    summary = outcome.summary
+    summary = SolveSummary.from_allocation(allocate(problem))
     assert SolveSummary.from_dict(summary.to_dict()) == summary
     canonical = canonicalize(problem)
     rebuilt = SolveSummary.from_cached(

@@ -202,6 +202,8 @@ def test_batch_json_report(tmp_path, capsys):
     assert report["schema"] == "repro.service/batch-report/v1"
     assert report["totals"]["jobs"] == 5
     assert report["totals"]["ok"] == 5
+    assert report["totals"]["by_solver"] == {"ssp": 5}
+    assert all(job["exact"] for job in report["jobs"])
     assert "5 jobs, 5 ok" in captured.err
 
 
@@ -221,16 +223,6 @@ def test_batch_second_run_is_cache_served(tmp_path, capsys):
     ]
 
 
-def test_batch_inject_fault_falls_back(tmp_path, capsys):
-    assert main(
-        ["batch", _batch_manifest(tmp_path), "--inject-fault", "ssp"]
-    ) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["totals"]["failed"] == 0
-    assert report["totals"]["fallbacks"] >= report["totals"]["jobs"]
-    assert set(report["totals"]["by_solver"]) == {"cycle_canceling"}
-
-
 def test_batch_text_format_to_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     assert main(
@@ -248,20 +240,42 @@ def test_batch_bad_manifest_is_a_clean_error(tmp_path, capsys):
     assert "cannot read manifest" in capsys.readouterr().err
 
 
-def test_batch_exhausted_ladder_exits_nonzero(tmp_path, capsys):
+def test_batch_solver_error_exits_nonzero(tmp_path, capsys, monkeypatch):
+    import repro.service.executor as executor_module
+
+    def broken_allocate(problem, options=None):
+        raise ArithmeticError("negative reduced cost on a tree arc")
+
+    monkeypatch.setattr(executor_module, "allocate", broken_allocate)
     manifest = _batch_manifest(
         tmp_path,
         jobs=[{"kind": "random", "variables": 5, "horizon": 8, "seed": 1,
                "registers": 2}],
     )
-    code = main(
-        ["batch", manifest, "--inject-fault", "ssp",
-         "--inject-fault", "cycle_canceling",
-         "--inject-fault", "two_phase", "--retries", "0"]
-    )
+    code = main(["batch", manifest, "--cache-dir", str(tmp_path / "c")])
     assert code == 1
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     assert report["totals"]["failed"] == 1
+    assert report["jobs"][0]["error"].startswith("ArithmeticError: ")
+    assert "1 failed" in captured.err
+    assert not list((tmp_path / "c").glob("*.json"))  # nothing cached
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "m.json", "--retries", "1"],
+        ["batch", "m.json", "--inject-fault", "ssp"],
+        ["serve", "--retries", "1"],
+        ["serve", "--lint", "error"],
+    ],
+)
+def test_removed_solver_knobs_are_unknown_flags(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_serve_rejects_bad_tunables(capsys):

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.core.network_builder import SINK, SOURCE
+from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.flow import FlowNetwork, solve_min_cost_flow
@@ -152,6 +153,6 @@ def test_allocate_certify_flag():
         horizon=max(l.end for l in lifetimes.values()),
     )
     with obs.collect() as trace:
-        allocation = allocate(problem, certify=True)
+        allocation = allocate(problem, SolveOptions(certify=True))
     assert allocation.objective == allocate(problem).objective
     assert trace.find("solver.certify") is not None
