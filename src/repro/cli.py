@@ -45,9 +45,10 @@ Subcommands:
   submissions on ``POST /v1/lint``) with admission-time lint gating
   (provably-bad manifests rejected 422 with SARIF evidence before
   queueing), a bounded admission queue, per-client rate limiting,
-  explicit 503 load shedding, a sharded persistent result cache,
-  warm-started sweep re-solves, ``/healthz`` + ``/metrics``, and
-  graceful drain on SIGTERM (see :mod:`repro.service.server`).
+  explicit 503 load shedding, a persistent result cache shared with
+  ``batch --cache-dir``, warm-started sweep re-solves, ``/healthz`` +
+  ``/metrics``, and graceful drain on SIGTERM (see
+  :mod:`repro.service.server`).
 
 Examples::
 
@@ -871,7 +872,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             burst=args.burst,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            shard_width=args.shard_width,
             timeout=args.timeout,
             chunksize=args.chunksize,
             admission_lint=(
@@ -1288,14 +1288,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.add_argument(
         "--cache-dir",
         default=None,
-        help="sharded on-disk result cache directory (default: "
-        "in-memory cache only)",
-    )
-    serve_cmd.add_argument(
-        "--shard-width",
-        type=int,
-        default=2,
-        help="hex digits of the cache shard prefix (default: 2)",
+        help="on-disk result cache directory, shared with batch "
+        "--cache-dir (default: in-memory cache only)",
     )
     serve_cmd.add_argument(
         "--timeout",

@@ -37,7 +37,7 @@ from typing import Hashable
 
 from repro.exceptions import GraphError, InfeasibleFlowError
 from repro.flow.graph import FlowNetwork, FlowResult
-from repro.flow.kernel import FlowKernel
+from repro.flow.kernel import FlowKernel, KernelStats
 from repro.flow.residual import Residual
 from repro.obs import trace as obs
 
@@ -86,13 +86,23 @@ def solve_min_cost_flow(
     flows, _, stats = kernel.solve(
         s, t, flow_value, labels=(source, sink)
     )
+    count_kernel_work(stats)
+    return FlowResult(network, flows.tolist(), flow_value)
+
+
+def count_kernel_work(stats: KernelStats) -> None:
+    """Report one from-scratch kernel solve on the ``ssp.*`` counters.
+
+    Shared by :func:`solve_min_cost_flow` and the cold path of
+    :func:`repro.flow.warm_start.solve_warm`, so a solve's kernel work
+    is counted the same with or without a warm-start cache.
+    """
     obs.count("ssp.solves")
     obs.count("ssp.dijkstra_pops", stats.pops)
     obs.count("ssp.dijkstra_relaxations", stats.relaxations)
     obs.count("ssp.relax_rounds", stats.rounds)
     obs.count("ssp.augmenting_paths", stats.paths)
     obs.count("ssp.potential_updates", stats.potential_updates)
-    return FlowResult(network, flows.tolist(), flow_value)
 
 
 def max_flow_value(network: FlowNetwork, source: Hashable, sink: Hashable) -> int:

@@ -36,8 +36,9 @@ kernel over the same topology.
 Observability: every call lands in a ``solver.warm_start`` span and
 bumps exactly one of ``solver.warm_start.cold`` /
 ``solver.warm_start.replay`` / ``solver.warm_start.incremental``;
-incremental re-solves also report ``warm_start.bf_passes`` and
-``warm_start.cycles_canceled``.
+cold solves also report the same ``ssp.*`` kernel counters as
+:func:`repro.flow.ssp.solve_min_cost_flow`, and incremental re-solves
+report ``warm_start.bf_passes`` and ``warm_start.cycles_canceled``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.flow.graph import FlowNetwork, FlowResult
 from repro.flow.kernel import FlowKernel, ResidualCSR
+from repro.flow.ssp import count_kernel_work
 from repro.flow.tolerances import COST_MATCH_TOLERANCE
 from repro.obs import trace as obs
 
@@ -165,10 +167,11 @@ def solve_warm(
     with obs.span("solver.warm_start"):
         if entry is None:
             kernel = FlowKernel(network)
-            flows, potential, _ = kernel.solve(
+            flows, potential, stats = kernel.solve(
                 s, t, flow_value, labels=(source, sink)
             )
             obs.count("solver.warm_start.cold")
+            count_kernel_work(stats)
         elif (
             float(np.max(np.abs(entry.costs - costs), initial=0.0))
             <= COST_MATCH_TOLERANCE

@@ -8,9 +8,11 @@ layer (the ROADMAP's production-scale direction).  Three pillars:
   variable ordering; normalised energy-model parameters) hashed into a
   content-addressed cache key, so instances identical up to variable
   renaming share one key;
-* :mod:`repro.service.cache` — an in-memory LRU over canonical results
-  with an optional on-disk JSON store, returning cached allocations with
-  provenance (which solver produced them, when they were inserted);
+* :mod:`repro.service.cache` — the one solution record
+  (:class:`~repro.service.cache.SolveSummary`) and an in-memory LRU over
+  canonical results with an optional on-disk JSON store, one layout for
+  ``batch`` and ``serve``; every entry carries its provenance (which
+  solver produced it and whether that solver is exact);
 * :mod:`repro.service.executor` — a batch executor
   (``submit``/``map_blocks``/``gather``) over a ``ProcessPoolExecutor``
   with per-job timeouts that solves every miss with one call to the
@@ -26,12 +28,12 @@ The long-lived serving layer sits on top: :mod:`repro.service.admission`
 (token-bucket rate limiting + bounded fair queueing with explicit load
 shedding) and :mod:`repro.service.server` (the asyncio HTTP gateway
 behind ``repro-alloc serve``, with graceful drain and ``/healthz`` +
-``/metrics`` endpoints), backed by the prefix-sharded persistent
-:class:`~repro.service.cache.ShardedResultCache`.
+``/metrics`` endpoints), backed by the same
+:class:`~repro.service.cache.ResultCache`.
 """
 
 from repro.service.admission import AdmissionController, TokenBucket, Verdict
-from repro.service.cache import CachedResult, ResultCache, ShardedResultCache
+from repro.service.cache import ResultCache, SolveSummary
 from repro.service.canonical import (
     CanonicalInstance,
     cache_key,
@@ -53,21 +55,18 @@ from repro.service.report import (
     report_to_json,
 )
 from repro.service.server import AllocationServer, ServerConfig, serve
-from repro.service.solvers import SolveSummary
 
 __all__ = [
     "AdmissionController",
     "AllocationServer",
     "BatchExecutor",
     "BuiltWorkload",
-    "CachedResult",
     "CanonicalInstance",
     "JobResult",
     "Manifest",
     "REPORT_SCHEMA",
     "ResultCache",
     "ServerConfig",
-    "ShardedResultCache",
     "SolveSummary",
     "TokenBucket",
     "Verdict",

@@ -1,34 +1,35 @@
-"""Result cache: in-memory LRU + optional on-disk JSON store.
+"""The service's one solution record and its one result store.
 
-Caches solved allocations under their canonical cache key (see
-:mod:`repro.service.canonical`).  Entries are stored in *canonical*
-variable space — residency and memory addresses use the canonical names
-``x0, x1, ...`` — so one entry serves every instance isomorphic to the
-canonical form; :meth:`CachedResult.remap` translates an entry back into
-a specific instance's variable names through the inverse renaming.
+:class:`SolveSummary` is what an exact solve leaves behind: headline
+numbers plus the residency and address maps.  The executor settles
+every solved job with one, the cache stores one per canonical cache key
+(see :mod:`repro.service.canonical`), and the batch report flattens its
+headline numbers.  Stored entries are in *canonical* variable space —
+residency and memory addresses use the canonical names ``x0, x1, ...``
+— so one entry serves every instance isomorphic to the canonical form;
+:meth:`SolveSummary.remap` translates between the two name spaces.
 
-Layers:
+:class:`ResultCache` keeps a bounded in-memory LRU (an
+:class:`collections.OrderedDict` in move-to-end discipline) for hot
+keys and, given a directory, an on-disk store shared between processes
+and runs.  ``repro-alloc batch --cache-dir`` and ``repro-alloc serve
+--cache-dir`` use the same layout, so one answers from what the other
+wrote::
 
-* a bounded in-memory LRU (an :class:`collections.OrderedDict` in
-  move-to-end discipline) for hot keys;
-* an optional on-disk store (one ``<digest>.json`` file per key under a
-  directory) shared between processes and runs — the CI batch-smoke job
-  relies on a second run over the same manifest being served from disk.
+    <dir>/<first 2 hex chars of the digest>/<digest>.json
+    <dir>/<first 2 hex chars of the digest>/<digest>.lint.json
 
-:class:`ShardedResultCache` extends the disk store for long-lived
-serving: entries spread over ``16 ** shard_width`` subdirectories keyed
-by the leading hex characters of the canonical digest, so concurrent
-worker processes hammering different keys touch different directories
-and a directory listing never has to scan one giant flat store.  Writes
-are crash- and race-safe in both layouts: each write goes to a
-process-unique temporary file first and is published with an atomic
-rename, so a concurrent reader sees either the old complete entry or
-the new complete entry, never a torn one.
+The prefix directories keep concurrent writers of different keys off
+one directory inode.  Writes are crash- and race-safe: each write goes
+to a process-unique temporary file first and is published with an
+atomic rename, so a concurrent reader sees either the old complete
+entry or the new complete entry, never a torn one.  A file that is
+missing, corrupt or stored under another key is a miss; a miss is
+always safe, because the job is simply solved again.
 
 Beside solved allocations the cache also stores **lint verdicts**
 (:class:`CachedLint`): the admission gate's static-analysis report for a
-canonical instance, written as a sibling ``<digest>.lint.json`` entry so
-it shares the sharding and atomic-rename discipline of result entries.
+canonical instance, written as the sibling ``<digest>.lint.json``.
 Lint verdicts are keyed by the canonical key *plus* a schedule
 fingerprint — the canonical form captures the lifetimes but not the
 schedule they came from, and the schedule-aware rules (RA1xx, RA602)
@@ -55,7 +56,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Mapping, TypeVar
 
 from repro.exceptions import ServiceError
 from repro.obs import trace as obs
@@ -63,9 +64,8 @@ from repro.obs import trace as obs
 __all__ = [
     "EXACT_SOLVER",
     "CachedLint",
-    "CachedResult",
     "ResultCache",
-    "ShardedResultCache",
+    "SolveSummary",
 ]
 
 #: Per-process sequence making concurrent temp-file names unique.
@@ -81,14 +81,19 @@ LINT_SCHEMA = "repro.service/lint-entry/v1"
 #: successive-shortest-paths min-cost-flow allocator.
 EXACT_SOLVER = "ssp"
 
+_Entry = TypeVar("_Entry", "SolveSummary", "CachedLint")
+
 
 @dataclass(frozen=True)
-class CachedResult:
-    """One cached allocation outcome, in canonical variable space.
+class SolveSummary:
+    """One exact solution of one canonical instance.
+
+    In a job result the variable names are the instance's own; in the
+    cache they are canonical (see :meth:`remap`).
 
     Attributes:
-        key: Canonical cache key the entry is stored under.
-        solver: Solver that produced the result (provenance).
+        key: Canonical cache key of the instance.
+        solver: Solver that produced the solution (provenance).
         exact: Whether the producing solver is exact.  Only entries
             written by the exact allocator are served (see
             :attr:`stale`).
@@ -98,9 +103,9 @@ class CachedResult:
         registers_used: Registers actually holding values.
         unused_registers: Bypass (empty-register) flow units.
         address_count: Distinct memory addresses used.
-        residency: ``(canonical name, segment index, register)`` triples
-            for register-resident segments.
-        memory_addresses: ``(canonical name, address)`` pairs for
+        residency: ``(variable, segment index, register)`` triples for
+            register-resident segments.
+        memory_addresses: ``(variable, address)`` pairs for
             memory-resident variables.
     """
 
@@ -116,6 +121,37 @@ class CachedResult:
     residency: tuple[tuple[str, int, int], ...] = ()
     memory_addresses: tuple[tuple[str, int], ...] = ()
 
+    @classmethod
+    def from_allocation(cls, allocation, key: str) -> "SolveSummary":
+        """Summarise an exact :class:`~repro.core.allocation.Allocation`.
+
+        Args:
+            allocation: The allocator's answer, in instance names.
+            key: Canonical cache key of the instance it solves.
+        """
+        return cls(
+            key=key,
+            solver=EXACT_SOLVER,
+            exact=True,
+            # total_energy == objective except under a multi-bank
+            # storage hierarchy, where per-bank deltas are added on top.
+            objective=allocation.total_energy,
+            mem_accesses=allocation.report.mem_accesses,
+            reg_accesses=allocation.report.reg_accesses,
+            registers_used=allocation.registers_used,
+            unused_registers=allocation.unused_registers,
+            address_count=allocation.address_count,
+            residency=tuple(
+                sorted(
+                    (name, index, register)
+                    for (name, index), register in allocation.residency.items()
+                )
+            ),
+            memory_addresses=tuple(
+                sorted(allocation.memory_addresses.items())
+            ),
+        )
+
     @property
     def stale(self) -> bool:
         """Whether the exact allocator did not write this entry.
@@ -126,27 +162,29 @@ class CachedResult:
         """
         return not self.exact or self.solver != EXACT_SOLVER
 
-    def remap(self, inverse: Mapping[str, str]) -> "CachedResult":
-        """The same result expressed in an instance's own variable names.
+    def remap(self, names: Mapping[str, str]) -> "SolveSummary":
+        """The same solution with its variables renamed through *names*.
 
-        Args:
-            inverse: Canonical name → instance name (see
-                :meth:`repro.service.canonical.CanonicalInstance.inverse`).
+        ``remap(canonical.renaming)`` turns a job's summary into its
+        cache entry and ``remap(canonical.inverse())`` turns an entry
+        back into an instance's own names (see
+        :class:`repro.service.canonical.CanonicalInstance`).  Names
+        missing from *names* are kept.
         """
         return replace(
             self,
             residency=tuple(
-                (inverse.get(name, name), index, register)
+                (names.get(name, name), index, register)
                 for name, index, register in self.residency
             ),
             memory_addresses=tuple(
-                (inverse.get(name, name), address)
+                (names.get(name, name), address)
                 for name, address in self.memory_addresses
             ),
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready view of the entry."""
+        """JSON-ready ``repro.service/cache-entry/v1`` document."""
         return {
             "schema": ENTRY_SCHEMA,
             "key": self.key,
@@ -165,8 +203,8 @@ class CachedResult:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CachedResult":
-        """Rebuild an entry serialised by :meth:`to_dict`."""
+    def from_dict(cls, data: Mapping[str, Any]) -> "SolveSummary":
+        """Rebuild a summary serialised by :meth:`to_dict`."""
         if data.get("schema") != ENTRY_SCHEMA:
             raise ServiceError(
                 f"unknown cache entry schema {data.get('schema')!r}"
@@ -247,13 +285,15 @@ class ResultCache:
     """LRU result cache with an optional on-disk JSON store.
 
     Attributes:
-        capacity: Maximum in-memory entries (least recently used entries
-            are evicted first; the disk store, when configured, is
-            unbounded).
+        capacity: Maximum in-memory entries of each kind (least recently
+            used entries are evicted first; the disk store, when
+            configured, is unbounded).
         directory: On-disk store directory, or ``None`` for memory-only
             operation.  Created on first write.
-        hits: Number of successful lookups so far.
-        misses: Number of failed lookups so far.
+        hits: Number of successful result lookups so far.
+        misses: Number of failed result lookups so far.
+        lint_hits: Number of successful verdict lookups so far.
+        lint_misses: Number of failed verdict lookups so far.
     """
 
     capacity: int = 1024
@@ -276,87 +316,27 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @staticmethod
-    def _digest(key: str) -> str:
-        # Keys are "sha256:<hex>"; the digest part is filename-safe.
-        return key.split(":", 1)[-1]
-
-    def _path(self, key: str) -> Path:
-        """Where a new entry for *key* is written."""
-        assert self.directory is not None
-        return Path(self.directory) / f"{self._digest(key)}.json"
-
-    def _candidate_paths(self, key: str) -> Iterable[Path]:
-        """Paths a lookup probes, in preference order."""
-        return (self._path(key),)
-
-    def get(self, key: str) -> CachedResult | None:
+    def get(self, key: str) -> SolveSummary | None:
         """Look up *key*; promote on hit, fall back to the disk store.
 
-        A :attr:`~CachedResult.stale` entry counts as a miss.
+        A :attr:`~SolveSummary.stale` entry counts as a miss.
         """
         entry = self._entries.get(key)
-        if entry is None and self.directory is not None:
-            entry = self._load(key)
+        if entry is None:
+            entry = self._read(key, ".json", SolveSummary.from_dict)
         if entry is None or entry.stale:
             self.misses += 1
             obs.count("service.cache.miss")
             return None
-        self._remember(key, entry)
+        self._remember(self._entries, entry)
         self.hits += 1
         obs.count("service.cache.hit")
         return entry
 
-    def _load(self, key: str) -> CachedResult | None:
-        """The disk entry of *key*, if one parses (corrupt = absent)."""
-        for path in self._candidate_paths(key):
-            if not path.is_file():
-                continue
-            try:
-                entry = CachedResult.from_dict(
-                    json.loads(path.read_text(encoding="utf-8"))
-                )
-            except (OSError, ValueError, ServiceError):
-                continue
-            if entry.key == key:
-                return entry
-        return None
-
-    def put(self, entry: CachedResult) -> None:
+    def put(self, entry: SolveSummary) -> None:
         """Insert *entry* under its own key (memory and, if set, disk)."""
-        self._remember(entry.key, entry)
-        if self.directory is not None:
-            path = self._path(entry.key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(entry.to_dict(), indent=2, sort_keys=True)
-            # Write to a process-unique temp name, then atomically
-            # rename: concurrent writers of the same key race benignly
-            # (last rename wins, both contents are complete) and
-            # concurrent readers never see a torn entry.
-            tmp = path.parent / (
-                f".{path.stem}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
-            )
-            tmp.write_text(text + "\n", encoding="utf-8")
-            tmp.replace(path)
-
-    def _remember(self, key: str, entry: CachedResult) -> None:
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # lint verdicts
-    # ------------------------------------------------------------------
-    def _lint_path(self, key: str) -> Path:
-        """Where the lint verdict for *key* lives on disk.
-
-        Derived from :meth:`_path` so the sharded layout is inherited:
-        the verdict is a ``<digest>.lint.json`` sibling of the result
-        entry.
-        """
-        path = self._path(key)
-        return path.with_name(f"{self._digest(key)}.lint.json")
+        self._remember(self._entries, entry)
+        self._write(entry.key, ".json", entry.to_dict())
 
     def get_lint(self, key: str, fingerprint: str = "") -> CachedLint | None:
         """Look up the lint verdict of (*key*, *fingerprint*).
@@ -366,19 +346,10 @@ class ResultCache:
         schedule-aware rules analysed.
         """
         entry = self._lint_entries.get(key)
-        if entry is None and self.directory is not None:
-            path = self._lint_path(key)
-            if path.is_file():
-                try:
-                    entry = CachedLint.from_dict(
-                        json.loads(path.read_text(encoding="utf-8"))
-                    )
-                except (OSError, ValueError, ServiceError):
-                    entry = None  # corrupt verdicts count as misses
-                if entry is not None and entry.key != key:
-                    entry = None
+        if entry is None:
+            entry = self._read(key, ".lint.json", CachedLint.from_dict)
         if entry is not None and entry.fingerprint == fingerprint:
-            self._remember_lint(key, entry)
+            self._remember(self._lint_entries, entry)
             self.lint_hits += 1
             obs.count("service.lint.cache_hit")
             return entry
@@ -388,25 +359,11 @@ class ResultCache:
 
     def put_lint(self, entry: CachedLint) -> None:
         """Insert lint verdict *entry* (memory and, if set, disk)."""
-        self._remember_lint(entry.key, entry)
-        if self.directory is not None:
-            path = self._lint_path(entry.key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(entry.to_dict(), indent=2, sort_keys=True)
-            tmp = path.parent / (
-                f".{path.stem}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
-            )
-            tmp.write_text(text + "\n", encoding="utf-8")
-            tmp.replace(path)
-
-    def _remember_lint(self, key: str, entry: CachedLint) -> None:
-        self._lint_entries[key] = entry
-        self._lint_entries.move_to_end(key)
-        while len(self._lint_entries) > self.capacity:
-            self._lint_entries.popitem(last=False)
+        self._remember(self._lint_entries, entry)
+        self._write(entry.key, ".lint.json", entry.to_dict())
 
     def stats(self) -> dict[str, int | float]:
-        """Hit/miss counters plus the current hit rate."""
+        """Lookup counters, in-memory sizes and hit rates (no file I/O)."""
         total = self.hits + self.misses
         lint_total = self.lint_hits + self.lint_misses
         return {
@@ -422,80 +379,53 @@ class ResultCache:
             ),
         }
 
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _path(self, key: str, suffix: str) -> Path:
+        """``<dir>/<digest[:2]>/<digest><suffix>`` for *key*."""
+        assert self.directory is not None
+        # Keys are "sha256:<hex>"; the digest part is filename-safe.
+        digest = key.split(":", 1)[-1]
+        return Path(self.directory) / digest[:2] / f"{digest}{suffix}"
 
-@dataclass
-class ShardedResultCache(ResultCache):
-    """Disk-backed result cache sharded by canonical-key prefix.
-
-    The flat :class:`ResultCache` store keeps every entry in one
-    directory; a long-lived server with several worker processes
-    filling it would funnel all directory mutations through that single
-    inode.  This subclass spreads entries over ``16 ** shard_width``
-    subdirectories named by the leading hex characters of the canonical
-    digest (``<dir>/<prefix>/<digest>.json``), so writers of different
-    keys almost always touch different directories.  Per-entry
-    atomicity is inherited from the base class (unique temp file +
-    rename), which is what makes concurrent overlapping writers safe —
-    see ``tests/service/test_cache.py``.
-
-    Lookups also probe the flat legacy path, so a store written by a
-    pre-sharding ``repro-alloc batch`` run keeps serving hits.
-
-    Attributes:
-        shard_width: Hex characters of the digest used as the shard
-            directory name (1–4; 2 = 256 shards, the default).
-    """
-
-    shard_width: int = 2
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _read(
+        self,
+        key: str,
+        suffix: str,
+        parse: Callable[[Mapping[str, Any]], _Entry],
+    ) -> _Entry | None:
+        """The disk entry of *key*, if one parses (corrupt = absent)."""
         if self.directory is None:
-            raise ServiceError("ShardedResultCache requires a directory")
-        if not 1 <= self.shard_width <= 4:
-            raise ServiceError(
-                f"shard_width must be in 1..4, got {self.shard_width}"
+            return None
+        try:
+            entry = parse(
+                json.loads(self._path(key, suffix).read_text(encoding="utf-8"))
             )
+        except (OSError, ValueError, ServiceError):
+            return None
+        return entry if entry.key == key else None
 
-    def _path(self, key: str) -> Path:
-        """Sharded location: ``<dir>/<digest prefix>/<digest>.json``."""
-        assert self.directory is not None
-        digest = self._digest(key)
-        return (
-            Path(self.directory)
-            / digest[: self.shard_width]
-            / f"{digest}.json"
+    def _write(self, key: str, suffix: str, document: Mapping[str, Any]) -> None:
+        """Publish *document* as the disk entry of *key*, if a store is set."""
+        if self.directory is None:
+            return
+        path = self._path(key, suffix)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # Write to a process-unique temp name, then atomically rename:
+        # concurrent writers of the same key race benignly (last rename
+        # wins, both contents are complete) and concurrent readers never
+        # see a torn entry.
+        tmp = path.parent / (
+            f".{path.stem}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
         )
+        text = json.dumps(document, indent=2, sort_keys=True)
+        tmp.write_text(text + "\n", encoding="utf-8")
+        tmp.replace(path)
 
-    def _candidate_paths(self, key: str) -> Iterable[Path]:
-        """The sharded path first, then the flat pre-sharding layout."""
-        assert self.directory is not None
-        return (
-            self._path(key),
-            Path(self.directory) / f"{self._digest(key)}.json",
-        )
-
-    def shard_for(self, key: str) -> str:
-        """Shard directory name *key* lives in (digest prefix)."""
-        return self._digest(key)[: self.shard_width]
-
-    def stats(self) -> dict[str, int | float]:
-        """Base stats plus on-disk shard occupancy."""
-        data = super().stats()
-        directory = Path(self.directory) if self.directory else None
-        shards = 0
-        disk_entries = 0
-        lint_disk = 0
-        if directory is not None and directory.is_dir():
-            for child in directory.iterdir():
-                if child.is_dir() and len(child.name) == self.shard_width:
-                    shards += 1
-                    for item in child.glob("*.json"):
-                        if item.name.endswith(".lint.json"):
-                            lint_disk += 1
-                        else:
-                            disk_entries += 1
-        data["shards"] = shards
-        data["disk_entries"] = disk_entries
-        data["lint_disk_entries"] = lint_disk
-        return data
+    def _remember(self, entries: OrderedDict, entry: _Entry) -> None:
+        """Insert or promote *entry* in one LRU, evicting past capacity."""
+        entries[entry.key] = entry
+        entries.move_to_end(entry.key)
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)

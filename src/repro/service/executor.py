@@ -16,10 +16,16 @@ this module's logger), and a failed job is never cached.  There is no
 retry and no fallback solver: the allocator is deterministic, and the
 service never swaps in an approximate answer.
 
+Each cache miss is dispatched as an unsettled :class:`JobResult`; the
+worker settles it and sends it back, so the parent receives the very
+record the report prints.
+
 Observability: a ``service.batch`` span wraps each gather;
 ``service.jobs`` / ``service.failures`` and the cache hit/miss counters
-accumulate, and the ``service.queue_depth`` gauge tracks outstanding
-work while the pool drains.
+accumulate, ``service.solver_error`` counts the jobs settled
+``"failed"`` (solver faults, as opposed to infeasible, rejected or
+timed-out jobs), and the ``service.queue_depth`` gauge tracks
+outstanding work while the pool drains.
 
 Timeouts are enforced per dispatched chunk (``timeout * chunk length``
 seconds) on the parent side; a chunk that blows its deadline marks its
@@ -33,8 +39,8 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Sequence
 
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
@@ -43,10 +49,9 @@ from repro.core.storage import StorageSpec
 from repro.exceptions import InfeasibleFlowError, ServiceError
 from repro.flow.warm_start import WarmStartCache
 from repro.obs import trace as obs
-from repro.service.cache import ResultCache
+from repro.service.cache import ResultCache, SolveSummary
 from repro.service.canonical import canonicalize
 from repro.service.lintgate import LintGate, LintVerdict
-from repro.service.solvers import SolveSummary
 from repro.workloads.random_blocks import spawn_rng
 
 __all__ = ["BatchExecutor", "JobResult"]
@@ -64,10 +69,9 @@ class JobResult:
         key: Canonical cache key of the instance.
         status: ``"ok"``, ``"infeasible"``, ``"failed"``, ``"timeout"``
             or ``"rejected"`` (blocked by the admission lint gate
-            before reaching a solver).
+            before reaching a solver); ``"pending"`` only while a job
+            waits for a solver, never in a gathered result.
         cached: Whether the result was served from the cache.
-        solver: Solver (or cached provenance) that produced the result;
-            ``None`` unless ``status == "ok"``.
         summary: Full solution summary in the instance's own variable
             names (``None`` unless ``status == "ok"``).
         certified: Whether an optimality certificate was spot-checked.
@@ -81,7 +85,6 @@ class JobResult:
     key: str
     status: str
     cached: bool = False
-    solver: str | None = None
     summary: SolveSummary | None = None
     certified: bool = False
     wall_time_s: float = 0.0
@@ -92,6 +95,11 @@ class JobResult:
     def ok(self) -> bool:
         """Whether the job produced a solution."""
         return self.status == "ok"
+
+    @property
+    def solver(self) -> str | None:
+        """Solver (or cached provenance) that produced the result."""
+        return self.summary.solver if self.summary else None
 
     @property
     def objective(self) -> float | None:
@@ -130,55 +138,45 @@ class JobResult:
         return data
 
 
-def _execute_job(payload: Mapping[str, Any]) -> dict[str, Any]:
-    """Worker entry point: one exact solve for one job.
+def _execute_job(
+    job: JobResult,
+    problem: AllocationProblem,
+    certify: bool,
+    warm_cache: WarmStartCache | None,
+) -> JobResult:
+    """Worker entry point: one exact solve settles one pending *job*.
 
-    Runs in the worker process (or inline for ``workers == 1``); both
-    the payload and the returned record are plain picklable data.
+    Runs in the worker process (or inline for ``workers == 1``); the
+    arguments and the returned result are picklable.
     """
     start = time.perf_counter()
-    certify = payload["certify"]
-    record: dict[str, Any] = {
-        "status": "ok",
-        "summary": None,
-        "certified": False,
-        "error": None,
-        "worker": os.getpid(),
-    }
-    options = SolveOptions(certify=certify, warm_cache=payload["warm_cache"])
+    options = SolveOptions(certify=certify, warm_cache=warm_cache)
     try:
         with obs.span("service.solve.ssp"):
-            allocation = allocate(payload["problem"], options)
-        record["summary"] = SolveSummary.from_allocation(allocation).to_dict()
-        record["certified"] = certify
+            allocation = allocate(problem, options)
+        job = replace(
+            job,
+            status="ok",
+            summary=SolveSummary.from_allocation(allocation, job.key),
+            certified=certify,
+        )
     except InfeasibleFlowError as exc:
         # A property of the instance, not a solver fault.
-        record.update(status="infeasible", error=str(exc))
+        job = replace(job, status="infeasible", error=str(exc))
     except Exception as exc:  # noqa: BLE001 - worker boundary: failures
-        # become job records, never batch-level crashes.
+        # become job results, never batch-level crashes.
         _log.exception("solver failed on a batch job")
-        record.update(status="failed", error=f"{type(exc).__name__}: {exc}")
-    record["wall_time_s"] = time.perf_counter() - start
-    return record
+        job = replace(
+            job, status="failed", error=f"{type(exc).__name__}: {exc}"
+        )
+    return replace(
+        job, wall_time_s=time.perf_counter() - start, worker=os.getpid()
+    )
 
 
-def _unsolved_record(status: str, error: str, wall: float) -> dict[str, Any]:
-    """The record of a job whose worker never reported back."""
-    return {
-        "status": status,
-        "summary": None,
-        "certified": False,
-        "error": error,
-        "wall_time_s": wall,
-        "worker": None,
-    }
-
-
-def _execute_chunk(
-    payloads: Sequence[Mapping[str, Any]],
-) -> list[dict[str, Any]]:
+def _execute_chunk(tasks: Sequence[tuple]) -> list[JobResult]:
     """Worker entry point for one chunk of jobs (amortises IPC)."""
-    return [_execute_job(payload) for payload in payloads]
+    return [_execute_job(*task) for task in tasks]
 
 
 class BatchExecutor:
@@ -308,7 +306,6 @@ class BatchExecutor:
         """
         pending, self._pending = self._pending, []
         results: dict[int, JobResult] = {}
-        misses: list[tuple[int, str, AllocationProblem, Any]] = []
         self.lint_verdicts = []
         with obs.span("service.batch"):
             with obs.span("service.canonicalize"):
@@ -339,63 +336,39 @@ class BatchExecutor:
                                 status="rejected",
                                 error=verdict.report.summary(),
                             )
+            # The warm-start kernel state is process-local (numpy arrays
+            # + CSR views); it rides along only on the inline path.
+            warm_cache = self.warm_cache if self.workers == 1 else None
+            tasks = []
+            renamings = {}
             for index, job_id, problem, canonical, _ in canonicals:
                 if index in rejected:
                     continue
+                job = JobResult(job_id, index, canonical.key, "pending")
                 entry = (
                     self.cache.get(canonical.key)
                     if self.cache is not None
                     else None
                 )
                 if entry is not None:
-                    results[index] = JobResult(
-                        job_id=job_id,
-                        index=index,
-                        key=canonical.key,
+                    results[index] = replace(
+                        job,
                         status="ok",
                         cached=True,
-                        solver=entry.solver,
-                        summary=SolveSummary.from_cached(entry, canonical),
+                        summary=entry.remap(canonical.inverse()),
                     )
                 else:
-                    misses.append((index, job_id, problem, canonical))
+                    certify = self._certify(job_id)
+                    tasks.append((job, problem, certify, warm_cache))
+                    renamings[index] = canonical.renaming
 
-            # The warm-start kernel state is process-local (numpy arrays
-            # + CSR views); it rides along only on the inline path.
-            warm_cache = self.warm_cache if self.workers == 1 else None
-            payloads = [
-                (
-                    index,
-                    {
-                        "problem": problem,
-                        "certify": self._certify(job_id),
-                        "warm_cache": warm_cache,
-                    },
-                )
-                for index, job_id, problem, _ in misses
-            ]
-            if payloads:
-                if self.workers == 1:
-                    records = self._run_inline(payloads)
-                else:
-                    records = self._run_pool(payloads)
-            else:
-                records = {}
-
-            by_index = {
-                index: (job_id, canonical)
-                for index, job_id, _, canonical in misses
-            }
-            for index, record in records.items():
-                job_id, canonical = by_index[index]
-                result = self._to_result(index, job_id, canonical, record)
-                results[index] = result
-                if (
-                    result.ok
-                    and self.cache is not None
-                    and result.summary is not None
-                ):
-                    self.cache.put(result.summary.to_cached(canonical))
+            run = self._run_inline if self.workers == 1 else self._run_pool
+            for result in run(tasks) if tasks else ():
+                results[result.index] = result
+                if result.summary is not None and self.cache is not None:
+                    self.cache.put(
+                        result.summary.remap(renamings[result.index])
+                    )
 
             obs.count("service.jobs", len(pending))
             failures = sum(
@@ -403,6 +376,11 @@ class BatchExecutor:
             )
             if failures:
                 obs.count("service.failures", failures)
+            solver_errors = sum(
+                1 for result in results.values() if result.status == "failed"
+            )
+            if solver_errors:
+                obs.count("service.solver_error", solver_errors)
             if rejected:
                 obs.count("service.lint.rejected_jobs", len(rejected))
         return [results[index] for index, _, _, _ in pending]
@@ -419,35 +397,27 @@ class BatchExecutor:
         rng = spawn_rng(self.seed, "certify", job_id)
         return rng.random() < self.certify_fraction
 
-    def _run_inline(
-        self, payloads: list[tuple[int, dict]]
-    ) -> dict[int, dict]:
+    def _run_inline(self, tasks: list[tuple]) -> list[JobResult]:
         """Solve misses in-process (``workers == 1``)."""
-        records: dict[int, dict] = {}
-        remaining = len(payloads)
-        for index, payload in payloads:
-            obs.gauge("service.queue_depth", remaining)
-            records[index] = _execute_job(payload)
-            remaining -= 1
+        solved = []
+        for position, task in enumerate(tasks):
+            obs.gauge("service.queue_depth", len(tasks) - position)
+            solved.append(_execute_job(*task))
         obs.gauge("service.queue_depth", 0)
-        return records
+        return solved
 
-    def _run_pool(
-        self, payloads: list[tuple[int, dict]]
-    ) -> dict[int, dict]:
+    def _run_pool(self, tasks: list[tuple]) -> list[JobResult]:
         """Fan misses out over a process pool, chunked, with deadlines."""
-        records: dict[int, dict] = {}
+        solved: list[JobResult] = []
         chunks = [
-            payloads[start:start + self.chunksize]
-            for start in range(0, len(payloads), self.chunksize)
+            tasks[start:start + self.chunksize]
+            for start in range(0, len(tasks), self.chunksize)
         ]
-        remaining = len(payloads)
+        remaining = len(tasks)
         obs.gauge("service.queue_depth", remaining)
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = [
-                (chunk, pool.submit(
-                    _execute_chunk, [payload for _, payload in chunk]
-                ))
+                (chunk, pool.submit(_execute_chunk, chunk))
                 for chunk in chunks
             ]
             for chunk, future in futures:
@@ -457,45 +427,29 @@ class BatchExecutor:
                     else None
                 )
                 try:
-                    chunk_records = future.result(timeout=deadline)
+                    solved.extend(future.result(timeout=deadline))
                 except FutureTimeout:
                     future.cancel()
-                    for index, _ in chunk:
-                        records[index] = _unsolved_record(
-                            "timeout",
-                            f"chunk exceeded its {deadline:.3f}s deadline",
-                            deadline or 0.0,
+                    error = f"chunk exceeded its {deadline:.3f}s deadline"
+                    solved.extend(
+                        replace(
+                            job,
+                            status="timeout",
+                            error=error,
+                            wall_time_s=deadline or 0.0,
                         )
+                        for job, *_ in chunk
+                    )
                 except Exception as exc:  # noqa: BLE001 - pool failures
                     # (e.g. BrokenProcessPool) degrade to job failures.
-                    for index, _ in chunk:
-                        records[index] = _unsolved_record(
-                            "failed", f"{type(exc).__name__}: {exc}", 0.0
+                    solved.extend(
+                        replace(
+                            job,
+                            status="failed",
+                            error=f"{type(exc).__name__}: {exc}",
                         )
-                else:
-                    for (index, _), record in zip(chunk, chunk_records):
-                        records[index] = record
+                        for job, *_ in chunk
+                    )
                 remaining -= len(chunk)
                 obs.gauge("service.queue_depth", remaining)
-        return records
-
-    def _to_result(
-        self, index: int, job_id: str, canonical, record: Mapping[str, Any]
-    ) -> JobResult:
-        """Build a :class:`JobResult` from a worker record."""
-        summary = None
-        if record.get("summary") is not None:
-            summary = SolveSummary.from_dict(record["summary"])
-        return JobResult(
-            job_id=job_id,
-            index=index,
-            key=canonical.key,
-            status=str(record.get("status", "failed")),
-            cached=False,
-            solver=summary.solver if summary else None,
-            summary=summary,
-            certified=bool(record.get("certified", False)),
-            wall_time_s=float(record.get("wall_time_s", 0.0)),
-            worker=record.get("worker"),
-            error=record.get("error"),
-        )
+        return solved

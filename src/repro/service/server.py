@@ -13,9 +13,10 @@ processes.
 Why long-lived matters: the server keeps three caches hot across the
 whole request stream —
 
-* the sharded persistent result cache
-  (:class:`~repro.service.cache.ShardedResultCache`): repeated or
-  rename-isomorphic instances are answered without solving;
+* the result cache (:class:`~repro.service.cache.ResultCache`), on
+  disk with ``--cache-dir`` in the same layout ``repro-alloc batch``
+  uses: repeated or rename-isomorphic instances are answered without
+  solving;
 * the :class:`~repro.flow.warm_start.WarmStartCache` (in-process
   solving only): cost-only perturbations of a seen topology — e.g.
   consecutive points of a voltage sweep — re-solve incrementally in
@@ -77,7 +78,7 @@ from repro.obs import trace as obs
 from repro.lint.sarif import merge_sarif
 from repro.obs.export import counter_group, metrics_text
 from repro.service.admission import AdmissionController
-from repro.service.cache import ResultCache, ShardedResultCache
+from repro.service.cache import ResultCache
 from repro.service.executor import BatchExecutor
 from repro.service.lintgate import LintGate, LintVerdict
 from repro.service.manifest import BuiltWorkload, Manifest, parse_manifest
@@ -108,11 +109,10 @@ class ServerConfig:
         workers: Executor worker processes per request; 1 solves
             in-process, which is also the only mode that can share the
             warm-start cache across requests.
-        cache_dir: Directory of the sharded persistent result cache
-            (``None`` = in-memory result cache only).
+        cache_dir: Directory of the on-disk result store, shared with
+            ``repro-alloc batch --cache-dir`` (``None`` = in-memory
+            result cache only).
         cache_capacity: In-memory LRU entries of the result cache.
-        shard_width: Hex digits of the cache shard prefix (see
-            :class:`~repro.service.cache.ShardedResultCache`).
         timeout: Per-job solve budget in seconds (pool mode only).
         chunksize: Jobs per worker-pool task.
         admission_lint: Severity threshold of the admission-time lint
@@ -133,7 +133,6 @@ class ServerConfig:
     workers: int = 1
     cache_dir: str | Path | None = None
     cache_capacity: int = 1024
-    shard_width: int = 2
     timeout: float | None = None
     chunksize: int = 1
     admission_lint: str | None = "error"
@@ -205,9 +204,8 @@ class AllocationServer:
     Args:
         config: Tunables (defaults are sensible for local use).
         cache: Result-cache override; by default a
-            :class:`~repro.service.cache.ShardedResultCache` when
-            ``config.cache_dir`` is set, else an in-memory
-            :class:`~repro.service.cache.ResultCache`.
+            :class:`~repro.service.cache.ResultCache` over
+            ``config.cache_dir``.
         warm_cache: Warm-start cache override; by default one shared
             :class:`~repro.flow.warm_start.WarmStartCache` when
             ``config.workers == 1``.
@@ -227,14 +225,9 @@ class AllocationServer:
             capacity=cfg.queue_capacity, rate=cfg.rate, burst=cfg.burst
         )
         if cache is None:
-            if cfg.cache_dir is not None:
-                cache = ShardedResultCache(
-                    capacity=cfg.cache_capacity,
-                    directory=cfg.cache_dir,
-                    shard_width=cfg.shard_width,
-                )
-            else:
-                cache = ResultCache(capacity=cfg.cache_capacity)
+            cache = ResultCache(
+                capacity=cfg.cache_capacity, directory=cfg.cache_dir
+            )
         self.cache = cache
         if warm_cache is None and cfg.workers == 1:
             warm_cache = WarmStartCache()
@@ -642,8 +635,9 @@ class AllocationServer:
         Exports every :mod:`repro.obs` counter and gauge accumulated
         since the server started — warm-start hit kinds
         (``solver.warm_start.cold/replay/incremental``), flow solves
-        (``solver.flow_solve.calls``), job and failure totals
-        (``service.jobs``, ``service.failures``), shed totals
+        (``solver.flow_solve.calls``), job, failure and solver-error
+        totals (``service.jobs``, ``service.failures``,
+        ``service.solver_error``), shed totals
         (``service.shed*``), task-graph pipeline counters (``dag.*``,
         grouped under ``dag``) — plus admission, result-cache and
         server stats.

@@ -23,6 +23,7 @@ from repro.exceptions import GraphError, InfeasibleFlowError
 from repro.flow.graph import FlowNetwork
 from repro.flow.warm_start import WarmStartCache, solve_warm, topology_key
 from repro.obs import trace as obs
+from repro.workloads.random_blocks import random_lifetimes, spawn_rng
 
 from tests.conftest import make_lifetime
 
@@ -115,6 +116,25 @@ class TestSolveWarm:
 
 
 class TestWarmAllocations:
+    def test_cold_solve_counts_the_same_kernel_work_with_a_cache(self):
+        """A warm cache's first (cold) solve reports the ``ssp.*`` work."""
+        rng = spawn_rng(0, "warm-counters")
+        problem = AllocationProblem(random_lifetimes(rng, 30, 40), 4, 40)
+
+        def kernel_counters(options: SolveOptions) -> dict[str, float]:
+            with obs.collect() as trace:
+                allocate(problem, options)
+            return {
+                name: value
+                for name, value in trace.counters.items()
+                if name.startswith("ssp.")
+            }
+
+        plain = kernel_counters(SolveOptions())
+        warmed = kernel_counters(SolveOptions(warm_cache=WarmStartCache()))
+        assert plain["ssp.solves"] == 1 and plain["ssp.augmenting_paths"] > 0
+        assert warmed == plain
+
     @pytest.mark.parametrize("registers", (1, 2, 3))
     def test_voltage_sweep_energies_match_cold_and_certify(self, registers):
         """Seeded cost perturbations: warm == cold, certificate-checked."""

@@ -1,25 +1,26 @@
-"""Result cache: LRU discipline, disk store, sharding, concurrency.
+"""Result cache: LRU discipline, the one disk layout, concurrency.
 
-The second half of this module is the sharded-cache concurrency
-battery: several worker *processes* hammering one store directory with
+The second half of this module is the disk-store concurrency battery:
+several worker *processes* hammering one store directory with
 overlapping canonical keys must never lose an update (every key ends up
-on disk, readable), never publish a torn entry (every shard file parses
-as a complete ``repro.service/cache-entry/v1`` document), and keep the
-hit-rate accounting consistent with what callers observed.
+on disk, readable), never publish a torn entry (every published file
+parses as a complete ``repro.service/cache-entry/v1`` document), and
+keep the hit-rate accounting consistent with what callers observed.
 """
 
 import json
 import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service.cache import CachedResult, ResultCache, ShardedResultCache
+from repro.service.cache import ResultCache, SolveSummary
 
 
-def entry(key: str, objective: float = 10.0) -> CachedResult:
-    return CachedResult(
+def entry(key: str, objective: float = 10.0) -> SolveSummary:
+    return SolveSummary(
         key=key,
         solver="ssp",
         exact=True,
@@ -32,6 +33,11 @@ def entry(key: str, objective: float = 10.0) -> CachedResult:
         residency=(("x0", 0, 0),),
         memory_addresses=(("x1", 0),),
     )
+
+
+def entry_path(store: Path, digest: str) -> Path:
+    """Where a result entry lives: ``<store>/<digest[:2]>/<digest>.json``."""
+    return store / digest[:2] / f"{digest}.json"
 
 
 def test_get_put_and_stats():
@@ -73,7 +79,7 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
     store = tmp_path / "store"
     cache = ResultCache(directory=store)
     cache.put(entry("sha256:aa"))
-    path = store / "aa.json"
+    path = entry_path(store, "aa")
     path.write_text("{not json", encoding="utf-8")
     fresh = ResultCache(directory=store)
     assert fresh.get("sha256:aa") is None
@@ -82,9 +88,10 @@ def test_corrupt_disk_entry_is_a_miss(tmp_path):
 
 def test_mismatched_key_on_disk_is_a_miss(tmp_path):
     store = tmp_path / "store"
-    store.mkdir()
+    path = entry_path(store, "aa")
+    path.parent.mkdir(parents=True)
     data = entry("sha256:other").to_dict()
-    (store / "aa.json").write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps(data), encoding="utf-8")
     cache = ResultCache(directory=store)
     assert cache.get("sha256:aa") is None
 
@@ -116,8 +123,9 @@ def test_entry_not_written_by_the_exact_allocator_is_a_miss(
     tmp_path, solver, exact
 ):
     store = tmp_path / "store"
-    store.mkdir()
-    (store / "aa.json").write_text(
+    path = entry_path(store, "aa")
+    path.parent.mkdir(parents=True)
+    path.write_text(
         stale_entry_text("sha256:aa", solver, exact), encoding="utf-8"
     )
     cache = ResultCache(directory=store)
@@ -125,7 +133,7 @@ def test_entry_not_written_by_the_exact_allocator_is_a_miss(
     assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
     # The exact answer overwrites the stale one and is served from then on.
     cache.put(entry("sha256:aa", objective=209.0))
-    stored = json.loads((store / "aa.json").read_text(encoding="utf-8"))
+    stored = json.loads(path.read_text(encoding="utf-8"))
     assert stored["solver"] == "ssp" and stored["exact"] is True
     hit = ResultCache(directory=store).get("sha256:aa")
     assert hit is not None and hit.objective == 209.0
@@ -133,7 +141,7 @@ def test_entry_not_written_by_the_exact_allocator_is_a_miss(
 
 def test_entry_round_trip_and_remap():
     original = entry("sha256:aa")
-    rebuilt = CachedResult.from_dict(original.to_dict())
+    rebuilt = SolveSummary.from_dict(original.to_dict())
     assert rebuilt == original
     remapped = original.remap({"x0": "alpha", "x1": "beta"})
     assert remapped.residency == (("alpha", 0, 0),)
@@ -142,11 +150,11 @@ def test_entry_round_trip_and_remap():
 
 def test_malformed_entry_rejected():
     with pytest.raises(ServiceError, match="schema"):
-        CachedResult.from_dict({"schema": "nope"})
+        SolveSummary.from_dict({"schema": "nope"})
     bad = entry("sha256:aa").to_dict()
     del bad["objective"]
     with pytest.raises(ServiceError, match="malformed"):
-        CachedResult.from_dict(bad)
+        SolveSummary.from_dict(bad)
 
 
 def test_bad_capacity_rejected():
@@ -155,50 +163,55 @@ def test_bad_capacity_rejected():
 
 
 # ---------------------------------------------------------------------------
-# ShardedResultCache: layout, fallback, validation
+# the one disk layout
 # ---------------------------------------------------------------------------
 
 
 def test_sharded_layout_places_entries_by_digest_prefix(tmp_path):
     store = tmp_path / "store"
-    cache = ShardedResultCache(directory=store, shard_width=2)
+    cache = ResultCache(directory=store)
     cache.put(entry("sha256:abcdef", objective=7.0))
     cache.put(entry("sha256:ab0000", objective=8.0))
     cache.put(entry("sha256:ff1234", objective=9.0))
-    assert cache.shard_for("sha256:abcdef") == "ab"
     assert (store / "ab" / "abcdef.json").is_file()
     assert (store / "ab" / "ab0000.json").is_file()
     assert (store / "ff" / "ff1234.json").is_file()
+    assert sorted(p.name for p in store.iterdir()) == ["ab", "ff"]
+
+
+def test_flat_layout_file_is_a_miss_not_an_error(tmp_path):
+    store = tmp_path / "store"
+    store.mkdir()
+    # Where an older batch --cache-dir run left its entries.
+    (store / "aa.json").write_text(
+        json.dumps(entry("sha256:aa", objective=11.0).to_dict()),
+        encoding="utf-8",
+    )
+    cache = ResultCache(directory=store)
+    assert cache.get("sha256:aa") is None
+    assert cache.stats()["misses"] == 1
+    # Re-solved once, the answer lands in the one layout.
+    cache.put(entry("sha256:aa", objective=11.0))
+    assert entry_path(store, "aa").is_file()
+    assert ResultCache(directory=store).get("sha256:aa") is not None
+
+
+def test_stats_make_no_file_system_call(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    cache = ResultCache(directory=store)
+    cache.put(entry("sha256:aa"))
+    cache.get("sha256:aa")
+
+    def walk(*args, **kwargs):
+        raise AssertionError("stats() touched the file system")
+
+    for name in ("iterdir", "glob", "rglob", "stat"):
+        monkeypatch.setattr(Path, name, walk)
+    for name in ("scandir", "listdir"):
+        monkeypatch.setattr(os, name, walk)
     stats = cache.stats()
-    assert stats["shards"] == 2
-    assert stats["disk_entries"] == 3
-
-
-def test_sharded_cache_round_trips_through_a_fresh_process_view(tmp_path):
-    store = tmp_path / "store"
-    ShardedResultCache(directory=store).put(entry("sha256:aa", objective=3.5))
-    fresh = ShardedResultCache(directory=store)
-    hit = fresh.get("sha256:aa")
-    assert hit is not None and hit.objective == 3.5
-    assert fresh.stats()["hits"] == 1 and fresh.stats()["misses"] == 0
-
-
-def test_sharded_cache_reads_legacy_flat_store(tmp_path):
-    store = tmp_path / "store"
-    # A pre-sharding run wrote the flat layout.
-    ResultCache(directory=store).put(entry("sha256:aa", objective=11.0))
-    sharded = ShardedResultCache(directory=store)
-    hit = sharded.get("sha256:aa")
-    assert hit is not None and hit.objective == 11.0
-
-
-def test_sharded_cache_validation():
-    with pytest.raises(ServiceError, match="directory"):
-        ShardedResultCache()
-    with pytest.raises(ServiceError, match="shard_width"):
-        ShardedResultCache(directory="x", shard_width=0)
-    with pytest.raises(ServiceError, match="shard_width"):
-        ShardedResultCache(directory="x", shard_width=5)
+    assert stats["hits"] == 1 and stats["entries"] == 1
+    assert not {"shards", "disk_entries", "lint_disk_entries"} & set(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +237,7 @@ def _hammer_worker(store: str, rounds: int, worker: int) -> tuple[int, int]:
     worker's own accounting reconciles (a get either hits or misses —
     corrupt intermediate states would surface as exceptions instead).
     """
-    cache = ShardedResultCache(directory=store, capacity=8)
+    cache = ResultCache(directory=store, capacity=8)
     lookups = hits = 0
     for round_index in range(rounds):
         for offset, key in enumerate(_HAMMER_KEYS):
@@ -255,7 +268,7 @@ def test_concurrent_processes_never_lose_or_tear_updates(tmp_path):
         assert 0 <= hits <= lookups
 
     # No lost updates: every key is present, complete and correct.
-    survivor = ShardedResultCache(directory=store)
+    survivor = ResultCache(directory=store)
     for key in _HAMMER_KEYS:
         found = survivor.get(key)
         assert found is not None, f"lost update for {key}"
@@ -265,7 +278,6 @@ def test_concurrent_processes_never_lose_or_tear_updates(tmp_path):
     assert stats["hits"] == len(_HAMMER_KEYS)
     assert stats["misses"] == 0
     assert stats["hit_rate"] == 1.0
-    assert stats["disk_entries"] == len(_HAMMER_KEYS)
 
     # No torn files: every published file is complete valid JSON, and
     # no temporary file leaked past its atomic rename.
@@ -273,6 +285,6 @@ def test_concurrent_processes_never_lose_or_tear_updates(tmp_path):
     assert len(published) == len(_HAMMER_KEYS)
     for path in published:
         document = json.loads(path.read_text(encoding="utf-8"))
-        rebuilt = CachedResult.from_dict(document)
+        rebuilt = SolveSummary.from_dict(document)
         assert rebuilt.objective == _expected_objective(rebuilt.key)
     assert list(Path(store).rglob("*.tmp")) == []

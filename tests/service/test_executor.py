@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.service.executor as executor_module
+from repro import obs
 from repro.core import allocate
 from repro.core.problem import AllocationProblem
 from repro.exceptions import ServiceError
@@ -86,10 +87,13 @@ def test_solver_exception_is_a_job_failure_not_a_crash(planted_bug, workers):
     problems = random_batch(3) + [doomed_problem()] + random_batch(2, seed=9)
     cache = ResultCache()
     executor = BatchExecutor(workers=workers, cache=cache)
-    results = executor.map_blocks(problems)
+    with obs.collect() as trace:
+        results = executor.map_blocks(problems)
     assert [result.status for result in results] == [
         "ok", "ok", "ok", "failed", "ok", "ok",
     ]
+    # Counted in the parent, so pool workers' faults show up too.
+    assert trace.counters["service.solver_error"] == 1
     failed = results[3]
     assert failed.error == "PlantedSolverBug: kernel lost an arc"
     assert failed.solver is None and failed.summary is None
@@ -149,8 +153,9 @@ def test_stale_inexact_cache_entry_is_re_solved_and_overwritten(tmp_path):
     problem = small_problem()
     canonical = canonicalize(problem)
     store = tmp_path / "store"
-    store.mkdir()
-    path = store / f"{canonical.key.split(':', 1)[1]}.json"
+    digest = canonical.key.split(":", 1)[1]
+    path = store / digest[:2] / f"{digest}.json"
+    path.parent.mkdir(parents=True)
     # What an older release's approximate fallback left on disk.
     path.write_text(
         json.dumps(

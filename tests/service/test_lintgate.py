@@ -3,18 +3,20 @@
 The contract under test: verdicts key on the canonical sha256 digest
 *plus* the schedule fingerprint (isomorphic lifetimes from different
 schedules must not share a verdict), persist as sibling
-``<digest>.lint.json`` files that inherit the result cache's sharding,
+``<digest>.lint.json`` files in the result cache's one disk layout,
 and the executor's gate turns blocking verdicts into ``"rejected"``
 results that never reach a solver.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.core.problem import AllocationProblem
 from repro.obs import trace as obs
 from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.schedule import Schedule
-from repro.service.cache import CachedLint, ResultCache, ShardedResultCache
+from repro.service.cache import CachedLint, ResultCache
 from repro.service.executor import BatchExecutor
 from repro.service.lintgate import LintGate, schedule_fingerprint
 from repro.service.manifest import parse_manifest
@@ -101,14 +103,20 @@ def test_verdicts_persist_on_disk_next_to_results(tmp_path):
 
 def test_sharded_cache_separates_lint_entries_in_stats(tmp_path):
     problem, schedule = healthy()
-    cache = ShardedResultCache(directory=tmp_path / "shards", shard_width=2)
-    LintGate(cache=cache, fail_on="error").check(problem, schedule=schedule)
+    store = tmp_path / "store"
+    cache = ResultCache(directory=store)
+    verdict = LintGate(cache=cache, fail_on="error").check(
+        problem, schedule=schedule
+    )
     stats = cache.stats()
-    assert stats["lint_disk_entries"] == 1
-    assert stats["disk_entries"] == 0
-    # The verdict file landed inside a shard directory, not the root.
-    lint_file = next((tmp_path / "shards").rglob("*.lint.json"))
-    assert lint_file.parent != tmp_path / "shards"
+    assert stats["lint_entries"] == 1
+    assert stats["entries"] == 0
+    # The verdict file landed in its digest-prefix directory, and no
+    # result entry was written beside it.
+    digest = verdict.key.split(":", 1)[1]
+    assert [p.relative_to(store) for p in store.rglob("*.json")] == [
+        Path(digest[:2]) / f"{digest}.lint.json"
+    ]
 
 
 def test_corrupt_cached_verdict_is_reanalysed():

@@ -138,14 +138,35 @@ def test_paper_manifest_twice_second_pass_is_cache_served(
         )
         assert status == 200
         assert warm["totals"]["ok"] == 16
-        # >= 90% of the second pass is served from the sharded cache.
+        # >= 90% of the second pass is served from the persistent cache.
         assert warm["totals"]["cached"] >= 15
         assert _job_energies(warm) == _job_energies(cold)
 
-        # The persistent store is sharded on disk.
-        status, metrics = harness.get_json("/metrics")
-        assert metrics["cache"]["shards"] >= 1
-        assert metrics["cache"]["disk_entries"] >= 15
+    # Every answer is on disk in the one layout.
+    store = tmp_path / "serve-cache"
+    for job in cold["jobs"]:
+        digest = job["key"].split(":", 1)[1]
+        assert (store / digest[:2] / f"{digest}.json").is_file()
+
+
+def test_batch_cli_hits_what_the_server_cached(
+    paper_manifest, tmp_path, capsys
+):
+    store = tmp_path / "shared-cache"
+    with ServerHarness(ServerConfig(cache_dir=store)) as harness:
+        status, _, served = harness.post_json(
+            "/v1/batch", paper_manifest, client_id="shared"
+        )
+    assert status == 200 and served["totals"]["cached"] == 0
+    out = tmp_path / "batch.json"
+    assert main(
+        ["batch", str(PAPER_MANIFEST), "--cache-dir", str(store),
+         "-o", str(out)]
+    ) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["totals"]["cached"] == report["totals"]["jobs"] == 16
+    assert _job_energies(report) == _job_energies(served)
 
 
 def test_served_energies_match_the_batch_cli(paper_manifest, tmp_path, capsys):
