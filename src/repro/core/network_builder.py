@@ -289,13 +289,13 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
 
     bypass_arc = -1
     if problem.allow_unused_registers and problem.register_count > 0:
-        bypass_arc = network.add_arc(
-            SOURCE,
-            SINK,
-            capacity=problem.register_count,
-            cost=0.0,
-            data=("bypass",),
-        ).index
+        bypass_arc = network.add_arcs_indexed(
+            np.array([network.node_index(SOURCE)]),
+            np.array([network.node_index(SINK)]),
+            np.array([problem.register_count]),
+            np.zeros(1),
+            data=[("bypass",)],
+        )
     banks: tuple[BankStructure, ...] | None = None
     if problem.storage is not None and not problem.storage.is_degenerate:
         # Parallel per-level structure: one era chain per bank.  The

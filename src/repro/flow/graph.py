@@ -16,9 +16,14 @@ Storage layout (see DESIGN.md, "Performance model"):
   kernel (:mod:`repro.flow.kernel`) and the bulk builder consume;
 * the classic object API (:attr:`FlowNetwork.arcs`,
   :meth:`FlowNetwork.arcs_from`, ...) is a thin compatibility facade:
-  :class:`Arc` dataclasses are materialised lazily and cached, so
-  validators, decomposers, lint rules and certificates keep working
-  unchanged while the hot solver paths never touch an object.
+  :class:`Arc` dataclasses are materialised lazily and cached.  Its
+  users are off the solve path or touch few arcs: the path decomposition
+  (positive-flow arcs only), the RA5xx lint rules and the infeasibility
+  prover, the dot export, the LP cross-check, the verify oracles and
+  :func:`~repro.flow.validate.flow_cost`.  Everything a solve runs on
+  the whole network — the kernel, validation, the lower-bound reduction
+  and the optimality certificate — reads :meth:`FlowNetwork.arrays`
+  and builds an :class:`Arc` only to word an error.
 
 Nodes are arbitrary hashable identifiers supplied by the caller; internally
 each node receives a dense integer index (``node_index``) and the arrays

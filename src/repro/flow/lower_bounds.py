@@ -25,6 +25,13 @@ The transformation is exposed as :func:`transform_lower_bounds` so that
 independent solvers (e.g. the cycle-cancelling cross-check used by
 :mod:`repro.verify.differential`) can be run on the very same transformed
 instance and mapped back with :meth:`LowerBoundTransform.recover`.
+
+Both directions run on the networks' arrays
+(:meth:`~repro.flow.graph.FlowNetwork.arrays`): the original arcs enter
+the transformed network in one bulk append, keeping ids ``0..m-1``;
+excess is summed over the lower-bounded arcs only; and recovery is
+``inner.flows[:m] + lowers``, checked against the source and sink
+entries of :func:`~repro.flow.validate.node_balances`.
 """
 
 from __future__ import annotations
@@ -32,9 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
+import numpy as np
+
 from repro.exceptions import InfeasibleFlowError
 from repro.flow.graph import FlowNetwork, FlowResult
 from repro.flow.ssp import solve_min_cost_flow
+from repro.flow.validate import node_balances
 from repro.flow.warm_start import WarmStartCache, solve_warm
 
 __all__ = [
@@ -87,16 +97,13 @@ class LowerBoundTransform:
             InfeasibleFlowError: If the recovered flow does not ship
                 :attr:`flow_value` units (the bounds are unsatisfiable).
         """
-        flows = [0] * self.original.num_arcs
-        for t_arc in self.network.arcs:
-            if isinstance(t_arc.data, int):
-                flows[t_arc.data] = inner.flows[t_arc.index]
-        for arc in self.original.arcs:
-            flows[arc.index] += arc.lower
-        result = FlowResult(self.original, flows, self.flow_value)
-        _check_value(
-            result, self.original, self.source, self.sink, self.flow_value
+        original = self.original
+        flows = (
+            np.asarray(inner.flows[: original.num_arcs], dtype=np.int64)
+            + original.arrays().lowers
         )
+        result = FlowResult(original, flows.tolist(), self.flow_value)
+        _check_value(result, self.source, self.sink, self.flow_value)
         return result
 
 
@@ -118,34 +125,53 @@ def transform_lower_bounds(
         The :class:`LowerBoundTransform` describing the equivalent
         plain minimum-cost flow problem.
     """
-    excess: dict[Hashable, int] = {}
+    arrays = network.arrays()
+    nodes = network.nodes
     transformed = FlowNetwork()
-    for node in network.nodes:
+    for node in nodes:
         transformed.add_node(node)
-    for arc in network.arcs:
-        transformed.add_arc(
-            arc.tail,
-            arc.head,
-            capacity=arc.capacity - arc.lower,
-            cost=arc.cost,
-            data=arc.index,
-        )
-        if arc.lower:
-            excess[arc.head] = excess.get(arc.head, 0) + arc.lower
-            excess[arc.tail] = excess.get(arc.tail, 0) - arc.lower
+    # The original arcs keep their ids 0..m-1 and carry them as payload.
+    transformed.add_arcs_indexed(
+        arrays.tails,
+        arrays.heads,
+        arrays.capacities - arrays.lowers,
+        arrays.costs,
+        data=range(network.num_arcs),
+    )
+    excess: dict[Hashable, int] = {}
+    bounded = np.flatnonzero(arrays.lowers)
+    for tail, head, lower in zip(
+        arrays.tails[bounded].tolist(),
+        arrays.heads[bounded].tolist(),
+        arrays.lowers[bounded].tolist(),
+    ):
+        excess[nodes[head]] = excess.get(nodes[head], 0) + lower
+        excess[nodes[tail]] = excess.get(nodes[tail], 0) - lower
     # Virtual t -> s arc carrying exactly flow_value units.
     excess[source] = excess.get(source, 0) + flow_value
     excess[sink] = excess.get(sink, 0) - flow_value
 
     transformed.add_node(_SUPER_SOURCE)
     transformed.add_node(_SUPER_SINK)
-    demand = 0
+    super_source = transformed.node_index(_SUPER_SOURCE)
+    super_sink = transformed.node_index(_SUPER_SINK)
+    super_arcs: list[tuple[int, int, int]] = []  # (tail, head, capacity)
     for node, value in excess.items():
+        if not value:
+            continue
+        # A terminal absent from *network* is registered here, as the
+        # first arc touching it would have done.
+        index = transformed.node_index(transformed.add_node(node))
         if value > 0:
-            transformed.add_arc(_SUPER_SOURCE, node, capacity=value, cost=0.0)
-            demand += value
-        elif value < 0:
-            transformed.add_arc(node, _SUPER_SINK, capacity=-value, cost=0.0)
+            super_arcs.append((super_source, index, value))
+        else:
+            super_arcs.append((index, super_sink, -value))
+    tails, heads, capacities = (
+        np.array(super_arcs, dtype=np.int64).reshape(-1, 3).T
+    )
+    transformed.add_arcs_indexed(
+        tails, heads, capacities, np.zeros(len(super_arcs))
+    )
     return LowerBoundTransform(
         original=network,
         source=source,
@@ -154,7 +180,7 @@ def transform_lower_bounds(
         network=transformed,
         super_source=_SUPER_SOURCE,
         super_sink=_SUPER_SINK,
-        demand=demand,
+        demand=sum(value for value in excess.values() if value > 0),
     )
 
 
@@ -210,15 +236,11 @@ def solve_with_lower_bounds(
 
 
 def _check_value(
-    result: FlowResult,
-    network: FlowNetwork,
-    source: Hashable,
-    sink: Hashable,
-    flow_value: int,
+    result: FlowResult, source: Hashable, sink: Hashable, flow_value: int
 ) -> None:
     """Sanity-check the recovered flow actually ships *flow_value* units."""
-    net_out = result.outflow(source) - result.inflow(source)
-    net_in = result.inflow(sink) - result.outflow(sink)
+    balances = node_balances(result)
+    net_out, net_in = -balances[source], balances[sink]
     if net_out != flow_value or net_in != flow_value:
         raise InfeasibleFlowError(
             f"recovered flow ships {net_out}/{net_in} units, "

@@ -3,16 +3,25 @@
 Every solver result can be checked against the mathematical-programming
 formulation of section 4: conservation at interior nodes, bound compliance
 on every arc, and the exact source/sink balance.  The allocator runs these
-checks in its own debug mode and the test suite applies them to every
+checks on every solve by default and the test suite applies them to every
 solution it produces.
+
+The checks read the network's struct-of-arrays view
+(:meth:`~repro.flow.graph.FlowNetwork.arrays`): integrality comes from the
+flow vector's dtype, the bounds are two vector compares, and conservation
+is one node-balance vector.  An :class:`~repro.flow.graph.Arc` is built
+only to word the error for the first violation found, which is the same
+violation, with the same message, an arc-by-arc walk would report.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, NoReturn, Sequence
+
+import numpy as np
 
 from repro.exceptions import ReproError
-from repro.flow.graph import FlowResult
+from repro.flow.graph import FlowNetwork, FlowResult
 
 __all__ = ["FlowValidationError", "check_flow", "flow_cost", "node_balances"]
 
@@ -24,17 +33,25 @@ class FlowValidationError(ReproError):
 def node_balances(result: FlowResult) -> dict[Hashable, int]:
     """Net flow into each node of *result* (negative = net shipper).
 
-    The single place the conservation arithmetic lives: both
-    :func:`check_flow` and the :mod:`repro.verify` oracles (via
-    ``check_flow``) consume this, so the sign convention cannot drift
+    The single place the conservation arithmetic lives: :func:`check_flow`
+    reads the same vector (:func:`_net_inflow`), and the lower-bound
+    reduction's value check and the :mod:`repro.verify` oracles (via
+    ``check_flow``) consume it, so the sign convention cannot drift
     between the solver-side validator and the independent verifier.
     """
     network = result.network
-    balance: dict[Hashable, int] = {node: 0 for node in network.nodes}
-    for arc in network.arcs:
-        f = result.flows[arc.index]
-        balance[arc.tail] -= f
-        balance[arc.head] += f
+    balance = _net_inflow(network, np.asarray(result.flows))
+    return dict(zip(network.nodes, balance.tolist()))
+
+
+def _net_inflow(network: FlowNetwork, flows: np.ndarray) -> np.ndarray:
+    """:func:`node_balances` as a vector indexed by dense node index."""
+    if flows.dtype.kind in "biu":
+        flows = flows.astype(np.int64, copy=False)
+    arrays = network.arrays()
+    balance = np.zeros(network.num_nodes, dtype=flows.dtype)
+    np.add.at(balance, arrays.heads, flows)
+    np.subtract.at(balance, arrays.tails, flows)
     return balance
 
 
@@ -45,6 +62,11 @@ def check_flow(
     flow_value: int | None = None,
 ) -> None:
     """Validate *result* against the network it was solved on.
+
+    Checks, in order: the flow vector's length, integrality and arc
+    bounds (the lowest offending arc id is named), then conservation
+    (the first unbalanced node in insertion order is named; the source
+    and sink have their own messages).
 
     Args:
         result: Solver output to validate.
@@ -62,15 +84,15 @@ def check_flow(
             f"flow vector has {len(result.flows)} entries for "
             f"{network.num_arcs} arcs"
         )
-    for arc in network.arcs:
-        f = result.flows[arc.index]
-        if not isinstance(f, int):
-            raise FlowValidationError(f"non-integral flow {f!r} on {arc}")
-        if f < arc.lower or f > arc.capacity:
-            raise FlowValidationError(
-                f"flow {f} outside bounds [{arc.lower}, {arc.capacity}] on {arc}"
-            )
-    for node, net in node_balances(result).items():
+    flows = _bounded_flow_vector(network, result.flows)
+    balance = _net_inflow(network, flows)
+    suspects = set(np.flatnonzero(balance).tolist())
+    for terminal in (source, sink):
+        if network.has_node(terminal):
+            suspects.add(network.node_index(terminal))
+    nodes = network.nodes
+    for index in sorted(suspects):
+        node, net = nodes[index], int(balance[index])
         if node == source:
             if net != -expected:
                 raise FlowValidationError(
@@ -85,6 +107,43 @@ def check_flow(
             raise FlowValidationError(
                 f"conservation violated at {node!r}: imbalance {net}"
             )
+
+
+def _bounded_flow_vector(
+    network: FlowNetwork, flows: Sequence[int]
+) -> np.ndarray:
+    """*flows* as an ``int64`` vector, once every entry is an integer
+    within its arc's bounds; raises on the lowest arc id that is not."""
+    arrays = network.arrays()
+    vector = np.asarray(flows)
+    if vector.dtype.kind in "biu":
+        outside = (vector < arrays.lowers) | (vector > arrays.capacities)
+        if outside.any():
+            index = int(np.argmax(outside))
+            _raise_out_of_bounds(network, index, flows[index])
+        return vector.astype(np.int64, copy=False)
+    # Some entry is not an integer (or does not fit int64): walk the
+    # arcs in id order so integrality and bounds interleave exactly as
+    # an arc-by-arc check would.
+    lowers = arrays.lowers.tolist()
+    capacities = arrays.capacities.tolist()
+    for index, f in enumerate(flows):
+        if not isinstance(f, (int, np.integer)):
+            raise FlowValidationError(
+                f"non-integral flow {f!r} on {network.arc(index)}"
+            )
+        if f < lowers[index] or f > capacities[index]:
+            _raise_out_of_bounds(network, index, f)
+    return np.asarray(flows, dtype=np.int64)
+
+
+def _raise_out_of_bounds(
+    network: FlowNetwork, index: int, f: int
+) -> NoReturn:
+    arc = network.arc(index)
+    raise FlowValidationError(
+        f"flow {f} outside bounds [{arc.lower}, {arc.capacity}] on {arc}"
+    )
 
 
 def flow_cost(result: FlowResult) -> float:

@@ -17,10 +17,16 @@ Bellman-Ford over the residual network from a virtual super source; a
 relaxation surviving ``n`` passes exposes a negative residual cycle,
 which is recovered and reported — the flow is provably suboptimal.
 :func:`check_certificate` then *verifies* the witness by pure
-per-arc arithmetic: no search, no trust in the construction.  Together
-they let any caller (tests, the fuzz harness, the ``certify`` switch of
-:func:`repro.core.solver.allocate`) turn "the solver said so" into a
-machine-checked proof of optimality.
+arithmetic over all arcs at once: no search, no trust in the
+construction.  Together they let any caller (tests, the fuzz harness,
+the ``certify`` switch of :func:`repro.core.solver.allocate`) turn "the
+solver said so" into a machine-checked proof of optimality.
+
+Both read the network's arrays (:meth:`FlowNetwork.arrays`): the
+residual-arc list is built from their columns in arc-id order, each
+arc's forward image before its backward one, and the Bellman-Ford
+relaxation over it stays a plain Python loop — it is the independent
+check, not a kernel.  An :class:`Arc` is built only to word an error.
 
 Everything here depends only on :mod:`repro.flow`, so the solver core
 can import it lazily without cycles.
@@ -28,7 +34,9 @@ can import it lazily without cycles.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Sequence
+
+import numpy as np
 
 from repro.exceptions import ReproError
 from repro.flow.graph import Arc, FlowNetwork, FlowResult
@@ -54,19 +62,32 @@ class CertificateError(ReproError):
 
 def _residual_arcs(
     network: FlowNetwork, flows: Sequence[int]
-) -> Iterator[tuple[Hashable, Hashable, float, Arc, bool]]:
-    """Yield residual arcs ``(tail, head, cost, original_arc, forward)``.
+) -> list[tuple[int, int, float, int, bool]]:
+    """Residual arcs ``(tail, head, cost, arc_id, forward)``, with the
+    endpoints as dense node indices.
 
     A forward residual arc exists while the original arc has capacity
     left; a backward residual arc (negated cost) exists while flow can be
-    pushed back down to the arc's lower bound.
+    pushed back down to the arc's lower bound.  The list runs in arc-id
+    order, each arc's forward image before its backward one.
     """
-    for arc in network.arcs:
-        f = flows[arc.index]
-        if f < arc.capacity:
-            yield arc.tail, arc.head, arc.cost, arc, True
-        if f > arc.lower:
-            yield arc.head, arc.tail, -arc.cost, arc, False
+    arrays = network.arrays()
+    residual: list[tuple[int, int, float, int, bool]] = []
+    for arc_id, (tail, head, cost, capacity, lower) in enumerate(
+        zip(
+            arrays.tails.tolist(),
+            arrays.heads.tolist(),
+            arrays.costs.tolist(),
+            arrays.capacities.tolist(),
+            arrays.lowers.tolist(),
+        )
+    ):
+        f = flows[arc_id]
+        if f < capacity:
+            residual.append((tail, head, cost, arc_id, True))
+        if f > lower:
+            residual.append((head, tail, -cost, arc_id, False))
+    return residual
 
 
 def compute_potentials(
@@ -94,25 +115,21 @@ def compute_potentials(
             for its value.  The message names the cycle's arcs and its
             total cost.
     """
-    nodes = list(network.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
+    nodes = network.nodes
     n = len(nodes)
-    residual = [
-        (index[tail], index[head], cost, arc, forward)
-        for tail, head, cost, arc, forward in _residual_arcs(network, flows)
-    ]
+    residual = _residual_arcs(network, flows)
     dist = [0.0] * n
-    pred: list[tuple[int, Arc, bool] | None] = [None] * n
+    pred: list[tuple[int, int, bool] | None] = [None] * n
     last_relaxed = -1
     for _ in range(n):
         last_relaxed = -1
-        for u, v, cost, arc, forward in residual:
+        for u, v, cost, arc_id, forward in residual:
             if dist[u] + cost < dist[v] - tolerance:
                 dist[v] = dist[u] + cost
-                pred[v] = (u, arc, forward)
+                pred[v] = (u, arc_id, forward)
                 last_relaxed = v
         if last_relaxed == -1:
-            return {node: dist[index[node]] for node in nodes}
+            return dict(zip(nodes, dist))
     # A relaxation on the n-th pass: walk predecessors into the cycle.
     node = last_relaxed
     for _ in range(n):
@@ -124,8 +141,8 @@ def compute_potentials(
     while True:
         entry = pred[current]
         assert entry is not None
-        prev, arc, forward = entry
-        cycle.append((arc, forward))
+        prev, arc_id, forward = entry
+        cycle.append((network.arc(arc_id), forward))
         current = prev
         if current == node:
             break
@@ -155,6 +172,9 @@ def check_certificate(
     * ``flow < capacity`` requires ``rc >= -tolerance``;
     * ``flow > lower`` requires ``rc <= tolerance``.
 
+    Both conditions are checked for all arcs at once on the network's
+    arrays; the lowest violating arc id is reported.
+
     Args:
         network: The network the flow lives on.
         flows: Integer flow per arc, indexed by ``arc.index``.
@@ -165,22 +185,30 @@ def check_certificate(
         CertificateError: Naming the first violated condition, or a node
             missing from the witness.
     """
-    for node in network.nodes:
+    nodes = network.nodes
+    for node in nodes:
         if node not in potentials:
             raise CertificateError(f"certificate misses node {node!r}")
-    for arc in network.arcs:
-        f = flows[arc.index]
-        reduced = arc.cost + potentials[arc.tail] - potentials[arc.head]
-        if f < arc.capacity and reduced < -tolerance:
-            raise CertificateError(
-                f"slackness violated on {arc}: flow {f} below capacity but "
-                f"reduced cost {reduced:.6g} < 0 (cheaper flow exists)"
-            )
-        if f > arc.lower and reduced > tolerance:
-            raise CertificateError(
-                f"slackness violated on {arc}: flow {f} above lower bound "
-                f"but reduced cost {reduced:.6g} > 0 (retracting is cheaper)"
-            )
+    arrays = network.arrays()
+    pi = np.array([potentials[node] for node in nodes], dtype=np.float64)
+    f = np.asarray(flows)
+    reduced = arrays.costs + pi[arrays.tails] - pi[arrays.heads]
+    too_low = (f < arrays.capacities) & (reduced < -tolerance)
+    too_high = (f > arrays.lowers) & (reduced > tolerance)
+    violated = np.flatnonzero(too_low | too_high)
+    if not violated.size:
+        return
+    index = int(violated[0])
+    arc, flow, rc = network.arc(index), flows[index], float(reduced[index])
+    if too_low[index]:
+        raise CertificateError(
+            f"slackness violated on {arc}: flow {flow} below capacity but "
+            f"reduced cost {rc:.6g} < 0 (cheaper flow exists)"
+        )
+    raise CertificateError(
+        f"slackness violated on {arc}: flow {flow} above lower bound "
+        f"but reduced cost {rc:.6g} > 0 (retracting is cheaper)"
+    )
 
 
 def certify_optimal(

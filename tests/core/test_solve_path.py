@@ -1,0 +1,128 @@
+"""The solve path reads the flow network's arrays, not its ``Arc`` facade.
+
+Validation, the lower-bound reduction and the optimality certificate
+all walk whole networks on every solve.  They must do so on
+``FlowNetwork.arrays()``: reading ``FlowNetwork.arcs`` materialises an
+``Arc`` (and its payload) for every arc.  Only two places may build
+single arcs on a healthy solve — the network builder's segment arcs and
+the path decomposition's positive-flow arcs — so ``FlowNetwork.arc``
+runs at most (positive-flow arcs + segment arcs) times per solve.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.network_builder import build_network
+from repro.core.options import SolveOptions
+from repro.core.problem import AllocationProblem
+from repro.core.solver import allocate
+from repro.energy import MemoryConfig, StaticEnergyModel
+from repro.flow.graph import FlowNetwork
+from repro.flow.warm_start import WarmStartCache
+from repro.obs import trace as obs
+from repro.scheduling.list_scheduler import list_schedule
+from repro.service.executor import BatchExecutor
+from repro.workloads.random_blocks import random_lifetimes
+from repro.workloads.registry import kernel_block
+
+
+class FacadeProbe:
+    """Forbids ``FlowNetwork.arcs`` and counts ``FlowNetwork.arc`` calls."""
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self.arcs_reads = 0
+        self.arc_calls = 0
+        original_arc = FlowNetwork.arc
+
+        def counting_arc(network: FlowNetwork, index: int):
+            self.arc_calls += 1
+            return original_arc(network, index)
+
+        def forbidden_arcs(network: FlowNetwork):
+            # Counted as well as raised: the batch executor turns a solver
+            # exception into a failed job instead of propagating it.
+            self.arcs_reads += 1
+            raise AssertionError("FlowNetwork.arcs read on the solve path")
+
+        monkeypatch.setattr(FlowNetwork, "arc", counting_arc)
+        monkeypatch.setattr(FlowNetwork, "arcs", property(forbidden_arcs))
+
+    def solve(self, problem: AllocationProblem, options: SolveOptions):
+        """One ``allocate`` call; asserts the per-solve ``arc()`` budget."""
+        before = self.arc_calls
+        allocation = allocate(problem, options)
+        calls = self.arc_calls - before
+        assert self.arcs_reads == 0
+        assert calls <= arc_budget(allocation), (calls, arc_budget(allocation))
+        return allocation
+
+
+def arc_budget(allocation) -> int:
+    """Positive-flow arcs + segment arcs of one solved allocation."""
+    positive = sum(1 for f in allocation.flow.flows if f > 0)
+    segments = sum(len(s) for s in allocation.problem.segments.values())
+    return positive + segments
+
+
+def random_problem(seed: int = 0) -> AllocationProblem:
+    lifetimes = random_lifetimes(random.Random(seed), count=60, horizon=24)
+    return AllocationProblem(
+        lifetimes,
+        register_count=6,
+        horizon=max(l.end for l in lifetimes.values()),
+    )
+
+
+def kernel_problem(
+    divisor: int = 2, voltage: float | None = None
+) -> AllocationProblem:
+    schedule = list_schedule(kernel_block("fir", taps=8))
+    memory = MemoryConfig.scaled(divisor)
+    if voltage is not None:
+        memory = MemoryConfig(divisor=divisor, voltage=voltage)
+    return AllocationProblem.from_schedule(
+        schedule,
+        register_count=4,
+        energy_model=StaticEnergyModel().with_voltages(memory.voltage, 5.0),
+        memory=memory,
+    )
+
+
+def test_random_instance_never_walks_the_facade(monkeypatch):
+    problem = random_problem()
+    FacadeProbe(monkeypatch).solve(problem, SolveOptions(certify=True))
+
+
+def test_lower_bounded_kernel_never_walks_the_facade(monkeypatch):
+    problem = kernel_problem(divisor=2)
+    assert build_network(problem).network.has_lower_bounds()
+    FacadeProbe(monkeypatch).solve(problem, SolveOptions(certify=True))
+
+
+def test_warm_voltage_sweep_never_walks_the_facade(monkeypatch):
+    probe = FacadeProbe(monkeypatch)
+    options = SolveOptions(certify=True, warm_cache=WarmStartCache())
+    with obs.collect() as trace:
+        energies = [
+            probe.solve(kernel_problem(voltage=v), options).objective
+            for v in (5.0, 3.3, 2.4)
+        ]
+    assert trace.counters["solver.warm_start.incremental"] == 2
+    assert len(set(energies)) == len(energies)  # the costs really moved
+
+
+def test_inline_batch_gather_never_walks_the_facade(monkeypatch):
+    problems = [random_problem(seed) for seed in range(3)]
+    problems.append(kernel_problem(divisor=2))
+    budget = sum(arc_budget(allocate(p)) for p in problems)
+    probe = FacadeProbe(monkeypatch)
+    results = BatchExecutor(workers=1, certify_fraction=1.0).map_blocks(
+        problems
+    )
+    assert [r.status for r in results] == ["ok"] * len(problems)
+    assert all(r.certified for r in results)
+    assert probe.arcs_reads == 0
+    assert probe.arc_calls <= budget

@@ -1,14 +1,25 @@
 """Unit tests for the lower-bound transformation."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InfeasibleFlowError
 from repro.flow import (
     FlowNetwork,
     check_flow,
     solve,
+    solve_min_cost_flow,
     solve_with_lower_bounds,
 )
+from repro.flow.graph import ArcArrays, FlowResult
+from repro.flow.lower_bounds import (
+    _SUPER_SINK as SUPER_SINK,
+    _SUPER_SOURCE as SUPER_SOURCE,
+    transform_lower_bounds,
+)
+from repro.verify.differential import cross_check
 
 
 def test_dispatch_without_lower_bounds():
@@ -78,3 +89,201 @@ def test_optimality_with_negative_costs_and_bounds():
     check_flow(result, "s", "t", 3)
     # Best: 2 units at -4, 1 forced unit at +1.
     assert result.cost == pytest.approx(-7.0)
+
+
+# ---------------------------------------------------------------------------
+# The reduction is built on the arrays; it must equal the arc-by-arc one.
+# ---------------------------------------------------------------------------
+
+def reference_transform(network, source, sink, flow_value):
+    """The excess/deficit reduction written arc by arc over the facade:
+    ``(network, demand)``."""
+    excess = {}
+    transformed = FlowNetwork()
+    for node in network.nodes:
+        transformed.add_node(node)
+    for arc in network.arcs:
+        transformed.add_arc(
+            arc.tail,
+            arc.head,
+            capacity=arc.capacity - arc.lower,
+            cost=arc.cost,
+            data=arc.index,
+        )
+        if arc.lower:
+            excess[arc.head] = excess.get(arc.head, 0) + arc.lower
+            excess[arc.tail] = excess.get(arc.tail, 0) - arc.lower
+    excess[source] = excess.get(source, 0) + flow_value
+    excess[sink] = excess.get(sink, 0) - flow_value
+    transformed.add_node(SUPER_SOURCE)
+    transformed.add_node(SUPER_SINK)
+    demand = 0
+    for node, value in excess.items():
+        if value > 0:
+            transformed.add_arc(SUPER_SOURCE, node, capacity=value, cost=0.0)
+            demand += value
+        elif value < 0:
+            transformed.add_arc(node, SUPER_SINK, capacity=-value, cost=0.0)
+    return transformed, demand
+
+
+def reference_recover(transform, inner):
+    """:meth:`LowerBoundTransform.recover` written arc by arc."""
+    flows = [0] * transform.original.num_arcs
+    for t_arc in transform.network.arcs:
+        if isinstance(t_arc.data, int):
+            flows[t_arc.data] = inner.flows[t_arc.index]
+    for arc in transform.original.arcs:
+        flows[arc.index] += arc.lower
+    result = FlowResult(transform.original, flows, transform.flow_value)
+    source, sink = transform.source, transform.sink
+    net_out = result.outflow(source) - result.inflow(source)
+    net_in = result.inflow(sink) - result.outflow(sink)
+    if net_out != transform.flow_value or net_in != transform.flow_value:
+        raise InfeasibleFlowError(
+            f"recovered flow ships {net_out}/{net_in} units, expected "
+            f"{transform.flow_value} (bounds make the problem infeasible)"
+        )
+    return result
+
+
+def recovered(recover, *args):
+    """``(flows, value)`` of a recovery, or its infeasibility message."""
+    try:
+        result = recover(*args)
+    except InfeasibleFlowError as exc:
+        return str(exc)
+    return result.flows, result.value
+
+
+@st.composite
+def lower_bounded_instances(draw):
+    """Small acyclic networks (arcs point from lower to higher position in
+    ``s, v1, ..., t``) where some arcs — parallel ones, and arcs leaving
+    ``s`` or entering ``t`` among them — carry lower bounds."""
+    size = draw(st.integers(min_value=2, max_value=6))
+    names = ["s", *(f"v{i}" for i in range(1, size - 1)), "t"]
+    net = FlowNetwork()
+    for node in draw(st.permutations(names)):
+        net.add_node(node)
+    specs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, size - 1),
+                st.integers(0, size - 1),
+                st.integers(0, 1),  # lower
+                st.integers(0, 2),  # capacity above the lower bound
+                st.integers(-3, 5),  # cost
+                st.integers(1, 2),  # copies (parallel arcs)
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    for tail, head, lower, extra, cost, copies in specs:
+        if tail == head:
+            continue
+        tail, head = min(tail, head), max(tail, head)
+        for _ in range(copies):
+            net.add_arc(
+                names[tail],
+                names[head],
+                capacity=lower + extra,
+                cost=float(cost),
+                lower=lower,
+            )
+    # Guarantee a bound at each terminal.
+    net.add_arc("s", names[draw(st.integers(1, size - 1))], 2, lower=1)
+    net.add_arc(names[draw(st.integers(0, size - 2))], "t", 2, lower=1)
+    if draw(st.booleans()):
+        # Costly unbounded detours through every node make most bounds
+        # satisfiable, so recovery is exercised on feasible flows too.
+        for node in names:
+            if node not in ("s", "t"):
+                net.add_arc("s", node, 9, cost=7.0)
+                net.add_arc(node, "t", 9, cost=7.0)
+    return net, draw(st.integers(min_value=0, max_value=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=lower_bounded_instances(), data=st.data())
+def test_transform_matches_the_arc_by_arc_reduction(case, data):
+    net, flow_value = case
+    transform = transform_lower_bounds(net, "s", "t", flow_value)
+    expected, demand = reference_transform(net, "s", "t", flow_value)
+    got = transform.network
+    assert got.nodes == expected.nodes
+    for name in ArcArrays._fields:
+        left, right = getattr(got.arrays(), name), getattr(expected.arrays(), name)
+        assert left.dtype == right.dtype and np.array_equal(left, right), name
+    assert transform.demand == demand
+    m = net.num_arcs
+    assert all(got.arc_data(i) == i for i in range(m))
+    assert all(got.arc_data(i) is None for i in range(m, got.num_arcs))
+    # Identical sequences: the super arcs come in the same order.
+    assert [(a.tail, a.head, a.capacity) for a in got.arcs[m:]] == [
+        (a.tail, a.head, a.capacity) for a in expected.arcs[m:]
+    ]
+
+    inner_flows = [
+        data.draw(st.integers(0, int(c)), label=f"inner[{i}]")
+        for i, c in enumerate(got.arrays().capacities)
+    ]
+    candidates = [FlowResult(got, inner_flows, transform.demand)]
+    try:
+        candidates.append(
+            solve_min_cost_flow(
+                got, transform.super_source, transform.super_sink, demand
+            )
+        )
+    except InfeasibleFlowError:
+        pass
+    for inner in candidates:
+        assert recovered(transform.recover, inner) == recovered(
+            reference_recover, transform, inner
+        )
+
+
+def test_transform_keeps_original_ids_on_a_bounded_kernel():
+    from repro.core.network_builder import build_network
+    from repro.core.problem import AllocationProblem
+    from repro.energy import MemoryConfig
+    from repro.scheduling.list_scheduler import list_schedule
+    from repro.workloads.registry import kernel_block
+
+    problem = AllocationProblem.from_schedule(
+        list_schedule(kernel_block("fir", taps=8)),
+        register_count=4,
+        memory=MemoryConfig.scaled(2),
+    )
+    built = build_network(problem)
+    assert built.network.has_lower_bounds()
+    transform = transform_lower_bounds(
+        built.network, built.source, built.sink, built.flow_value
+    )
+    expected, demand = reference_transform(
+        built.network, built.source, built.sink, built.flow_value
+    )
+    assert transform.demand == demand
+    for name in ArcArrays._fields:
+        assert np.array_equal(
+            getattr(transform.network.arrays(), name),
+            getattr(expected.arrays(), name),
+        )
+    inner = solve_min_cost_flow(
+        transform.network,
+        transform.super_source,
+        transform.super_sink,
+        transform.demand,
+    )
+    assert recovered(transform.recover, inner) == recovered(
+        reference_recover, transform, inner
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lower_bounded_instances())
+def test_cross_check_agrees_on_lower_bounded_instances(case):
+    net, flow_value = case
+    outcome = cross_check(net, "s", "t", flow_value)
+    assert outcome.agreed, outcome.message

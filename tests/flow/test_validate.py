@@ -1,10 +1,13 @@
 """Tests for the flow validator."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flow import FlowNetwork, check_flow, flow_cost
 from repro.flow.graph import FlowResult
-from repro.flow.validate import FlowValidationError
+from repro.flow.validate import FlowValidationError, node_balances
 
 
 def net_and_flow():
@@ -55,9 +58,10 @@ def test_wrong_value_detected():
         check_flow(result, "s", "t", 1)
 
 
-def test_non_integral_flow_detected():
+@pytest.mark.parametrize("value", [1.5, np.float64(1.0), None])
+def test_non_integral_flow_detected(value):
     net, _ = net_and_flow()
-    bad = FlowResult(net, [1.5, 1.5], 1)  # type: ignore[list-item]
+    bad = FlowResult(net, [value, value], 1)  # type: ignore[list-item]
     with pytest.raises(FlowValidationError, match="non-integral"):
         check_flow(bad, "s", "t", 1)
 
@@ -126,3 +130,161 @@ def test_single_variable_network_validates():
     result = solve(built.network, SOURCE, SINK, 1)
     check_flow(result, SOURCE, SINK, 1)
     assert result.value == 1
+
+
+# ---------------------------------------------------------------------------
+# First violation: the same arc, node and message as an arc-by-arc walk.
+# ---------------------------------------------------------------------------
+
+def test_lowest_out_of_bounds_arc_is_named():
+    net = FlowNetwork()
+    net.add_arc("s", "a", capacity=3)
+    net.add_arc("a", "t", capacity=1)
+    net.add_arc("s", "b", capacity=3, lower=2)
+    net.add_arc("b", "t", capacity=1)
+    bad = FlowResult(net, [2, 2, 1, 1], 3)
+    message = f"flow 2 outside bounds [0, 1] on {net.arc(1)}"
+    with pytest.raises(FlowValidationError) as caught:
+        check_flow(bad, "s", "t", 3)
+    assert str(caught.value) == message
+
+
+def test_first_unbalanced_node_in_insertion_order_is_named():
+    net = FlowNetwork()
+    for node in ("s", "t", "b", "a"):
+        net.add_node(node)
+    net.add_arc("s", "a", capacity=1)
+    net.add_arc("a", "t", capacity=1)
+    net.add_arc("s", "b", capacity=1)
+    net.add_arc("b", "t", capacity=1)
+    # a keeps a unit (+1) and b ships one it never got (-1); the
+    # terminals balance.  b was inserted first.
+    bad = FlowResult(net, [1, 0, 0, 1], 1)
+    with pytest.raises(FlowValidationError) as caught:
+        check_flow(bad, "s", "t", 1)
+    assert str(caught.value) == "conservation violated at 'b': imbalance -1"
+
+
+def test_terminal_absent_from_the_network():
+    net = FlowNetwork()
+    net.add_arc("s", "a", capacity=1)
+    net.add_arc("a", "t", capacity=1)
+    # An absent terminal has no balance to check ...
+    check_flow(FlowResult(net, [0, 0], 0), "x", "t", 0)
+    check_flow(FlowResult(net, [0, 0], 0), "s", "y", 0)
+    # ... so a present node shipping the flow is an interior imbalance.
+    with pytest.raises(FlowValidationError) as caught:
+        check_flow(FlowResult(net, [1, 1], 1), "x", "t", 1)
+    assert str(caught.value) == "conservation violated at 's': imbalance -1"
+    with pytest.raises(FlowValidationError) as caught:
+        check_flow(FlowResult(net, [1, 1], 1), "s", "y", 1)
+    assert str(caught.value) == "conservation violated at 't': imbalance 1"
+
+
+def test_node_balances_is_keyed_by_node_in_insertion_order():
+    net, result = net_and_flow()
+    assert node_balances(result) == {"s": -2, "a": 0, "t": 2}
+    assert list(node_balances(result)) == ["s", "a", "t"]
+    assert all(type(v) is int for v in node_balances(result).values())
+
+
+def reference_check_flow(result, source, sink, flow_value=None):
+    """The validator written arc by arc over the ``Arc`` facade."""
+    network = result.network
+    expected = result.value if flow_value is None else flow_value
+    if len(result.flows) != network.num_arcs:
+        raise FlowValidationError(
+            f"flow vector has {len(result.flows)} entries for "
+            f"{network.num_arcs} arcs"
+        )
+    for arc in network.arcs:
+        f = result.flows[arc.index]
+        if not isinstance(f, int):
+            raise FlowValidationError(f"non-integral flow {f!r} on {arc}")
+        if f < arc.lower or f > arc.capacity:
+            raise FlowValidationError(
+                f"flow {f} outside bounds [{arc.lower}, {arc.capacity}] on {arc}"
+            )
+    balance = {node: 0 for node in network.nodes}
+    for arc in network.arcs:
+        balance[arc.tail] -= result.flows[arc.index]
+        balance[arc.head] += result.flows[arc.index]
+    for node, net in balance.items():
+        if node == source:
+            if net != -expected:
+                raise FlowValidationError(
+                    f"source ships {-net} units, expected {expected}"
+                )
+        elif node == sink:
+            if net != expected:
+                raise FlowValidationError(
+                    f"sink receives {net} units, expected {expected}"
+                )
+        elif net != 0:
+            raise FlowValidationError(
+                f"conservation violated at {node!r}: imbalance {net}"
+            )
+
+
+def verdict(check, *args):
+    """``None`` when *check* accepts, else its error message."""
+    try:
+        check(*args)
+    except FlowValidationError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def perturbed_flows(draw):
+    """A small network, a flow routed along random source-sink paths,
+    and up to two perturbations (an integer nudge or a float entry)."""
+    size = draw(st.integers(min_value=2, max_value=6))
+    names = [f"n{i}" for i in range(size)]
+    net = FlowNetwork()
+    for node in draw(st.permutations(names)):
+        net.add_node(node)
+    arcs: list[list] = []  # [tail, head, flow]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        interior = st.lists(st.integers(1, size - 2), unique=True)
+        path = [0, *sorted(draw(interior) if size > 2 else []), size - 1]
+        for tail, head in zip(path, path[1:]):
+            arcs.append([tail, head, 1])
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        tail = draw(st.integers(0, size - 2))
+        head = draw(st.integers(tail + 1, size - 1))
+        arcs.append([tail, head, draw(st.integers(0, 2))])
+    flows: list = []
+    for tail, head, flow in arcs:
+        lower = draw(st.integers(0, flow))
+        capacity = flow + draw(st.integers(0, 2))
+        net.add_arc(names[tail], names[head], capacity=capacity, lower=lower)
+        flows.append(flow)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        if not flows:
+            break
+        index = draw(st.integers(0, len(flows) - 1))
+        flows[index] = draw(
+            st.sampled_from(
+                [
+                    flows[index] + 1,
+                    flows[index] - 1,
+                    float(flows[index]),
+                    flows[index] + 0.5,
+                ]
+            )
+        )
+    source = draw(st.sampled_from([names[0], names[-1], "absent"]))
+    sink = draw(st.sampled_from([names[-1], names[0], "absent"]))
+    value = sum(f for (t, _, _), f in zip(arcs, flows) if t == 0)
+    flow_value = draw(st.sampled_from([None, value, value + 1]))
+    return FlowResult(net, flows, value), source, sink, flow_value
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=perturbed_flows())
+def test_check_flow_matches_the_arc_by_arc_reference(case):
+    result, source, sink, flow_value = case
+    assert verdict(check_flow, result, source, sink, flow_value) == verdict(
+        reference_check_flow, result, source, sink, flow_value
+    )
