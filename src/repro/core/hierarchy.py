@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.allocation import Allocation, memory_intervals
+from repro.core.banking import variable_traffic
 from repro.core.chain_flow import optimal_interval_chains
 from repro.energy.models import EnergyModel
 from repro.exceptions import AllocationError
@@ -62,32 +63,6 @@ class HierarchyResult:
         return self.baseline_energy / self.total_energy
 
 
-def _variable_accesses(
-    allocation: Allocation, name: str
-) -> tuple[int, int]:
-    """(writes, reads) the memory image of *name* serves."""
-    problem = allocation.problem
-    registered = set(allocation.residency)
-    segments = problem.segments[name]
-    writes = 0 if segments[0].key in registered else 1
-    reads = 0
-    for position, seg in enumerate(segments):
-        if seg.key in registered:
-            # A spill writes the value back when the register is handed
-            # over before the variable's last read.
-            chain_exit = not seg.is_last and (
-                position + 1 >= len(segments)
-                or segments[position + 1].key not in registered
-            )
-            if chain_exit:
-                writes += 1
-            continue
-        reads += seg.read_count
-        if not seg.is_first and seg.starts_at_access_cut:
-            reads += 1  # reload
-    return writes, reads
-
-
 def partition_memory_hierarchy(
     allocation: Allocation,
     scratch_capacity: int,
@@ -122,16 +97,16 @@ def partition_memory_hierarchy(
         )
         for name, (start, end) in intervals.items()
     ]
-    accesses = {
-        lt.name: _variable_accesses(allocation, lt.name) for lt in lifetimes
+    traffic = {
+        lt.name: variable_traffic(problem, allocation.residency, lt.name)
+        for lt in lifetimes
     }
 
     def memory_energy(model: EnergyModel, name: str) -> float:
-        writes, reads = accesses[name]
+        moves = traffic[name]
         variable = problem.lifetimes[name].variable
-        return writes * model.mem_write(variable) + reads * model.mem_read(
-            variable
-        )
+        write, read = model.mem_write(variable), model.mem_read(variable)
+        return moves.writes * write + moves.reads * read
 
     baseline = sum(memory_energy(offchip_model, lt.name) for lt in lifetimes)
 

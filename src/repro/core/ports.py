@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.ports import port_usage, required_ports
 from repro.core.allocation import Allocation
+from repro.core.banking import variable_traffic
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
@@ -53,11 +54,26 @@ class PortConstrainedResult:
         return required_ports(self.allocation).mem_rw_ports
 
 
+def _access_step(step: int, problem: AllocationProblem) -> int:
+    """First memory access step at or after *step* (``x + 1`` if none)."""
+    access = problem.access_times
+    if access is None:
+        return step
+    later = [m for m in access if m >= step]
+    return min(later) if later else problem.horizon + 1
+
+
 def _contributors(allocation: Allocation, step: int) -> list[str]:
-    """Memory variables with accesses at *step*, heaviest first."""
+    """Variables with memory accesses at *step*, in pinning order.
+
+    Variables with memory reads or an initial write there come first,
+    heaviest first.  Variables whose only accesses there are spill
+    writes or reload reads follow, heaviest first, as the last resort.
+    """
     problem = allocation.problem
     registered = set(allocation.residency)
     counts: dict[str, int] = {}
+    boundary: dict[str, int] = {}
     for name, segments in problem.segments.items():
         hits = 0
         for seg in segments:
@@ -65,17 +81,22 @@ def _contributors(allocation: Allocation, step: int) -> list[str]:
                 continue
             hits += sum(1 for read in seg.reads if read == step)
         if segments[0].key not in registered:
-            lifetime = problem.lifetimes[name]
-            access = problem.access_times
-            write_step = lifetime.write_time
-            if access is not None:
-                later = [m for m in access if m >= write_step]
-                write_step = min(later) if later else problem.horizon + 1
+            write_step = _access_step(problem.lifetimes[name].write_time, problem)
             if write_step == step:
                 hits += 1
         if hits:
             counts[name] = hits
-    return sorted(counts, key=lambda name: (-counts[name], name))
+            continue
+        traffic = variable_traffic(problem, allocation.residency, name)
+        events = traffic.reload_steps.count(step) + sum(
+            1 for spill in traffic.spill_steps
+            if _access_step(spill, problem) == step
+        )
+        if events:
+            boundary[name] = events
+    return sorted(counts, key=lambda name: (-counts[name], name)) + sorted(
+        boundary, key=lambda name: (-boundary[name], name)
+    )
 
 
 def allocate_with_port_limit(

@@ -22,19 +22,21 @@ RA4xx    energy-model sanity (negative energies, evaluation failures,
 RA5xx    network structure (construction failures, inverted arc
          bounds, non-adjacent density-region handoffs, unreachable
          segments, insufficient source capacity)
-RA6xx    dataflow analysis and feasibility proofs (time-cut
-         infeasibility certificates, worklist liveness vs declared
-         lifetimes, terminal reachability of forced segments, arc-cost
-         interval/sign analysis) — diagnostics carry machine-checkable
-         ``evidence``
+RA6xx    dataflow analysis and feasibility proofs (time-cut and
+         bank-capacity infeasibility certificates, schedule-derived vs
+         declared lifetimes, terminal reachability of forced segments,
+         arc-cost interval/sign analysis) — diagnostics carry
+         machine-checkable ``evidence``
 RA9xx    engine-internal (a rule crashed)
 =======  ==============================================================
 
 Entry points: :func:`run_lint` for a report, :func:`gate_problem` for
 the opt-in pre-solve gate (``SolveOptions(lint="error")`` on any
 ``allocate*`` entry point), text/JSON reporters, and a SARIF 2.1.0
-exporter for CI consumption.  The RA6xx prover is also callable
-directly: :func:`prove_infeasible` returns an
+exporter for CI consumption.  One lint run derives each fact once:
+the :class:`LintContext` caches the built network and the prover's
+certificates, which the RA6xx proof rules share.  The prover is also
+callable directly: :func:`prove_infeasible` returns an
 :class:`InfeasibilityCertificate` (or ``None``) without ever solving a
 flow, and :func:`check_certificate` re-verifies one through an
 independent derivation.  The dynamic post-solve counterpart — oracles
@@ -42,14 +44,7 @@ that check *solutions* — lives in :mod:`repro.verify`.
 """
 
 from repro.lint.context import Finding, LintContext
-from repro.lint.dataflow import (
-    Interval,
-    LivenessResult,
-    ReachingResult,
-    fixed_point,
-    liveness,
-    reaching_definitions,
-)
+from repro.lint.dataflow import Interval, LivenessResult, liveness
 from repro.lint.diagnostics import (
     Diagnostic,
     LintReport,
@@ -92,7 +87,6 @@ __all__ = [
     "LivenessResult",
     "Location",
     "NO_LOCATION",
-    "ReachingResult",
     "Rule",
     "Severity",
     "all_rules",
@@ -100,13 +94,11 @@ __all__ = [
     "describe_rules",
     "explain_rule",
     "find_certificates",
-    "fixed_point",
     "gate_problem",
     "get_rule",
     "liveness",
     "merge_sarif",
     "prove_infeasible",
-    "reaching_definitions",
     "register",
     "render_text",
     "report_to_json",

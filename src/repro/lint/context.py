@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 from repro.lint.diagnostics import NO_LOCATION, Location, Severity
+from repro.lint.prove import InfeasibilityCertificate, certificates_from
 from repro.lint.registry import LintConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -133,6 +134,15 @@ class LintContext:
     def network_error(self) -> str | None:
         """Why network construction failed (``None`` on success)."""
         return self._network_result[1]
+
+    @cached_property
+    def certificates(self) -> tuple[InfeasibilityCertificate, ...]:
+        """Every prover certificate for the built network, derived once
+        per lint run and shared by the RA6xx proof rules (``()`` when
+        the network did not build)."""
+        if self.built is None:
+            return ()
+        return certificates_from(self.built)
 
     @cached_property
     def access_times(self) -> frozenset[int] | None:

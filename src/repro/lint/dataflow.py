@@ -1,144 +1,53 @@
-"""Worklist fixed-point dataflow analysis over scheduled basic blocks.
+"""Schedule facts and cost intervals for the RA6xx rules.
 
-The RA6xx rule family re-derives the facts the rest of the pipeline
-*assumes* — liveness, definition reachability, register pressure — from
-the schedule alone, through a classic Kildall worklist engine, and flags
-any disagreement with the declared lifetime set.  The analyses here are
-deliberately independent of :mod:`repro.lifetimes.analysis`: they share
-only the timing conventions (an operation starting at step ``s`` with
-delay ``d`` reads at the top of ``s`` and writes at the bottom of
-``s + d - 1``; live-out values carry a pseudo-read at ``x + 1``), not
-the code, which is what makes the cross-check in rule RA602 meaningful.
+RA602 re-derives each variable's lifetime from the schedule alone and
+flags any disagreement with the declared lifetime set.  The derivation
+here is deliberately independent of :mod:`repro.lifetimes.analysis`: the
+two share only the timing conventions (an operation starting at step
+``s`` with delay ``d`` reads at the top of ``s`` and writes at the bottom
+of ``s + d - 1``; live-out values carry a pseudo-read at ``x + 1``), not
+the code, which is what makes the cross-check meaningful.
 
-Three layers:
+Two pieces:
 
-* :func:`fixed_point` — the generic engine: a monotone transfer function
-  over a finite powerset lattice, iterated to a fixed point with a
-  worklist.  A basic block's control-step chain is a trivially shaped
-  flow graph, but the engine takes arbitrary edges so the analyses stay
-  correct if blocks ever grow branches (see ROADMAP: DAG partitioning).
-* :func:`liveness` / :func:`reaching_definitions` — the two concrete
-  analyses, keyed by control step.
-* :class:`Interval` — tiny interval-arithmetic values used by the RA604
-  energy sign analysis (and anyone needing conservative cost bounds).
+* :func:`liveness` — the write step and read steps of every value, as
+  the scheduled operations imply them (RA602).
+* :class:`Interval` — closed float intervals whose hulls the RA604
+  energy analysis takes over composed arc costs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
-
-from repro.obs import trace as obs
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduling.schedule import Schedule
 
 __all__ = [
-    "fixed_point",
     "liveness",
-    "reaching_definitions",
     "LivenessResult",
-    "ReachingResult",
     "Interval",
 ]
 
 
-def fixed_point(
-    nodes: Sequence[Hashable],
-    preds: Mapping[Hashable, Sequence[Hashable]],
-    transfer: Callable[[Hashable, frozenset], frozenset],
-    boundary: Mapping[Hashable, frozenset] | None = None,
-) -> dict[Hashable, frozenset]:
-    """Solve ``state[n] = transfer(n, ∪ state[p] for p in preds[n])``.
-
-    The classic worklist algorithm over a powerset lattice: states start
-    at the boundary (default ⊥ = ∅) and grow monotonically under
-    *transfer* until nothing changes.  Direction is the caller's choice
-    of *preds* — a backward analysis simply passes the reversed edges.
-
-    Args:
-        nodes: Every node, in the preferred initial visit order (a good
-            order converges in one pass on a chain; any order is
-            correct).
-        preds: Dataflow predecessors per node — the nodes whose states
-            feed this node's input.
-        transfer: Monotone node transfer function (it must never shrink
-            its output when its input grows, or the iteration may not
-            terminate).
-        boundary: Initial states (nodes absent from the mapping start
-            empty).
-
-    Returns:
-        The least fixed point: node → final state.
-    """
-    state: dict[Hashable, frozenset] = {
-        node: frozenset(boundary.get(node, frozenset()))
-        if boundary
-        else frozenset()
-        for node in nodes
-    }
-    successors: dict[Hashable, list[Hashable]] = {node: [] for node in nodes}
-    for node in nodes:
-        for pred in preds.get(node, ()):
-            successors.setdefault(pred, []).append(node)
-    worklist = list(nodes)
-    queued = set(worklist)
-    iterations = 0
-    while worklist:
-        node = worklist.pop()
-        queued.discard(node)
-        iterations += 1
-        incoming: frozenset = frozenset()
-        for pred in preds.get(node, ()):
-            incoming |= state.get(pred, frozenset())
-        updated = transfer(node, incoming)
-        if updated != state[node]:
-            state[node] = updated
-            for succ in successors.get(node, ()):
-                if succ not in queued:
-                    worklist.append(succ)
-                    queued.add(succ)
-    obs.count("lint.dataflow.iterations", iterations)
-    return state
-
-
-# ----------------------------------------------------------------------
-# concrete analyses over a schedule
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class LivenessResult:
-    """Backward liveness facts of one scheduled block.
+    """The reads and writes of one scheduled block, keyed by step.
 
     All step indices follow the shared convention: steps run 1..x where
     ``x`` is the schedule length; live-out pseudo-reads happen at
     ``x + 1``.
 
     Attributes:
-        length: Schedule length ``x``.
-        live_in: ``live_in[s]`` = variables live at the *top* of step
-            ``s``, for ``s`` in ``1 .. x + 2`` (index 0 unused; the
-            virtual exit ``x + 2`` is always empty).
         writes_at: Step → variables written at its bottom edge.
         reads_at: Step → variables read at its top edge (the live-out
             pseudo-reads appear at ``x + 1``).
     """
 
-    length: int
-    live_in: tuple[frozenset[str], ...]
     writes_at: Mapping[int, frozenset[str]]
     reads_at: Mapping[int, frozenset[str]]
-
-    def pressure(self) -> list[int]:
-        """Register-pressure profile: live values at each half-point.
-
-        ``pressure()[k]`` counts the variables live at ``k + 0.5``
-        (``k = 0 .. length``), which by the occupancy convention is
-        exactly ``|live_in[k + 1]|`` — directly comparable with
-        :func:`repro.lifetimes.intervals.density_profile` over the
-        extracted lifetimes.
-        """
-        return [len(self.live_in[k + 1]) for k in range(self.length + 1)]
 
     def lifetimes(self) -> dict[str, tuple[int, tuple[int, ...]]]:
         """Variable → ``(write_time, read_times)`` as the facts imply.
@@ -166,12 +75,11 @@ class LivenessResult:
 
 
 def liveness(schedule: "Schedule") -> LivenessResult:
-    """Re-derive liveness from *schedule* with the worklist engine.
+    """Record where *schedule* writes and reads every value.
 
-    A value is live at the top of step ``s`` iff some operation (or the
-    block exit, for live-out values) reads it at a step ``>= s`` — under
-    the block's single-assignment discipline the kill set of step ``s``
-    is exactly the set written at its bottom edge.
+    Each operation writes its output at its write step and reads its
+    inputs at its read step; every live-out value gets a pseudo-read at
+    the block exit ``x + 1``.
     """
     block = schedule.block
     length = schedule.length
@@ -186,104 +94,20 @@ def liveness(schedule: "Schedule") -> LivenessResult:
             reads_at.setdefault(schedule.read_step(op), set()).add(name)
     for name in block.live_out:
         reads_at.setdefault(length + 1, set()).add(name)
-
-    frozen_writes = {s: frozenset(v) for s, v in writes_at.items()}
-    frozen_reads = {s: frozenset(v) for s, v in reads_at.items()}
-    empty: frozenset[str] = frozenset()
-
-    def transfer(step: Hashable, incoming: frozenset) -> frozenset:
-        assert isinstance(step, int)
-        return (incoming - frozen_writes.get(step, empty)) | frozen_reads.get(
-            step, empty
-        )
-
-    # Backward analysis over the step chain: information flows from
-    # step s + 1 to step s, so s + 1 is the dataflow predecessor of s.
-    steps = list(range(1, length + 2))
-    preds = {s: [s + 1] for s in steps if s + 1 <= length + 1}
-    state = fixed_point(list(reversed(steps)), preds, transfer)
-    live_in = tuple(
-        [empty]  # index 0 unused
-        + [state[s] for s in steps]
-        + [empty]  # virtual exit x + 2
-    )
     return LivenessResult(
-        length=length,
-        live_in=live_in,
-        writes_at=frozen_writes,
-        reads_at=frozen_reads,
-    )
-
-
-@dataclass(frozen=True)
-class ReachingResult:
-    """Forward reaching-definitions facts of one scheduled block.
-
-    Attributes:
-        length: Schedule length ``x``.
-        defined_in: ``defined_in[s]`` = variables whose (unique) write
-            completed strictly before the top of step ``s``, for ``s``
-            in ``1 .. x + 2``.
-    """
-
-    length: int
-    defined_in: tuple[frozenset[str], ...]
-
-    def undefined_reads(
-        self, reads_at: Mapping[int, frozenset[str]]
-    ) -> list[tuple[str, int]]:
-        """Reads not covered by any reaching definition, as
-        ``(variable, step)`` pairs (sorted)."""
-        missing = [
-            (name, step)
-            for step, names in reads_at.items()
-            for name in names
-            if name not in self.defined_in[step]
-        ]
-        return sorted(missing)
-
-
-def reaching_definitions(schedule: "Schedule") -> ReachingResult:
-    """Forward dual of :func:`liveness`: which writes reach each step.
-
-    With single assignment the definition set only ever grows along the
-    chain, so the fixed point is the prefix union of the write sets —
-    but it is computed with the same engine, not assumed.
-    """
-    length = schedule.length
-    writes_at: dict[int, set[str]] = {}
-    for op in schedule.block:
-        if op.output is not None:
-            writes_at.setdefault(schedule.write_step(op), set()).add(
-                op.output
-            )
-    frozen_writes = {s: frozenset(v) for s, v in writes_at.items()}
-    empty: frozenset[str] = frozenset()
-
-    def transfer(step: Hashable, incoming: frozenset) -> frozenset:
-        assert isinstance(step, int)
-        # A write at the bottom of step s - 1 reaches the top of step s.
-        return incoming | frozen_writes.get(step - 1, empty)
-
-    steps = list(range(1, length + 3))
-    preds = {s: [s - 1] for s in steps if s - 1 >= 1}
-    state = fixed_point(steps, preds, transfer)
-    return ReachingResult(
-        length=length,
-        defined_in=tuple([empty] + [state[s] for s in steps]),
+        writes_at={s: frozenset(v) for s, v in writes_at.items()},
+        reads_at={s: frozenset(v) for s, v in reads_at.items()},
     )
 
 
 # ----------------------------------------------------------------------
-# interval arithmetic (RA604 energy sign analysis)
+# interval hulls (RA604 energy analysis)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Interval:
     """A closed interval ``[lo, hi]`` of floats.
 
-    The minimal arithmetic the energy sign analysis needs: hulls over
-    observed costs, addition, and sign classification.  Degenerate
-    (``lo > hi``) intervals are rejected at construction.
+    Degenerate (``lo > hi``) intervals are rejected at construction.
     """
 
     lo: float
@@ -311,28 +135,9 @@ class Interval:
             hi = max(hi, value)
         return cls(lo, hi) if seen else None
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def scaled(self, factor: float) -> "Interval":
-        """The interval of ``factor * x`` for ``x`` in this interval."""
-        a, b = self.lo * factor, self.hi * factor
-        return Interval(min(a, b), max(a, b))
-
     @property
     def finite(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    @property
-    def sign(self) -> str:
-        """``"negative"``, ``"positive"``, ``"zero"`` or ``"mixed"``."""
-        if self.hi < 0:
-            return "negative"
-        if self.lo > 0:
-            return "positive"
-        if self.lo == 0 and self.hi == 0:
-            return "zero"
-        return "mixed"
 
     def to_list(self) -> list[float]:
         """JSON-ready ``[lo, hi]`` pair."""

@@ -52,6 +52,7 @@ __all__ = [
     "node_times",
     "cut_capacity_profile",
     "forced_flow_profile",
+    "reachable",
     "certificates_from",
     "find_certificates",
     "prove_infeasible",
@@ -217,9 +218,10 @@ def certificates_from(
 ) -> tuple[InfeasibilityCertificate, ...]:
     """:func:`find_certificates` over an already-constructed network.
 
-    The lint rules use this variant to reuse the
-    :class:`~repro.lint.context.LintContext`'s cached network instead of
-    rebuilding it per rule.
+    A lint run calls this once, on the
+    :class:`~repro.lint.context.LintContext`'s cached network
+    (:attr:`~repro.lint.context.LintContext.certificates`); the RA601,
+    RA603 and RA605 rules share the result.
     """
     with obs.span("lint.prove"):
         problem = built.problem
@@ -292,10 +294,10 @@ def _reachability_certificates(
     arrays = built.network.arrays()
     positive = arrays.capacities > 0
     n = built.network.num_nodes
-    from_s = _reachable(
+    from_s = reachable(
         n, arrays.tails[positive], arrays.heads[positive], start=0
     )
-    to_t = _reachable(
+    to_t = reachable(
         n, arrays.heads[positive], arrays.tails[positive], start=1
     )
     problem = built.problem
@@ -376,10 +378,16 @@ def _bank_capacity_certificates(
     ]
 
 
-def _reachable(
+def reachable(
     n: int, tails: np.ndarray, heads: np.ndarray, start: int
 ) -> np.ndarray:
-    """Boolean reachability from *start* following ``tails -> heads``."""
+    """Boolean reachability from node *start* following ``tails -> heads``.
+
+    The one forward walk over a network's arc arrays: the prover runs it
+    over positive-capacity arcs (and, with the arcs reversed, toward the
+    sink); rule RA503 runs it over every arc.  Returns a mask indexed by
+    dense node id, of length *n*.
+    """
     seen = np.zeros(n, dtype=bool)
     seen[start] = True
     frontier = np.array([start], dtype=np.int64)

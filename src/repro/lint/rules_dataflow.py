@@ -3,20 +3,20 @@
 Where the RA1xx-RA5xx families check declared structure, this family
 *re-derives* facts and proves obstructions:
 
-* RA601/RA603 run the solver-free prover (:mod:`repro.lint.prove`) over
-  the instance's flow network and attach the resulting infeasibility
-  certificate — time-cut counting or terminal reachability — as
-  machine-checkable ``evidence`` on the diagnostic.  Each certificate is
-  re-verified through an independent derivation before it is reported;
-  a certificate that fails its own check is reported as an internal
-  inconsistency instead of a proof.
-* RA602 recomputes liveness from the schedule with the worklist engine
+* RA601/RA603/RA605 report the certificates of the solver-free prover
+  (:mod:`repro.lint.prove`), which runs once per lint run over the
+  instance's flow network (:attr:`LintContext.certificates`): time-cut
+  counting (RA601), terminal reachability (RA603) and the
+  storage-hierarchy counting proof (RA605: every bank is
+  capacity-limited and the lifetime density exceeds the register file
+  plus the summed bank capacities).  Each certificate rides on its
+  diagnostic as machine-checkable ``evidence`` and is re-verified
+  through an independent derivation before it is reported; a
+  certificate that fails its own check is reported as a prover bug
+  instead of a proof.
+* RA602 re-derives every lifetime from the schedule's reads and writes
   (:mod:`repro.lint.dataflow`) and diffs the derived lifetimes against
   the declared ones, variable by variable.
-* RA605 surfaces the storage-hierarchy counting proof: when every bank
-  is capacity-limited and the lifetime density exceeds the register file
-  plus the summed bank capacities, no placement exists regardless of
-  how banks are assigned.
 * RA604 runs an interval/sign analysis over the network's arc costs:
   non-finite costs poison the solver's optimum silently, and an
   optimistic energy bound below zero means some allocation would be
@@ -28,23 +28,60 @@ Where the RA1xx-RA5xx families check declared structure, this family
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.lint.context import Finding, LintContext
 from repro.lint.dataflow import Interval, liveness
 from repro.lint.diagnostics import Location, Severity
-from repro.lint.prove import certificates_from, check_certificate
+from repro.lint.prove import InfeasibilityCertificate, check_certificate
 from repro.lint.registry import rule
 
 __all__: list[str] = []
 
 
-def _proof_evidence(ctx: LintContext, certificate) -> tuple[dict, bool]:
-    """Certificate evidence payload plus its independent re-check."""
-    checked = check_certificate(ctx.problem, certificate)
-    payload = certificate.to_dict()
-    payload["checked"] = checked
-    return payload, checked
+def _proof_findings(
+    ctx: LintContext,
+    kinds: tuple[str, ...],
+    locate: Callable[[InfeasibilityCertificate], Location],
+    wording: str,
+) -> Iterator[Finding]:
+    """Report the context's certificates of *kinds*, each re-checked.
+
+    Every certificate is re-verified through :func:`check_certificate`
+    before it is reported as a proof; one that fails its own check is
+    reported as a prover bug instead (*wording* names it, with
+    ``{kind}`` standing for the certificate kind).
+    """
+    for certificate in ctx.certificates:
+        if certificate.kind not in kinds:
+            continue
+        evidence = certificate.to_dict()
+        evidence["checked"] = check_certificate(ctx.problem, certificate)
+        if evidence["checked"]:
+            yield Finding(
+                certificate.detail, locate(certificate), evidence=evidence
+            )
+            continue
+        yield Finding(
+            f"prover emitted {wording.format(kind=certificate.kind)} that "
+            f"fails independent re-verification: {certificate.detail}",
+            locate(certificate),
+            hint="this is a prover bug, not an instance defect; "
+            "report it with the evidence payload",
+            evidence=evidence,
+        )
+
+
+def _cut_location(certificate: InfeasibilityCertificate) -> Location:
+    return Location(step=certificate.half_point, detail=certificate.kind)
+
+
+def _segment_location(certificate: InfeasibilityCertificate) -> Location:
+    variable = segment = None
+    if certificate.witness:
+        variable, _, index_text = certificate.witness[0].partition("#")
+        segment = int(index_text) if index_text.isdigit() else None
+    return Location(variable=variable, segment=segment)
 
 
 @rule(
@@ -59,41 +96,26 @@ def _proof_evidence(ctx: LintContext, certificate) -> tuple[dict, bool]:
 )
 def check_pressure_proofs(ctx: LintContext) -> Iterator[Finding]:
     """RA601: report cut-counting infeasibility proofs with evidence."""
-    if ctx.built is None:
-        return  # RA5xx reports why the network is unbuildable
-    for certificate in certificates_from(ctx.built):
-        if certificate.kind not in ("forced-pressure", "cut-capacity"):
-            continue
-        evidence, checked = _proof_evidence(ctx, certificate)
-        if not checked:
-            yield Finding(
-                f"prover emitted a {certificate.kind} certificate that "
-                f"fails independent re-verification: {certificate.detail}",
-                Location(step=certificate.half_point, detail=certificate.kind),
-                hint="this is a prover bug, not an instance defect; "
-                "report it with the evidence payload",
-                evidence=evidence,
-            )
-            continue
-        yield Finding(
-            certificate.detail,
-            Location(step=certificate.half_point, detail=certificate.kind),
-            evidence=evidence,
-        )
+    yield from _proof_findings(
+        ctx,
+        ("forced-pressure", "cut-capacity"),
+        _cut_location,
+        "a {kind} certificate",
+    )
 
 
 @rule(
     "RA602",
     "schedule-lifetime-disagreement",
     Severity.ERROR,
-    "The lifetimes re-derived from the schedule by worklist liveness "
-    "analysis disagree with the instance's declared lifetimes.",
+    "The lifetimes re-derived from the schedule's reads and writes "
+    "disagree with the instance's declared lifetimes.",
     hint="the declared lifetimes were not extracted from this schedule "
     "(or were edited afterwards); re-run extract_lifetimes on the "
     "schedule being solved",
 )
 def check_schedule_agreement(ctx: LintContext) -> Iterator[Finding]:
-    """RA602: diff worklist-derived lifetimes against declared ones."""
+    """RA602: diff schedule-derived lifetimes against declared ones."""
     if ctx.schedule is None:
         return
     try:
@@ -165,31 +187,12 @@ def _lifetime_dict(pair: tuple[int, tuple[int, ...]]) -> dict:
 )
 def check_reachability_proofs(ctx: LintContext) -> Iterator[Finding]:
     """RA603: report terminal-reachability infeasibility proofs."""
-    if ctx.built is None:
-        return
-    for certificate in certificates_from(ctx.built):
-        if certificate.kind != "unreachable-forced-segment":
-            continue
-        evidence, checked = _proof_evidence(ctx, certificate)
-        variable = segment = None
-        if certificate.witness:
-            variable, _, index_text = certificate.witness[0].partition("#")
-            segment = int(index_text) if index_text.isdigit() else None
-        if not checked:
-            yield Finding(
-                f"prover emitted an unreachability certificate that fails "
-                f"independent re-verification: {certificate.detail}",
-                Location(variable=variable, segment=segment),
-                hint="this is a prover bug, not an instance defect; "
-                "report it with the evidence payload",
-                evidence=evidence,
-            )
-            continue
-        yield Finding(
-            certificate.detail,
-            Location(variable=variable, segment=segment),
-            evidence=evidence,
-        )
+    yield from _proof_findings(
+        ctx,
+        ("unreachable-forced-segment",),
+        _segment_location,
+        "an unreachability certificate",
+    )
 
 
 @rule(
@@ -205,27 +208,9 @@ def check_reachability_proofs(ctx: LintContext) -> Iterator[Finding]:
 )
 def check_bank_capacity_proofs(ctx: LintContext) -> Iterator[Finding]:
     """RA605: report storage-hierarchy capacity proofs with evidence."""
-    if ctx.built is None:
-        return  # RA5xx reports why the network is unbuildable
-    for certificate in certificates_from(ctx.built):
-        if certificate.kind != "bank-capacity":
-            continue
-        evidence, checked = _proof_evidence(ctx, certificate)
-        if not checked:
-            yield Finding(
-                f"prover emitted a bank-capacity certificate that fails "
-                f"independent re-verification: {certificate.detail}",
-                Location(step=certificate.half_point, detail=certificate.kind),
-                hint="this is a prover bug, not an instance defect; "
-                "report it with the evidence payload",
-                evidence=evidence,
-            )
-            continue
-        yield Finding(
-            certificate.detail,
-            Location(step=certificate.half_point, detail=certificate.kind),
-            evidence=evidence,
-        )
+    yield from _proof_findings(
+        ctx, ("bank-capacity",), _cut_location, "a bank-capacity certificate"
+    )
 
 
 @rule(

@@ -16,6 +16,7 @@ from typing import Iterator
 
 from repro.lint.context import Finding, LintContext
 from repro.lint.diagnostics import Location, Severity
+from repro.lint.prove import reachable
 from repro.lint.registry import rule
 
 __all__: list[str] = []
@@ -144,16 +145,15 @@ def check_reachability(ctx: LintContext) -> Iterator[Finding]:
         return
     built = ctx.built
     network = built.network
-    reached = {built.source}
-    frontier = [built.source]
-    while frontier:
-        node = frontier.pop()
-        for arc in network.arcs_from(node):
-            if arc.head not in reached:
-                reached.add(arc.head)
-                frontier.append(arc.head)
+    arrays = network.arrays()
+    reached = reachable(
+        network.num_nodes,
+        arrays.tails,
+        arrays.heads,
+        start=network.node_index(built.source),
+    )
     for key, arc in sorted(built.segment_arcs.items()):
-        if arc.tail not in reached:
+        if not reached[network.node_index(arc.tail)]:
             name, index = key
             yield Finding(
                 f"write node of segment {name}#{index} is unreachable "

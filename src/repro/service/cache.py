@@ -31,10 +31,10 @@ Beside solved allocations the cache also stores **lint verdicts**
 (:class:`CachedLint`): the admission gate's static-analysis report for a
 canonical instance, written as the sibling ``<digest>.lint.json``.
 Lint verdicts are keyed by the canonical key *plus* a schedule
-fingerprint — the canonical form captures the lifetimes but not the
-schedule they came from, and the schedule-aware rules (RA1xx, RA602)
-would otherwise serve a stale verdict to an instance with identical
-lifetimes but a different schedule.
+fingerprint and a variable naming — the canonical form captures the
+lifetimes but neither the schedule they came from nor the variable
+names, and a report reads both: the schedule-aware rules (RA1xx, RA602)
+analyse the schedule and every finding names the instance's variables.
 
 Every entry records the solver that wrote it and whether that solver is
 exact.  The service writes only :data:`EXACT_SOLVER` entries; an entry
@@ -244,14 +244,17 @@ class CachedLint:
             lookup with a different fingerprint is a miss — the RA1xx /
             RA602 rules depend on the schedule, which the canonical key
             does not capture.
+        naming: Digest of the variable names the report was computed
+            for; a lookup with a different naming is a miss.
         report: The ``repro.lint/report/v1`` document (diagnostics in
             canonical variable space are *not* attempted — lint verdicts
             describe the instance as submitted, so the report is stored
-            verbatim and only served to byte-identical schedules).
+            verbatim and only served to the same schedule and naming).
     """
 
     key: str
     fingerprint: str
+    naming: str
     report: Mapping[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
@@ -260,6 +263,7 @@ class CachedLint:
             "schema": LINT_SCHEMA,
             "key": self.key,
             "fingerprint": self.fingerprint,
+            "naming": self.naming,
             "report": dict(self.report),
         }
 
@@ -274,6 +278,7 @@ class CachedLint:
             return cls(
                 key=str(data["key"]),
                 fingerprint=str(data["fingerprint"]),
+                naming=str(data["naming"]),
                 report=dict(data["report"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -338,17 +343,24 @@ class ResultCache:
         self._remember(self._entries, entry)
         self._write(entry.key, ".json", entry.to_dict())
 
-    def get_lint(self, key: str, fingerprint: str = "") -> CachedLint | None:
-        """Look up the lint verdict of (*key*, *fingerprint*).
+    def get_lint(
+        self, key: str, fingerprint: str, naming: str
+    ) -> CachedLint | None:
+        """Look up the lint verdict of (*key*, *fingerprint*, *naming*).
 
-        A stored verdict with a different schedule fingerprint is a
-        miss: the canonical key alone does not capture the schedule the
-        schedule-aware rules analysed.
+        A stored verdict with a different schedule fingerprint or
+        variable naming is a miss: the canonical key alone captures
+        neither the schedule the schedule-aware rules analysed nor the
+        names the report's findings carry.
         """
         entry = self._lint_entries.get(key)
         if entry is None:
             entry = self._read(key, ".lint.json", CachedLint.from_dict)
-        if entry is not None and entry.fingerprint == fingerprint:
+        if (
+            entry is not None
+            and entry.fingerprint == fingerprint
+            and entry.naming == naming
+        ):
             self._remember(self._lint_entries, entry)
             self.lint_hits += 1
             obs.count("service.lint.cache_hit")

@@ -7,15 +7,18 @@ disagreement, a broken cost model — is rejected up front with the full
 diagnostic report instead of burning a solver slot to rediscover the
 problem the hard way.
 
-Verdicts are cached in the shared :class:`~repro.service.cache`
-store under the instance's canonical sha256 digest, with one twist: the
-canonical form captures lifetimes but not the schedule they came from,
-and the schedule-aware rules (RA1xx, RA602) analyse the schedule.  A
-verdict therefore stores a **schedule fingerprint** (sha256 over the
-scheduled operations; empty for schedule-less instances) and a lookup
-with a different fingerprint is a miss.  Without this, two manifests
-with isomorphic lifetimes but different schedules would share a verdict
-and one of them would be wrong.
+Every check runs :func:`~repro.lint.run_lint` with the default rule
+set.  Verdicts are cached in the shared :class:`~repro.service.cache`
+store under the instance's canonical sha256 digest, with two twists:
+the canonical form is name-free and captures lifetimes but not the
+schedule they came from, while a report names variables and the
+schedule-aware rules (RA1xx, RA602) analyse the schedule.  A verdict
+therefore stores a **schedule fingerprint** (sha256 over the scheduled
+operations; empty for schedule-less instances) and a **naming** digest
+(the instance's variable names in canonical order), and a lookup that
+differs in either is a miss.  Without this, two manifests with
+isomorphic lifetimes but different schedules or variable names would
+share a verdict and one of them would be wrong.
 
 Counters: ``service.lint.checked`` / ``service.lint.blocked`` per job,
 plus the cache's ``service.lint.cache_hit`` / ``service.lint.cache_miss``.
@@ -28,7 +31,7 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.lint import LintConfig, LintReport, Severity, run_lint
+from repro.lint import LintReport, Severity, run_lint
 from repro.obs import trace as obs
 from repro.service.cache import CachedLint, ResultCache
 from repro.service.canonical import canonicalize
@@ -71,6 +74,12 @@ def _plain(value: Any) -> Any:
     return list(value) if isinstance(value, tuple) else value
 
 
+def _naming(canonical: "CanonicalInstance") -> str:
+    """Digest of which variable name plays which canonical role."""
+    payload = json.dumps(list(canonical.renaming))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class LintVerdict:
     """The admission gate's decision for one job.
@@ -79,6 +88,8 @@ class LintVerdict:
         label: The job's display label.
         key: Canonical cache key of the instance.
         fingerprint: Schedule fingerprint the verdict was computed for.
+        naming: Digest of the variable names the verdict was computed
+            for.
         report: The full lint report.
         blocking: Whether findings reach the gate's severity threshold
             (the job must not be solved).
@@ -88,6 +99,7 @@ class LintVerdict:
     label: str
     key: str
     fingerprint: str
+    naming: str
     report: LintReport
     blocking: bool
     cached: bool = False
@@ -113,21 +125,18 @@ class LintGate:
             Parsed leniently — unknown names fail *closed* to ``error``
             (see :meth:`repro.lint.Severity.coerce`) — and ``"never"``
             disables blocking while still producing reports.
-        config: Lint rule-set configuration shared by every check.
     """
 
     def __init__(
         self,
         cache: ResultCache | None = None,
         fail_on: "str | Severity" = Severity.ERROR,
-        config: LintConfig | None = None,
     ) -> None:
         self.cache = cache
         self.never = isinstance(fail_on, str) and fail_on == "never"
         self.threshold = (
             Severity.ERROR if self.never else Severity.coerce(fail_on)
         )
-        self.config = config or LintConfig()
 
     def check(
         self,
@@ -150,10 +159,11 @@ class LintGate:
         if canonical is None:
             canonical = canonicalize(problem)
         fingerprint = schedule_fingerprint(schedule)
+        naming = _naming(canonical)
         report: LintReport | None = None
         cached = False
         if self.cache is not None:
-            entry = self.cache.get_lint(canonical.key, fingerprint)
+            entry = self.cache.get_lint(canonical.key, fingerprint, naming)
             if entry is not None:
                 try:
                     report = LintReport.from_dict(dict(entry.report))
@@ -161,12 +171,13 @@ class LintGate:
                 except Exception:
                     report = None  # corrupt verdict: re-analyse
         if report is None:
-            report = run_lint(problem, schedule=schedule, config=self.config)
+            report = run_lint(problem, schedule=schedule)
             if self.cache is not None:
                 self.cache.put_lint(
                     CachedLint(
                         key=canonical.key,
                         fingerprint=fingerprint,
+                        naming=naming,
                         report=report.to_dict(),
                     )
                 )
@@ -180,6 +191,7 @@ class LintGate:
             label=label,
             key=canonical.key,
             fingerprint=fingerprint,
+            naming=naming,
             report=report,
             blocking=blocking,
             cached=cached,

@@ -45,10 +45,10 @@ Admission-time lint gating: unless ``ServerConfig.admission_lint`` is
 certificate, a schedule/lifetime disagreement, ...) is rejected with
 ``422 Unprocessable Entity`` and a SARIF body carrying the
 machine-checkable evidence, without ever occupying a queue slot or a
-solver.  Verdicts are cached by canonical digest + schedule fingerprint
-(:mod:`repro.service.lintgate`), so re-posting a manifest re-uses its
-verdicts (``service.lint.cache_hit``); rejections accumulate on
-``service.lint.rejected_requests``.
+solver.  Verdicts are cached by canonical digest, schedule fingerprint
+and variable naming (:mod:`repro.service.lintgate`), so re-posting a
+manifest re-uses its verdicts (``service.lint.cache_hit``); rejections
+accumulate on ``service.lint.rejected_requests``.
 
 Backpressure is explicit, never silent: a request that would overflow
 the bounded admission queue, exceed its client's token-bucket rate, or

@@ -7,10 +7,11 @@ import pytest
 
 from repro.core import AllocationProblem, allocate, partition_memory_hierarchy
 from repro.core.allocation import memory_intervals
-from repro.core.hierarchy import _variable_accesses
-from repro.energy import CapacitanceTable, StaticEnergyModel
+from repro.core.banking import variable_traffic
+from repro.energy import CapacitanceTable, MemoryConfig, StaticEnergyModel
 from repro.exceptions import AllocationError
 from repro.lifetimes.intervals import density_profile
+from repro.workloads.paper_examples import FIGURE1_HORIZON, figure1_lifetimes
 from repro.workloads.random_blocks import random_lifetimes
 from tests.conftest import make_lifetime
 
@@ -85,7 +86,10 @@ def test_matches_bruteforce_on_small_instances():
         def energy_of(scratch_set: frozenset[str]) -> float:
             total = 0.0
             for name in names:
-                writes, reads = _variable_accesses(allocation, name)
+                traffic = variable_traffic(
+                    allocation.problem, allocation.residency, name
+                )
+                writes, reads = traffic.writes, traffic.reads
                 variable = allocation.problem.lifetimes[name].variable
                 model = ONCHIP if name in scratch_set else OFFCHIP
                 total += writes * model.mem_write(variable)
@@ -106,6 +110,30 @@ def test_matches_bruteforce_on_small_instances():
             allocation, capacity, ONCHIP, OFFCHIP
         )
         assert result.total_energy == pytest.approx(best, abs=1e-6)
+
+
+def test_prices_the_reports_memory_traffic_under_restricted_access():
+    # Fig. 1 at R=2 with memory at half speed: the report counts 2
+    # memory writes and 2 reads, and the all-off-chip baseline must
+    # price exactly those.  A reload read belongs to a register segment
+    # entering from memory, never to a memory-resident segment.
+    problem = AllocationProblem(
+        figure1_lifetimes(),
+        register_count=2,
+        horizon=FIGURE1_HORIZON,
+        energy_model=StaticEnergyModel(),
+        memory=MemoryConfig.scaled(2),
+    )
+    allocation = allocate(problem)
+    report = allocation.report
+    assert (report.mem_writes, report.mem_reads) == (2, 2)
+    result = partition_memory_hierarchy(allocation, 0, ONCHIP, OFFCHIP)
+    variable = next(iter(problem.lifetimes.values())).variable
+    expected = 2 * OFFCHIP.mem_write(variable) + 2 * OFFCHIP.mem_read(
+        variable
+    )
+    assert result.baseline_energy == pytest.approx(expected)
+    assert result.baseline_energy == pytest.approx(330.0)
 
 
 def test_negative_capacity_rejected():

@@ -1,13 +1,16 @@
 """Tests for port-constrained allocation (section 7 hook)."""
 
+import random
+
 import pytest
 
 from repro.analysis.ports import required_ports
 from repro.core.ports import allocate_with_port_limit
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
-from repro.energy import CapacitanceTable, StaticEnergyModel
+from repro.energy import CapacitanceTable, MemoryConfig, StaticEnergyModel
 from repro.exceptions import AllocationError, InfeasibleFlowError
+from repro.workloads.random_blocks import random_lifetimes
 from tests.conftest import make_lifetime
 
 #: A datapath with an *expensive* register file (reads 10, writes 20 at
@@ -115,3 +118,18 @@ def test_unknown_forced_segment_rejected():
 
     with pytest.raises(GraphError, match="unknown segments"):
         allocate(problem)
+
+
+def test_spill_and_reload_contributors_are_pinned_last():
+    # At half-speed memory the worst step's last contributors are a
+    # spill write-back and a reload read; pinning their variables must
+    # be tried once every memory-read candidate fails.
+    problem = AllocationProblem(
+        random_lifetimes(random.Random(1), 12, 14),
+        4,
+        14,
+        memory=MemoryConfig.scaled(2),
+    )
+    result = allocate_with_port_limit(problem, max_mem_ports=2)
+    assert required_ports(result.allocation).mem_rw_ports <= 2
+    assert result.pinned

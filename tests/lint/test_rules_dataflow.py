@@ -12,11 +12,21 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from repro.core.problem import AllocationProblem
 from repro.energy import MemoryConfig
 from repro.lifetimes.intervals import Lifetime
 from repro.ir.values import DataVariable
-from repro.lint import LintConfig, Severity, run_lint
+from repro.lint import (
+    InfeasibilityCertificate,
+    LintConfig,
+    LintContext,
+    Location,
+    Severity,
+    run_lint,
+)
+from repro.obs import trace as obs
 from repro.scheduling.list_scheduler import list_schedule
 from repro.service.manifest import parse_manifest
 from repro.workloads.registry import kernel_block
@@ -200,3 +210,69 @@ def test_corrupted_fig3_full_report_has_proof_and_structure():
     report = run_lint(corrupted_fig3())
     assert "RA601" in report.codes
     assert report.at_least(Severity.ERROR)
+
+
+# ----------------------------------------------------------------------
+# one prover run per lint run, shared by RA601/RA603/RA605
+# ----------------------------------------------------------------------
+def test_one_lint_run_runs_the_prover_once():
+    with obs.collect() as trace:
+        report = run_lint(corrupted_fig3())
+    assert "RA601" in report.codes
+    assert trace.counters["lint.prove.calls"] == 1
+
+
+@pytest.mark.parametrize(
+    "code,certificate,message,location",
+    [
+        (
+            "RA601",
+            InfeasibilityCertificate(
+                "forced-pressure", 1, 9, 4, "nine forced segments"
+            ),
+            "prover emitted a forced-pressure certificate",
+            Location(step=1, detail="forced-pressure"),
+        ),
+        (
+            "RA603",
+            InfeasibilityCertificate(
+                "unreachable-forced-segment",
+                None,
+                1,
+                0,
+                "segment cut off",
+                witness=("ghost#2",),
+            ),
+            "prover emitted an unreachability certificate",
+            Location(variable="ghost", segment=2),
+        ),
+        (
+            "RA605",
+            InfeasibilityCertificate(
+                "bank-capacity", 1, 9, 4, "nine live values"
+            ),
+            "prover emitted a bank-capacity certificate",
+            Location(step=1, detail="bank-capacity"),
+        ),
+    ],
+    ids=["RA601", "RA603", "RA605"],
+)
+def test_proof_rules_report_certificates_that_fail_their_recheck(
+    monkeypatch, code, certificate, message, location
+):
+    # A certificate the independent re-check rejects is a prover bug:
+    # the rule says so instead of presenting it as a proof.
+    monkeypatch.setattr(
+        LintContext, "certificates", property(lambda ctx: (certificate,))
+    )
+    problem, schedule = healthy_scheduled()
+    report = codes_of(problem, schedule, select=(code,))
+    assert report.codes == (code,)
+    finding = report.diagnostics[0]
+    assert finding.message == (
+        f"{message} that fails independent re-verification: "
+        f"{certificate.detail}"
+    )
+    assert finding.location == location
+    assert finding.hint.startswith("this is a prover bug")
+    assert finding.evidence == {**certificate.to_dict(), "checked": False}

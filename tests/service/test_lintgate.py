@@ -1,8 +1,9 @@
 """Lint-verdict caching and the executor-side admission gate.
 
 The contract under test: verdicts key on the canonical sha256 digest
-*plus* the schedule fingerprint (isomorphic lifetimes from different
-schedules must not share a verdict), persist as sibling
+*plus* the schedule fingerprint and the variable naming (isomorphic
+lifetimes from different schedules, or under different names, must not
+share a verdict), persist as sibling
 ``<digest>.lint.json`` files in the result cache's one disk layout,
 and the executor's gate turns blocking verdicts into ``"rejected"``
 results that never reach a solver.
@@ -10,9 +11,13 @@ results that never reach a solver.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from repro.core.problem import AllocationProblem
+from repro.ir.values import DataVariable
+from repro.lifetimes.intervals import Lifetime
+from repro.lint import run_lint
 from repro.obs import trace as obs
 from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.schedule import Schedule
@@ -21,6 +26,25 @@ from repro.service.executor import BatchExecutor
 from repro.service.lintgate import LintGate, schedule_fingerprint
 from repro.service.manifest import parse_manifest
 from repro.workloads.registry import kernel_block
+
+
+def renamed(problem, prefix):
+    """*problem* with every variable renamed ``prefix + name``."""
+    lifetimes = {
+        prefix + name: Lifetime(
+            DataVariable(prefix + name, lt.variable.width, lt.variable.trace),
+            lt.write_time,
+            lt.read_times,
+            lt.live_out,
+        )
+        for name, lt in problem.lifetimes.items()
+    }
+    forced = frozenset(
+        (prefix + name, index) for name, index in problem.forced_segments
+    )
+    return dataclasses.replace(
+        problem, lifetimes=lifetimes, forced_segments=forced
+    )
 
 
 def healthy():
@@ -84,6 +108,32 @@ def test_different_schedule_fingerprint_is_a_miss():
     assert cache.stats()["lint_misses"] == 2
 
 
+def test_renamed_instance_is_a_miss():
+    # Same canonical instance (fig3's lifetimes, R=0, divisor 2), every
+    # variable renamed: the report names variables, so the first
+    # instance's verdict must not be served to the second.
+    fig3, _ = corrupted()
+    problem = AllocationProblem(
+        fig3.lifetimes, 0, fig3.horizon, memory=fig3.memory
+    )
+    other = renamed(problem, "zz_")
+    gate = LintGate(cache=ResultCache(), fail_on="error")
+    first = gate.check(problem)
+    verdict = gate.check(other)
+    assert verdict.key == first.key
+    assert not verdict.cached
+
+    def witness(report):
+        proof = next(d for d in report.diagnostics if d.code == "RA601")
+        return proof.evidence["witness"]
+
+    assert witness(first.report) == ["d"]
+    assert witness(verdict.report) == witness(run_lint(other)) == ["zz_d"]
+    # A byte-identical re-submission still hits.
+    again = gate.check(other)
+    assert again.cached and witness(again.report) == ["zz_d"]
+
+
 def test_verdicts_persist_on_disk_next_to_results(tmp_path):
     problem, schedule = healthy()
     store = tmp_path / "store"
@@ -128,6 +178,7 @@ def test_corrupt_cached_verdict_is_reanalysed():
         CachedLint(
             key=verdict.key,
             fingerprint=verdict.fingerprint,
+            naming=verdict.naming,
             report={"schema": "bogus"},
         )
     )
