@@ -681,14 +681,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.verify import render_report, run_fuzz
 
-    use_lp = False if args.no_lp else None
-    report = run_fuzz(
-        args.seed,
-        args.iters,
-        use_lp=use_lp,
-        shrink=not args.no_shrink,
-        family=args.family,
-    )
+    try:
+        report = run_fuzz(
+            args.seed,
+            args.iters,
+            shrink=not args.no_shrink,
+            family=args.family,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = render_report(report)
     code = _write_output(args.output, text, "fuzz report")
     if code:
@@ -1078,11 +1080,6 @@ def main(argv: list[str] | None = None) -> int:
         "conflict draws (bank counts x port widths x access periods), "
         "or whole task-graph pipeline runs checked by the report "
         "reconciliation oracle (default: classic)",
-    )
-    fuzz.add_argument(
-        "--no-lp",
-        action="store_true",
-        help="skip the scipy LP cross-check",
     )
     fuzz.add_argument(
         "--no-shrink",

@@ -31,7 +31,7 @@ and core index, never on dict iteration order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.core.storage import StorageSpec
 from repro.energy.models import (

@@ -4,17 +4,16 @@ Implements, from scratch, everything the allocation core needs from network
 flow theory (paper section 4): a struct-of-arrays network container, a
 vectorized successive-shortest-path kernel, a warm-start cache for
 cost-only re-solves, the lower-bound transformation used by split
-lifetimes, a cycle-cancelling cross-check solver, a preserved per-object
-reference solver, and solution validators.
+lifetimes, and solution validators.  The kernel is the only solver; the
+section-4 LP (:mod:`repro.flow.lp_check`) and the optimality certificate
+(:mod:`repro.verify.certificates`) check it.
 """
 
-from repro.flow.cycle_canceling import solve_by_cycle_canceling
 from repro.flow.decompose import decompose_into_paths
 from repro.flow.graph import Arc, ArcArrays, FlowNetwork, FlowResult
 from repro.flow.kernel import FlowKernel, KernelStats, ResidualCSR
 from repro.flow.lower_bounds import solve, solve_with_lower_bounds
-from repro.flow.reference import solve_min_cost_flow_reference
-from repro.flow.ssp import max_flow_value, solve_min_cost_flow
+from repro.flow.ssp import solve_min_cost_flow
 from repro.flow.warm_start import WarmStartCache, solve_warm, topology_key
 from repro.flow.validate import FlowValidationError, check_flow, flow_cost
 
@@ -31,11 +30,8 @@ __all__ = [
     "check_flow",
     "decompose_into_paths",
     "flow_cost",
-    "max_flow_value",
     "solve",
-    "solve_by_cycle_canceling",
     "solve_min_cost_flow",
-    "solve_min_cost_flow_reference",
     "solve_warm",
     "solve_with_lower_bounds",
     "topology_key",

@@ -33,7 +33,7 @@ store those indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -484,9 +484,3 @@ class FlowResult:
         """Total flow entering *node*."""
         return sum(self.flows[a.index] for a in self.network.arcs_into(node))
 
-
-def iter_positive(result: FlowResult) -> Iterable[tuple[Arc, int]]:
-    """Yield ``(arc, flow)`` pairs with positive flow (helper for reports)."""
-    for index, f in enumerate(result.flows):
-        if f > 0:
-            yield result.network.arc(index), f

@@ -22,9 +22,8 @@ acyclic input network stays acyclic, so the successive-shortest-path solver
 remains exact despite negative arc costs.
 
 The transformation is exposed as :func:`transform_lower_bounds` so that
-independent solvers (e.g. the cycle-cancelling cross-check used by
-:mod:`repro.verify.differential`) can be run on the very same transformed
-instance and mapped back with :meth:`LowerBoundTransform.recover`.
+a caller can inspect the transformed instance or solve it on its own and
+map the answer back with :meth:`LowerBoundTransform.recover`.
 
 Both directions run on the networks' arrays
 (:meth:`~repro.flow.graph.FlowNetwork.arrays`): the original arcs enter

@@ -26,22 +26,21 @@ arbitrary floats; relaxations use the shared :data:`repro.flow.tolerances.EPS`
 slack.  The solver requires the network to contain no directed cycle of
 negative total cost among its *forward* arcs (guaranteed for DAGs); under
 that precondition each intermediate flow is optimal for its value, so the
-final flow is a true minimum-cost flow.  The pre-kernel per-arc-object
-implementation is preserved verbatim in :mod:`repro.flow.reference` as
-the literate baseline the speedup bench compares against.
+final flow is a true minimum-cost flow.  It is the only solver in the
+package: :func:`repro.verify.differential.cross_check` checks its flows
+with the optimality certificate and its objective with the section-4 LP.
 """
 
 from __future__ import annotations
 
 from typing import Hashable
 
-from repro.exceptions import GraphError, InfeasibleFlowError
+from repro.exceptions import GraphError
 from repro.flow.graph import FlowNetwork, FlowResult
 from repro.flow.kernel import FlowKernel, KernelStats
-from repro.flow.residual import Residual
 from repro.obs import trace as obs
 
-__all__ = ["solve_min_cost_flow", "max_flow_value"]
+__all__ = ["solve_min_cost_flow"]
 
 
 def solve_min_cost_flow(
@@ -104,47 +103,3 @@ def count_kernel_work(stats: KernelStats) -> None:
     obs.count("ssp.augmenting_paths", stats.paths)
     obs.count("ssp.potential_updates", stats.potential_updates)
 
-
-def max_flow_value(network: FlowNetwork, source: Hashable, sink: Hashable) -> int:
-    """Maximum feasible flow value from *source* to *sink* (costs ignored).
-
-    Implemented as BFS augmentation (Edmonds-Karp) on the residual network;
-    used to size fixed-flow problems and by feasibility diagnostics.
-    """
-    if not network.has_node(source) or not network.has_node(sink):
-        raise GraphError("source or sink is not a node of the network")
-    residual = Residual(network)
-    s = residual.node_of(source)
-    t = residual.node_of(sink)
-    if s == t:
-        return 0
-    total = 0
-    while True:
-        pred = [-1] * residual.num_nodes
-        pred[s] = -2
-        queue = [s]
-        while queue and pred[t] == -1:
-            next_queue: list[int] = []
-            for u in queue:
-                for rid in residual.adj[u]:
-                    v = residual.head[rid]
-                    if residual.cap[rid] > 0 and pred[v] == -1:
-                        pred[v] = rid
-                        next_queue.append(v)
-            queue = next_queue
-        if pred[t] == -1:
-            return total
-        bottleneck = None
-        v = t
-        while v != s:
-            rid = pred[v]
-            cap = residual.cap[rid]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            v = residual.tail(rid)
-        assert bottleneck is not None and bottleneck > 0
-        v = t
-        while v != s:
-            rid = pred[v]
-            residual.push(rid, bottleneck)
-            v = residual.tail(rid)
-        total += bottleneck

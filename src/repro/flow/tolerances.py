@@ -1,10 +1,11 @@
 """Shared floating-point tolerances of the flow solvers.
 
-Every solver in :mod:`repro.flow` compares path lengths and reduced
-costs built from the same float arc costs, so they must agree on when a
-difference is "real" and when it is accumulated rounding.  This module
-is the single source of truth the docs cite (DESIGN.md, "Performance
-model"):
+The flow kernel compares path lengths and reduced costs built from
+float arc costs in several places (the Dijkstra passes, the
+label-correcting fallback, the negative-cycle tests), so they must agree
+on when a difference is "real" and when it is accumulated rounding.
+This module is the single source of truth the docs cite (DESIGN.md,
+"Performance model"):
 
 * :data:`EPS` — absolute slack on shortest-path relaxations and on
   negative-cycle tests.  A relaxation (or a residual cycle) only counts
@@ -26,9 +27,7 @@ from __future__ import annotations
 __all__ = ["EPS", "COST_MATCH_TOLERANCE"]
 
 #: Absolute tolerance for shortest-path relaxations and residual-cycle
-#: negativity tests, shared by :mod:`repro.flow.ssp` (via
-#: :mod:`repro.flow.kernel`), :mod:`repro.flow.cycle_canceling` and
-#: :mod:`repro.flow.reference`.
+#: negativity tests in :mod:`repro.flow.kernel`.
 EPS = 1e-9
 
 #: Absolute per-arc tolerance under which two cost vectors over the same

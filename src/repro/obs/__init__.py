@@ -1,9 +1,8 @@
 """Observability: structured tracing, solver counters, and run reports.
 
 Zero-dependency instrumentation substrate for the whole allocator.  The hot
-paths (:mod:`repro.flow.ssp`, :mod:`repro.flow.cycle_canceling`,
-:mod:`repro.core.network_builder`, :mod:`repro.core.solver`,
-:mod:`repro.core.pipeline`) call into this package unconditionally; when no
+paths (:mod:`repro.flow.ssp`, :mod:`repro.core.network_builder`,
+:mod:`repro.core.solver`, :mod:`repro.core.pipeline`) call into this package unconditionally; when no
 collector is installed every call is a no-op costing one attribute load, so
 tracing-off overhead is unmeasurable (<2% on the solver-scaling bench, see
 ``tests/obs``).
@@ -45,9 +44,7 @@ Instrumented names
 
 Counters: ``ssp.solves``, ``ssp.dijkstra_pops``,
 ``ssp.dijkstra_relaxations``, ``ssp.augmenting_paths``,
-``ssp.potential_updates``, ``cycle_canceling.solves``,
-``cycle_canceling.augmentations``, ``cycle_canceling.cycles_canceled``,
-``cycle_canceling.bellman_ford_passes``, ``network.builds``,
+``ssp.potential_updates``, ``network.builds``,
 ``network.nodes_built``, ``network.arcs_built``.  Gauges:
 ``network.density_regions``.  Spans: ``pipeline.schedule``,
 ``pipeline.build_problem``, ``pipeline.allocate``, ``pipeline.reallocate``,

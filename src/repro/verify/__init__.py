@@ -11,8 +11,10 @@ PAPERS.md — spill/partition reasoning goes subtly wrong easily):
 * :mod:`repro.verify.certificates` — constructive optimality proofs via
   node potentials and complementary slackness;
 * :mod:`repro.verify.differential` + :mod:`repro.verify.fuzz` — solver
-  cross-checking (SSP vs cycle cancelling vs LP), baseline dominance,
-  and the seeded fuzz harness behind ``repro-alloc fuzz``.
+  cross-checking (the kernel's flow validated and certified, its
+  objective compared with the section-4 LP when scipy is present),
+  baseline dominance, and the seeded fuzz harness behind
+  ``repro-alloc fuzz``.
 """
 
 from repro.verify.certificates import (

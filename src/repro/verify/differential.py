@@ -3,13 +3,15 @@
 Two independent agreement checks back the paper's central optimality
 claim:
 
-* :func:`cross_check` solves the *same* network with three unrelated
-  methods — the successive-shortest-path production solver, the Klein
-  cycle-cancelling solver, and (when scipy is present) the section-4 LP
-  relaxation — and asserts they agree on the objective value, or agree
-  that the instance is infeasible.  The LP also witnesses the
+* :func:`cross_check` solves a network with the production
+  successive-shortest-path kernel, checks that flow with the
+  validators and the optimality certificate
+  (:mod:`repro.verify.certificates`), and, when scipy is present,
+  compares its objective with the section-4 LP relaxation — or asserts
+  that both agree the instance is infeasible.  The LP also witnesses the
   integrality property: its fractional optimum must equal the integral
-  one.
+  one.  Without scipy the certificate is the only independent check, and
+  an infeasibility verdict of the kernel goes unconfirmed.
 * :func:`baseline_dominance` re-runs every prior-art baseline on the
   instance and asserts the flow-optimal allocation dominates or ties
   each of them on modeled energy (on unrestricted memory, every baseline
@@ -32,10 +34,12 @@ from repro.baselines.left_edge import left_edge_allocate
 from repro.baselines.two_phase import two_phase_allocate
 from repro.core.allocation import Allocation
 from repro.exceptions import InfeasibleFlowError, ReproError
-from repro.flow.cycle_canceling import solve_by_cycle_canceling
 from repro.flow.graph import FlowNetwork
-from repro.flow.lower_bounds import solve as ssp_solve, transform_lower_bounds
+from repro.flow.lower_bounds import solve as ssp_solve
+from repro.flow.lp_check import lp_min_cost
+from repro.flow.validate import FlowValidationError, check_flow
 from repro.lifetimes.intervals import max_density
+from repro.verify.certificates import CertificateError, certify_flow
 
 __all__ = [
     "DifferentialMismatch",
@@ -63,7 +67,8 @@ class CrossCheckOutcome:
         infeasible: Solvers that reported the instance infeasible.
         skipped: Solvers not run (e.g. LP without scipy).
         agreed: Whether every run solver agreed (costs within tolerance,
-            or unanimous infeasibility).
+            or unanimous infeasibility) and the kernel's flow passed
+            validation and certification.
         spread: Largest pairwise objective difference observed.
         message: Human-readable diagnosis when ``agreed`` is ``False``.
     """
@@ -101,60 +106,41 @@ def cross_check(
     source: Hashable,
     sink: Hashable,
     flow_value: int,
-    use_lp: bool | None = None,
     tolerance: float = _COST_TOL,
 ) -> CrossCheckOutcome:
-    """Solve one network with SSP, cycle cancelling and the LP; compare.
+    """Solve one network with the kernel; certify it and compare the LP.
 
     Args:
-        network: The instance (lower-bounded arcs allowed; the
-            cycle-cancelling solver runs on the excess/deficit
-            transformation of exactly the same instance).
+        network: The instance (lower-bounded arcs allowed).
         source: Source node.
         sink: Sink node.
         flow_value: Fixed source→sink flow value.
-        use_lp: Force the LP check on/off; ``None`` runs it when scipy
-            is importable.
         tolerance: Absolute-plus-relative objective agreement slack.
 
     Returns:
         The populated :class:`CrossCheckOutcome` (never raises on
         disagreement — callers decide; see
-        :meth:`CrossCheckOutcome.to_dict` and ``agreed``).
+        :meth:`CrossCheckOutcome.to_dict` and ``agreed``).  A kernel
+        flow that fails validation or certification is a disagreement
+        whose ``message`` carries the error.  The LP runs whenever scipy
+        imports; otherwise ``"lp"`` is listed in ``skipped``.
     """
     outcome = CrossCheckOutcome()
+    problems: list[str] = []
 
     try:
-        outcome.costs["ssp"] = ssp_solve(
-            network, source, sink, flow_value
-        ).cost
+        result = ssp_solve(network, source, sink, flow_value)
     except InfeasibleFlowError:
         outcome.infeasible.append("ssp")
+    else:
+        outcome.costs["ssp"] = result.cost
+        try:
+            check_flow(result, source, sink, flow_value)
+            certify_flow(result)
+        except (FlowValidationError, CertificateError) as exc:
+            problems.append(f"ssp flow failed its check: {exc}")
 
-    try:
-        if network.has_lower_bounds():
-            transform = transform_lower_bounds(
-                network, source, sink, flow_value
-            )
-            inner = solve_by_cycle_canceling(
-                transform.network,
-                transform.super_source,
-                transform.super_sink,
-                transform.demand,
-            )
-            outcome.costs["cycle_canceling"] = transform.recover(inner).cost
-        else:
-            outcome.costs["cycle_canceling"] = solve_by_cycle_canceling(
-                network, source, sink, flow_value
-            ).cost
-    except InfeasibleFlowError:
-        outcome.infeasible.append("cycle_canceling")
-
-    if use_lp is None:
-        use_lp = _lp_available()
-    if use_lp:
-        from repro.flow.lp_check import lp_min_cost
-
+    if _lp_available():
         try:
             outcome.costs["lp"] = lp_min_cost(
                 network, source, sink, flow_value
@@ -165,25 +151,24 @@ def cross_check(
         outcome.skipped.append("lp")
 
     if outcome.costs and outcome.infeasible:
-        outcome.agreed = False
-        outcome.message = (
+        problems.append(
             f"feasibility disagreement: {sorted(outcome.costs)} solved, "
             f"{outcome.infeasible} reported infeasible"
         )
-        return outcome
-    if outcome.costs:
+    elif outcome.costs:
         values = sorted(outcome.costs.values())
         outcome.spread = values[-1] - values[0]
         scale = 1.0 + max(abs(v) for v in values)
         if outcome.spread > tolerance * scale:
-            outcome.agreed = False
-            outcome.message = (
+            problems.append(
                 "objective disagreement: "
                 + ", ".join(
                     f"{name}={cost:.9g}"
                     for name, cost in sorted(outcome.costs.items())
                 )
             )
+    outcome.agreed = not problems
+    outcome.message = "; ".join(problems)
     return outcome
 
 

@@ -3,8 +3,8 @@
 One fuzz *case* is a randomly drawn Problem 1 instance — lifetime set,
 register count ``R``, memory access divisor ``c``, split density knobs —
 run through the full oracle battery (:mod:`repro.verify.oracles`), the
-multi-solver differential check and, on unrestricted memory, the baseline
-dominance check (:mod:`repro.verify.differential`).  The generator
+solver cross-check (certificate plus LP) and, on unrestricted memory, the
+baseline dominance check (:mod:`repro.verify.differential`).  The generator
 deliberately oversamples the paper's edge cases: ``R = 0``, ``R >=
 |vars|``, minimal-length lifetimes (read immediately after write) and
 every access period ``c`` in {1, 2, 3, 5}.
@@ -245,14 +245,13 @@ def build_problem(case: FuzzCase, rng: random.Random) -> AllocationProblem:
     )
 
 
-def run_problem(
-    problem: AllocationProblem, use_lp: bool | None = None
-) -> tuple[str, list[Violation]]:
+def run_problem(problem: AllocationProblem) -> tuple[str, list[Violation]]:
     """Run the full verification battery on one instance.
 
     Returns:
         ``(status, violations)`` where status is ``"ok"``,
-        ``"infeasible"`` (all solvers must agree on infeasibility) or
+        ``"infeasible"`` (the LP must agree on infeasibility; without
+        scipy the kernel's verdict stands unconfirmed) or
         ``"violation"``.
 
     Besides the oracle battery and the solver differential, the case is
@@ -297,14 +296,14 @@ def run_problem(
                 )
             )
             return "violation", violations
-        # Restricted memory can make the bounds unsatisfiable; the
-        # independent solvers must agree that it is.  Under a storage
-        # hierarchy the infeasible network may be a *pinned* re-solve
-        # from inside the banking loop, not the base union network —
-        # the solver attaches the exact instance it gave up on.
+        # Restricted memory can make the bounds unsatisfiable; the LP
+        # must agree that it is.  Under a storage hierarchy the
+        # infeasible network may be a *pinned* re-solve from inside the
+        # banking loop, not the base union network — the solver
+        # attaches the exact instance it gave up on.
         built = build_network(getattr(exc, "problem", None) or problem)
         outcome = cross_check(
-            built.network, SOURCE, SINK, problem.register_count, use_lp=use_lp
+            built.network, SOURCE, SINK, problem.register_count
         )
         if outcome.costs:
             violations.append(
@@ -331,11 +330,7 @@ def run_problem(
         )
     violations.extend(check_allocation(allocation))
     outcome = cross_check(
-        allocation.flow.network,
-        SOURCE,
-        SINK,
-        problem.register_count,
-        use_lp=use_lp,
+        allocation.flow.network, SOURCE, SINK, problem.register_count
     )
     if not outcome.agreed:
         violations.append(
@@ -352,9 +347,7 @@ def run_problem(
     return ("violation" if violations else "ok"), violations
 
 
-def run_case(
-    seed: int, case: FuzzCase, use_lp: bool | None = None
-) -> CaseResult:
+def run_case(seed: int, case: FuzzCase) -> CaseResult:
     """Replay fuzz case *case* of run *seed* (independently of the run).
 
     The per-case RNG is derived from ``(seed, case.index)``, so any case
@@ -369,7 +362,7 @@ def run_case(
             "violation",
             [Violation(oracle="generator", message=str(exc))],
         )
-    status, violations = run_problem(problem, use_lp=use_lp)
+    status, violations = run_problem(problem)
     return CaseResult(
         case,
         status,
@@ -378,10 +371,10 @@ def run_case(
     )
 
 
-def _still_fails(problem: AllocationProblem, use_lp: bool | None) -> bool:
+def _still_fails(problem: AllocationProblem) -> bool:
     """Whether the verification battery still flags *problem*."""
     try:
-        status, _ = run_problem(problem, use_lp=use_lp)
+        status, _ = run_problem(problem)
     except ReproError:
         # A crash during shrinking is still a failure worth keeping.
         return True
@@ -389,9 +382,7 @@ def _still_fails(problem: AllocationProblem, use_lp: bool | None) -> bool:
 
 
 def shrink_case(
-    problem: AllocationProblem,
-    use_lp: bool | None = None,
-    max_rounds: int = 8,
+    problem: AllocationProblem, max_rounds: int = 8
 ) -> AllocationProblem:
     """Greedily minimise a failing instance while it keeps failing.
 
@@ -430,14 +421,14 @@ def shrink_case(
                 ),
                 storage=current.storage,
             )
-            if _still_fails(candidate, use_lp):
+            if _still_fails(candidate):
                 current = candidate
                 shrunk = True
         if current.register_count > 0:
             candidate = current.with_options(
                 register_count=current.register_count - 1
             )
-            if _still_fails(candidate, use_lp):
+            if _still_fails(candidate):
                 current = candidate
                 shrunk = True
         if current.storage is not None:
@@ -445,7 +436,7 @@ def shrink_case(
             # (memory keeps the reference operating point); otherwise
             # try shedding one bank at a time.
             candidate = current.with_options(storage=None)
-            if _still_fails(candidate, use_lp):
+            if _still_fails(candidate):
                 current = candidate
                 shrunk = True
             elif len(current.storage.banks) > 1:
@@ -453,7 +444,7 @@ def shrink_case(
                     levels=current.storage.levels[:-1]
                 )
                 candidate = current.with_options(storage=smaller)
-                if _still_fails(candidate, use_lp):
+                if _still_fails(candidate):
                     current = candidate
                     shrunk = True
         tail = max(
@@ -461,7 +452,7 @@ def shrink_case(
         )
         if tail < current.horizon:
             candidate = current.with_options(horizon=tail)
-            if _still_fails(candidate, use_lp):
+            if _still_fails(candidate):
                 current = candidate
                 shrunk = True
         if not shrunk:
@@ -472,7 +463,6 @@ def shrink_case(
 def run_fuzz(
     seed: int,
     iters: int,
-    use_lp: bool | None = None,
     shrink: bool = True,
     family: str = "classic",
 ) -> dict[str, Any]:
@@ -481,7 +471,6 @@ def run_fuzz(
     Args:
         seed: Master seed; every case derives its own stable sub-seed.
         iters: Number of cases to run.
-        use_lp: Force the LP cross-check on/off (``None`` = autodetect).
         shrink: Greedily minimise failing instances before reporting.
         family: ``"classic"`` (two-level draws, :func:`draw_case`),
             ``"banked"`` (multi-bank draws, :func:`draw_bank_case`) or
@@ -494,7 +483,12 @@ def run_fuzz(
         A ``repro.verify/fuzz-report/v1`` dict: coverage counters,
         per-status totals and one entry per failure with the (minimised)
         reproducer instance inline.
+
+    Raises:
+        ValueError: On a negative *iters* or an unknown *family*.
     """
+    if iters < 0:
+        raise ValueError(f"fuzz iterations must be >= 0, got {iters}")
     if family == "dag":
         return _run_dag_fuzz(seed, iters)
     if family not in ("classic", "banked"):
@@ -514,7 +508,7 @@ def run_fuzz(
     failures: list[dict[str, Any]] = []
     for index in range(iters):
         case = draw(plan_rng, index)
-        result = run_case(seed, case, use_lp=use_lp)
+        result = run_case(seed, case)
         statuses[result.status] += 1
         axes = [
             ("divisor", case.divisor),
@@ -542,7 +536,7 @@ def run_fuzz(
         }
         if result.problem is not None:
             reproducer = (
-                shrink_case(result.problem, use_lp=use_lp)
+                shrink_case(result.problem)
                 if shrink
                 else result.problem
             )

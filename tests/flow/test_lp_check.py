@@ -1,4 +1,4 @@
-"""LP cross-check: the combinatorial solvers against scipy's HiGHS.
+"""LP cross-check: the flow kernel against scipy's HiGHS.
 
 Also verifies the paper's integrality remark: with integral capacities
 and flow value the LP optimum equals the integral optimum.
@@ -9,8 +9,10 @@ import random
 import pytest
 
 from repro.exceptions import InfeasibleFlowError
-from repro.flow import FlowNetwork, max_flow_value, solve_with_lower_bounds
+from repro.flow import FlowNetwork, solve_with_lower_bounds
 from repro.flow.lp_check import lp_flows, lp_min_cost
+
+from tests.flow.networkx_oracle import networkx_max_flow
 
 
 def _random_dag(rng: random.Random) -> FlowNetwork:
@@ -36,7 +38,7 @@ def _random_dag(rng: random.Random) -> FlowNetwork:
 def test_solver_matches_lp_optimum(seed):
     rng = random.Random(seed)
     net = _random_dag(rng)
-    limit = max_flow_value(net, "s", "t")
+    limit = networkx_max_flow(net, "s", "t")
     if limit == 0:
         pytest.skip("degenerate instance")
     value = rng.randint(1, limit)

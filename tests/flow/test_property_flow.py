@@ -8,7 +8,6 @@ axioms.
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +17,11 @@ from repro.flow import (
     FlowNetwork,
     check_flow,
     decompose_into_paths,
-    max_flow_value,
     solve_min_cost_flow,
     solve_with_lower_bounds,
 )
+
+from tests.flow.networkx_oracle import networkx_max_flow, networkx_min_cost
 
 # An arc spec: (tail_layer_offset handled below) — generate as tuples.
 arc_strategy = st.tuples(
@@ -44,36 +44,11 @@ def build_network(arcs: list[tuple[int, int, int, int]]) -> FlowNetwork:
     return net
 
 
-def networkx_min_cost(
-    net: FlowNetwork, source: int, sink: int, value: int
-) -> float:
-    graph = nx.DiGraph()
-    graph.add_node(source, demand=-value)
-    graph.add_node(sink, demand=value)
-    for node in net.nodes:
-        if node not in (source, sink):
-            graph.add_node(node, demand=0)
-    # networkx DiGraph cannot hold parallel arcs; use MultiDiGraph.
-    graph = nx.MultiDiGraph(graph)
-    for arc in net.arcs:
-        graph.add_edge(
-            arc.tail, arc.head, capacity=arc.capacity, weight=arc.cost
-        )
-    flow_dict = nx.min_cost_flow(graph)
-    # nx.cost_of_flow does not understand MultiDiGraph flow dicts.
-    total = 0.0
-    for u, inner in flow_dict.items():
-        for v, keyed in inner.items():
-            for key, flow in keyed.items():
-                total += flow * graph[u][v][key]["weight"]
-    return total
-
-
 @given(arcs=st.lists(arc_strategy, min_size=1, max_size=18))
 @settings(max_examples=120, deadline=None)
 def test_matches_networkx_min_cost_flow(arcs):
     net = build_network(arcs)
-    limit = max_flow_value(net, 0, 8)
+    limit = networkx_max_flow(net, 0, 8)
     if limit == 0:
         return
     value = min(limit, 2)
@@ -87,7 +62,7 @@ def test_matches_networkx_min_cost_flow(arcs):
 @settings(max_examples=80, deadline=None)
 def test_flow_axioms_hold(arcs):
     net = build_network(arcs)
-    limit = max_flow_value(net, 0, 8)
+    limit = networkx_max_flow(net, 0, 8)
     if limit == 0:
         return
     result = solve_min_cost_flow(net, 0, 8, limit)
@@ -105,7 +80,7 @@ def test_flow_axioms_hold(arcs):
 def test_lower_bounds_tighten_never_cheapen(arcs, data):
     """Adding a lower bound can only increase (or keep) the optimal cost."""
     net = build_network(arcs)
-    limit = max_flow_value(net, 0, 8)
+    limit = networkx_max_flow(net, 0, 8)
     if limit == 0:
         return
     value = limit
@@ -140,7 +115,7 @@ def test_lower_bound_on_arbitrary_arc_is_respected_or_infeasible(
     arcs, bound_index
 ):
     net = build_network(arcs)
-    limit = max_flow_value(net, 0, 8)
+    limit = networkx_max_flow(net, 0, 8)
     if limit == 0 or net.num_arcs == 0:
         return
     target = net.arcs[bound_index % net.num_arcs]

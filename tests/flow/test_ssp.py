@@ -3,12 +3,7 @@
 import pytest
 
 from repro.exceptions import GraphError, InfeasibleFlowError
-from repro.flow import (
-    FlowNetwork,
-    check_flow,
-    max_flow_value,
-    solve_min_cost_flow,
-)
+from repro.flow import FlowNetwork, check_flow, solve_min_cost_flow
 
 
 def diamond() -> FlowNetwork:
@@ -116,17 +111,6 @@ def test_negative_cycle_detected():
 def test_integrality():
     result = solve_min_cost_flow(diamond(), "s", "t", 3)
     assert all(isinstance(f, int) for f in result.flows)
-
-
-def test_max_flow_value():
-    assert max_flow_value(diamond(), "s", "t") == 3
-
-
-def test_max_flow_no_path():
-    net = FlowNetwork()
-    net.add_arc("s", "a", capacity=1)
-    net.add_node("t")
-    assert max_flow_value(net, "s", "t") == 0
 
 
 def test_result_helpers():

@@ -8,13 +8,10 @@ variable*, so the expected counter values are known in closed form.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.network_builder import build_network
 from repro.core.pipeline import allocate_block
 from repro.core.problem import AllocationProblem
 from repro.energy import StaticEnergyModel
-from repro.flow.cycle_canceling import solve_by_cycle_canceling
 from repro.flow.graph import FlowNetwork
 from repro.flow.ssp import solve_min_cost_flow
 from repro.obs import trace as obs
@@ -64,34 +61,6 @@ class TestSspCounters:
         with obs.collect() as trace:
             solve_min_cost_flow(four_variable_network(), "s", "t", 0)
         assert trace.counters == {}
-
-
-class TestCycleCancelingCounters:
-    def test_optimal_establishment_cancels_nothing(self):
-        # Disjoint unit paths: the cost-blind BFS flow is already optimal.
-        with obs.collect() as trace:
-            solve_by_cycle_canceling(four_variable_network(), "s", "t", 4)
-        counters = trace.counters
-        assert counters["cycle_canceling.solves"] == 1
-        assert counters["cycle_canceling.augmentations"] == 4
-        assert counters["cycle_canceling.cycles_canceled"] == 0
-        assert counters["cycle_canceling.bellman_ford_passes"] >= 1
-
-    def test_suboptimal_establishment_cancels_cycles(self):
-        # Two parallel s->t routes with very different costs; BFS may pick
-        # either, but a middle "swap" arc guarantees at least one instance
-        # where cancelling fires: cheap route capacity 1, expensive huge.
-        network = FlowNetwork()
-        network.add_arc("s", "a", capacity=2, cost=0.0)
-        network.add_arc("a", "t", capacity=1, cost=0.0)
-        network.add_arc("a", "b", capacity=2, cost=10.0)
-        network.add_arc("s", "b", capacity=2, cost=0.0)
-        network.add_arc("b", "t", capacity=2, cost=0.0)
-        with obs.collect() as trace:
-            result = solve_by_cycle_canceling(network, "s", "t", 2)
-        # Optimal cost avoids the 10.0 arc entirely.
-        assert result.cost == pytest.approx(0.0)
-        assert trace.counter("cycle_canceling.augmentations") >= 1
 
 
 class TestNetworkBuilderCounters:

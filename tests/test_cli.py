@@ -148,7 +148,7 @@ def test_cli_docstring_mentions_all_commands():
 
 
 def test_fuzz_smoke(capsys):
-    assert main(["fuzz", "--seed", "0", "--iters", "5", "--no-lp"]) == 0
+    assert main(["fuzz", "--seed", "0", "--iters", "5"]) == 0
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["schema"] == "repro.verify/fuzz-report/v1"
@@ -160,8 +160,7 @@ def test_fuzz_smoke(capsys):
 def test_fuzz_to_file(tmp_path, capsys):
     target = tmp_path / "fuzz.json"
     assert main(
-        ["fuzz", "--seed", "1", "--iters", "4", "--no-lp",
-         "--output", str(target)]
+        ["fuzz", "--seed", "1", "--iters", "4", "--output", str(target)]
     ) == 0
     assert "wrote fuzz report" in capsys.readouterr().out
     report = json.loads(target.read_text())
@@ -169,10 +168,17 @@ def test_fuzz_to_file(tmp_path, capsys):
     assert report["iterations"] == 4
 
 
+@pytest.mark.parametrize("family", ["classic", "banked", "dag"])
+def test_fuzz_rejects_a_negative_iteration_count(family, capsys):
+    assert main(["fuzz", "--iters", "-3", "--family", family]) == 2
+    captured = capsys.readouterr()
+    assert "error: fuzz iterations must be >= 0, got -3" in captured.err
+    assert captured.out == ""
+
+
 def test_fuzz_unwritable_output_is_a_clean_error(capsys):
     code = main(
-        ["fuzz", "--iters", "1", "--no-lp",
-         "--output", "/nonexistent-dir/fuzz.json"]
+        ["fuzz", "--iters", "1", "--output", "/nonexistent-dir/fuzz.json"]
     )
     assert code == 1
     assert "cannot write" in capsys.readouterr().err

@@ -1,12 +1,16 @@
-"""Tests for multi-solver cross-checking and baseline dominance."""
+"""Tests for solver cross-checking and baseline dominance."""
 
 import random
+
+import pytest
 
 from repro.core.network_builder import SINK, SOURCE, build_network
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.energy import MemoryConfig
-from repro.flow import FlowNetwork
+from repro.exceptions import InfeasibleFlowError
+from repro.flow import FlowNetwork, FlowResult
+from repro.verify import differential
 from repro.verify.differential import (
     baseline_dominance,
     cross_check,
@@ -34,7 +38,7 @@ def test_solvers_agree_plain_network():
         built.network, SOURCE, SINK, problem.register_count
     )
     assert outcome.agreed, outcome.message
-    assert set(outcome.costs) >= {"ssp", "cycle_canceling"}
+    assert set(outcome.costs) == {"ssp", "lp"}
     assert outcome.spread <= 1e-6 * (
         1 + max(abs(c) for c in outcome.costs.values())
     )
@@ -48,17 +52,19 @@ def test_solvers_agree_with_lower_bounds():
         built.network, SOURCE, SINK, problem.register_count
     )
     assert outcome.agreed, outcome.message
-    assert "cycle_canceling" in outcome.costs
+    assert set(outcome.costs) == {"ssp", "lp"}
 
 
-def test_lp_can_be_skipped():
+def test_lp_can_be_skipped(monkeypatch):
+    # An install without scipy: the certificate is the only check left.
+    monkeypatch.setattr(differential, "_lp_available", lambda: False)
     problem = instance()
     built = build_network(problem)
     outcome = cross_check(
-        built.network, SOURCE, SINK, problem.register_count, use_lp=False
+        built.network, SOURCE, SINK, problem.register_count
     )
     assert outcome.skipped == ["lp"]
-    assert "lp" not in outcome.costs
+    assert set(outcome.costs) == {"ssp"}
     assert outcome.agreed
 
 
@@ -68,7 +74,48 @@ def test_unanimous_infeasibility_agrees():
     outcome = cross_check(net, "s", "t", 5)
     assert outcome.agreed
     assert not outcome.costs
-    assert set(outcome.infeasible) >= {"ssp", "cycle_canceling"}
+    assert outcome.infeasible == ["ssp", "lp"]
+
+
+def two_routes():
+    """Two unit-capacity s->t routes: via a costs 10, via b costs 1."""
+    net = FlowNetwork()
+    net.add_arc("s", "a", capacity=1, cost=10.0)
+    net.add_arc("a", "t", capacity=1, cost=0.0)
+    net.add_arc("s", "b", capacity=1, cost=1.0)
+    net.add_arc("b", "t", capacity=1, cost=0.0)
+    return net
+
+
+def test_certificate_flags_a_suboptimal_flow(monkeypatch):
+    # A planted kernel answer that is feasible but ships over the
+    # expensive route; with no LP to compare against, the certificate
+    # alone must reject it.
+    monkeypatch.setattr(differential, "_lp_available", lambda: False)
+    monkeypatch.setattr(
+        differential,
+        "ssp_solve",
+        lambda network, source, sink, value: FlowResult(
+            network, [1, 1, 0, 0], value
+        ),
+    )
+    outcome = cross_check(two_routes(), "s", "t", 1)
+    assert not outcome.agreed
+    assert "not optimal" in outcome.message
+    assert outcome.message.startswith("ssp flow failed its check: ")
+    assert outcome.costs == {"ssp": 10.0}
+
+
+def test_planted_infeasibility_is_a_disagreement(monkeypatch):
+    def infeasible(network, source, sink, value):
+        raise InfeasibleFlowError("planted")
+
+    monkeypatch.setattr(differential, "ssp_solve", infeasible)
+    outcome = cross_check(two_routes(), "s", "t", 1)
+    assert outcome.infeasible == ["ssp"]
+    assert outcome.costs == {"lp": pytest.approx(1.0)}
+    assert not outcome.agreed
+    assert outcome.message.startswith("feasibility disagreement")
 
 
 def test_outcome_serialises():

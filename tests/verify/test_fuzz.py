@@ -96,7 +96,7 @@ def test_shrinker_reduces_failing_instance(monkeypatch):
     import repro.verify.fuzz as fuzz_mod
     from repro.verify.oracles import Violation
 
-    def fake_run_problem(problem, use_lp=None):
+    def fake_run_problem(problem):
         if "v2" in problem.lifetimes:
             return "violation", [Violation("fake", "v2 present")]
         return "ok", []
@@ -119,8 +119,8 @@ def test_failure_entries_carry_reproducer(monkeypatch):
 
     real = fuzz_mod.run_problem
 
-    def failing_run_problem(problem, use_lp=None):
-        status, violations = real(problem, use_lp=use_lp)
+    def failing_run_problem(problem):
+        status, violations = real(problem)
         if status == "ok":
             return "violation", [Violation("fake", "synthetic failure")]
         return status, violations

@@ -17,7 +17,7 @@ def test_banked_sweep_has_zero_disagreements():
     # counts x port widths x access periods — every solve certified
     # (run_problem arms certify=True) and every multi-bank oracle
     # armed — must produce no differential disagreement.
-    report = run_fuzz(seed=7, iters=48, family="banked", use_lp=False)
+    report = run_fuzz(seed=7, iters=48, family="banked")
     assert report["family"] == "banked"
     assert report["iterations"] == 48
     assert report["statuses"]["violation"] == 0
@@ -31,8 +31,8 @@ def test_banked_sweep_has_zero_disagreements():
 
 
 def test_banked_runs_are_deterministic():
-    first = run_fuzz(seed=11, iters=8, family="banked", use_lp=False)
-    second = run_fuzz(seed=11, iters=8, family="banked", use_lp=False)
+    first = run_fuzz(seed=11, iters=8, family="banked")
+    second = run_fuzz(seed=11, iters=8, family="banked")
     assert first == second
 
 
@@ -65,12 +65,12 @@ def test_case_round_trips_storage_params():
 
 
 def test_banked_cases_replay_independently():
-    report = run_fuzz(seed=19, iters=6, family="banked", use_lp=False)
+    report = run_fuzz(seed=19, iters=6, family="banked")
     rng = spawn_rng(19, "fuzz-plan")
     statuses = {"ok": 0, "infeasible": 0, "violation": 0}
     for index in range(6):
         case = draw_bank_case(rng, index)
-        statuses[run_case(19, case, use_lp=False).status] += 1
+        statuses[run_case(19, case).status] += 1
     assert statuses == report["statuses"]
 
 
@@ -83,7 +83,7 @@ def test_shrinker_keeps_storage_when_failure_needs_it(monkeypatch):
     from repro.verify.oracles import Violation
     from tests.conftest import make_lifetime
 
-    def storage_sensitive(problem, use_lp=None):
+    def storage_sensitive(problem):
         if problem.storage is None:
             return "ok", []
         return "violation", [Violation(oracle="fake", message="boom")]
@@ -95,7 +95,7 @@ def test_shrinker_keeps_storage_when_failure_needs_it(monkeypatch):
         horizon=6,
         storage=StorageSpec.banked(3, 2),
     )
-    shrunk = shrink_case(problem, use_lp=False)
+    shrunk = shrink_case(problem)
     assert shrunk.storage is not None
     assert len(shrunk.storage.banks) == 1  # redundant banks shed
 
@@ -107,7 +107,7 @@ def test_shrinker_drops_unneeded_storage(monkeypatch):
     from repro.verify.oracles import Violation
     from tests.conftest import make_lifetime
 
-    def always_fails(problem, use_lp=None):
+    def always_fails(problem):
         return "violation", [Violation(oracle="fake", message="boom")]
 
     monkeypatch.setattr(fuzz_mod, "run_problem", always_fails)
@@ -117,5 +117,5 @@ def test_shrinker_drops_unneeded_storage(monkeypatch):
         horizon=5,
         storage=StorageSpec.banked(2, 2),
     )
-    shrunk = shrink_case(problem, use_lp=False)
+    shrunk = shrink_case(problem)
     assert shrunk.storage is None

@@ -2,10 +2,10 @@
 
 Commits the expected energies of figure 1 and the table-1 RSP sweep as
 constants and asserts that *every* solution method — the SSP production
-solver, the cycle-cancelling solver, the scipy LP relaxation, and all
-five prior-art baselines — reproduces them.  A regression in any solver,
-the network construction, or the energy accounting moves one of these
-numbers and trips the pin.
+solver (its flow checked by the optimality certificate), the scipy LP
+relaxation, and all five prior-art baselines — reproduces them.  A
+regression in the solver, the network construction, or the energy
+accounting moves one of these numbers and trips the pin.
 """
 
 import random
@@ -74,6 +74,7 @@ def test_fig1_energy_pinned_all_solvers(registers, divisor, expected):
         allocation.flow.network, SOURCE, SINK, registers
     )
     assert outcome.agreed, outcome.message
+    assert set(outcome.costs) == {"ssp", "lp"}
     # Every solver's objective implies the same total energy.
     constant = problem.constant_energy()
     for name, cost in outcome.costs.items():
@@ -126,6 +127,7 @@ def test_table1_energy_pinned(divisor):
     assert check_allocation(allocation) == []
     outcome = cross_check(allocation.flow.network, SOURCE, SINK, 16)
     assert outcome.agreed, outcome.message
+    assert set(outcome.costs) == {"ssp", "lp"}
 
 
 def test_table1_voltage_scaling_monotone():
