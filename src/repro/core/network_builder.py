@@ -138,8 +138,8 @@ class BuiltNetwork:
             ``("handoff", src|None, dst|None)`` with ``None`` meaning
             ``s``/``t``, and ``("bypass",)``).
         source / sink: Flow terminals.
-        segment_arcs: Segment key → its ``w -> r`` arc.
-        roles: Arc-id role arrays used by :func:`recost_network`.
+        roles: Arc-id role arrays used by :func:`recost_network`, the
+            network lint rules and the prover.
         banks: Per-bank era chains when the instance carries a
             multi-bank :class:`~repro.core.storage.StorageSpec` — the
             parallel per-level handoff structure (one era-chain per
@@ -152,7 +152,6 @@ class BuiltNetwork:
     network: FlowNetwork
     source: Hashable
     sink: Hashable
-    segment_arcs: dict[tuple[str, int], Arc]
     roles: ArcRoles | None = None
     banks: tuple[BankStructure, ...] | None = None
 
@@ -160,6 +159,21 @@ class BuiltNetwork:
     def flow_value(self) -> int:
         """The fixed flow: the register count ``R``."""
         return self.problem.register_count
+
+    @property
+    def segment_arcs(self) -> dict[tuple[str, int], Arc]:
+        """Segment key → its ``w -> r`` arc, materialised on each access.
+
+        Segment arcs are arc ids ``[0, k)`` in flattened segment order;
+        the solver and the lint rules read them from the arrays, so
+        nothing on those paths builds this map.
+        """
+        segments = [
+            seg for segs in self.problem.segments.values() for seg in segs
+        ]
+        return {
+            seg.key: self.network.arc(i) for i, seg in enumerate(segments)
+        }
 
 
 def build_network(problem: AllocationProblem) -> BuiltNetwork:
@@ -213,7 +227,6 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
         lowers=lowers,
         data=[("segment", seg) for seg in segments],
     )
-    segment_arcs = {seg.key: network.arc(i) for i, seg in enumerate(segments)}
 
     # Intra-variable arcs between consecutive segments.  The flattened
     # order keeps each variable's segments contiguous, so consecutive
@@ -310,9 +323,7 @@ def build_network(problem: AllocationProblem) -> BuiltNetwork:
     if obs.enabled():
         obs.gauge("network.density_regions", len(problem.density_regions))
     roles = ArcRoles(k, intra_pairs, handoff_src, handoff_dst, bypass_arc)
-    return BuiltNetwork(
-        problem, network, SOURCE, SINK, segment_arcs, roles, banks
-    )
+    return BuiltNetwork(problem, network, SOURCE, SINK, roles, banks)
 
 
 def _handoff_pairs(
@@ -471,9 +482,6 @@ def recost_network(built: BuiltNetwork, problem: AllocationProblem) -> BuiltNetw
     # are already zero-initialised in the vector path.
     network.set_costs(costs)
     built.problem = problem
-    built.segment_arcs = {
-        seg.key: network.arc(i) for i, seg in enumerate(segments)
-    }
     obs.count("network.recosts")
     return built
 

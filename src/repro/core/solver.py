@@ -41,7 +41,10 @@ _ENERGY_TOLERANCE = 1e-6
 
 
 def allocate(
-    problem: AllocationProblem, options: SolveOptions | None = None
+    problem: AllocationProblem,
+    options: SolveOptions | None = None,
+    *,
+    network: BuiltNetwork | None = None,
 ) -> Allocation:
     """Solve *problem* and return the optimal :class:`Allocation`.
 
@@ -51,6 +54,10 @@ def allocate(
             :class:`~repro.core.options.SolveOptions`); ``None`` uses the
             defaults.  ``options.storage`` applies a hierarchy to
             problems that do not already carry one.
+        network: The flow network of *problem*, when the caller already
+            built it (the admission lint gate does); it is solved
+            instead of a fresh build.  Instances with a storage
+            hierarchy build their own per banking round and ignore it.
 
     Raises:
         LintGateError: If the lint gate is armed and the static analysis
@@ -60,10 +67,13 @@ def allocate(
             more simultaneous registers than available, or when bank
             overflow pins exhaust the register file.
         AllocationError: If internal invariants are violated (a bug).
+        ValueError: If *network* was built for another problem object.
     """
     options = options or SolveOptions()
     if options.storage is not None and problem.storage is None:
         problem = problem.with_options(storage=options.storage)
+    if network is not None and network.problem is not problem:
+        raise ValueError("network was built for a different problem")
     if options.lint is not None:
         # Lazy import: repro.lint depends on repro.core.problem and the
         # network builder only, so this cannot cycle at import time.
@@ -75,6 +85,8 @@ def allocate(
         from repro.core.banking import solve_with_banking
 
         return solve_with_banking(problem, options)
+    if network is not None:
+        return solve_built(network, options)
     return allocate_flow(problem, options)
 
 

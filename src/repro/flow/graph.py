@@ -18,12 +18,14 @@ Storage layout (see DESIGN.md, "Performance model"):
   :meth:`FlowNetwork.arcs_from`, ...) is a thin compatibility facade:
   :class:`Arc` dataclasses are materialised lazily and cached.  Its
   users are off the solve path or touch few arcs: the path decomposition
-  (positive-flow arcs only), the RA5xx lint rules and the infeasibility
-  prover, the dot export, the LP cross-check, the verify oracles and
-  :func:`~repro.flow.validate.flow_cost`.  Everything a solve runs on
-  the whole network — the kernel, validation, the lower-bound reduction
-  and the optimality certificate — reads :meth:`FlowNetwork.arrays`
-  and builds an :class:`Arc` only to word an error.
+  (positive-flow arcs only), the prover's independent re-check of a
+  proof it found, the dot export, the LP cross-check, the verify oracles
+  and :func:`~repro.flow.validate.flow_cost`.  Everything a solve or an
+  admission lint runs on the whole network — the kernel, validation,
+  the lower-bound reduction, the optimality certificate, the network
+  lint rules and the prover's discovery path — reads
+  :meth:`FlowNetwork.arrays` and builds an :class:`Arc` only to word an
+  error or a finding.
 
 Nodes are arbitrary hashable identifiers supplied by the caller; internally
 each node receives a dense integer index (``node_index``) and the arrays
@@ -411,32 +413,6 @@ class FlowNetwork:
     def has_lower_bounds(self) -> bool:
         """True if any arc carries a non-zero lower bound."""
         return self._has_lower
-
-    def topological_order(self) -> list[Hashable] | None:
-        """Kahn topological order of the nodes, or ``None`` if cyclic.
-
-        Used by solvers to initialise node potentials in ``O(V + E)`` when
-        the network is acyclic (always the case for allocation networks,
-        whose arcs point forward in time).
-        """
-        n = len(self._nodes)
-        arrays = self.arrays()
-        indegree = np.bincount(arrays.heads, minlength=n)
-        out_by_node: list[list[int]] = [[] for _ in range(n)]
-        for ti, hi in zip(self._tails, self._heads):
-            out_by_node[ti].append(hi)
-        ready = [u for u in range(n) if indegree[u] == 0]
-        order: list[int] = []
-        while ready:
-            u = ready.pop()
-            order.append(u)
-            for v in out_by_node[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-        if len(order) != n:
-            return None
-        return [self._nodes[u] for u in order]
 
     def __iter__(self) -> Iterator[Arc]:
         return iter(self.arcs)

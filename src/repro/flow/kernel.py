@@ -34,8 +34,8 @@ potential quality affects the number of rounds, never the distances.  A
 round count exceeding ``2n`` there exposes a negative-cost residual
 cycle, mirroring the classic Bellman-Ford argument.  Cold starts on
 acyclic residuals skip the question entirely: one Kahn-layered sweep
-(:meth:`FlowKernel._initial_potentials`) yields exact initial
-potentials.  Work is reported through
+(:func:`dag_distances`, shared with lint rule RA604) yields exact
+initial potentials.  Work is reported through
 :class:`KernelStats` into the ``ssp.*`` counters (``dijkstra_pops``,
 ``dijkstra_relaxations``, ``relax_rounds``, ``augmenting_paths``,
 ``potential_updates``).
@@ -59,9 +59,82 @@ except ImportError:  # scipy is optional: SPFA covers every call
     _csr_array = None
     _scipy_dijkstra = None
 
-__all__ = ["FlowKernel", "KernelStats", "ResidualCSR"]
+__all__ = [
+    "FlowKernel",
+    "KernelStats",
+    "ResidualCSR",
+    "csr_indptr",
+    "csr_slices",
+    "dag_distances",
+]
 
 _INF = float("inf")
+
+
+def csr_slices(
+    indptr: np.ndarray, frontier: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated CSR slices of the *frontier* nodes.
+
+    Returns ``(pos, degs)``: ``pos`` lists the positions
+    ``indptr[u] : indptr[u + 1]`` of every node ``u`` of *frontier*, in
+    frontier order, into the tail-grouped arc arrays, and ``degs[j]``
+    counts those of ``frontier[j]`` — so ``np.repeat(frontier, degs)``
+    is the tail of each position.  One ragged gather, no Python loop.
+    """
+    starts = indptr[frontier]
+    degs = indptr[frontier + 1] - starts
+    run_starts = np.cumsum(degs) - degs
+    pos = np.repeat(starts - run_starts, degs) + np.arange(int(degs.sum()))
+    return pos, degs
+
+
+def csr_indptr(n: int, tails: np.ndarray) -> np.ndarray:
+    """``int64[n + 1]`` slice bounds of tail-grouped arcs over *n* nodes."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def dag_distances(
+    n: int,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    costs: np.ndarray,
+    source: int,
+) -> np.ndarray | None:
+    """Exact shortest distances from *source* when the arcs form a DAG.
+
+    One Kahn-layered relaxation sweep touches every arc exactly once
+    (negative costs included: a node's distance is final before its
+    out-arcs are relaxed).  The arcs must be grouped by tail — the
+    positions of each node's out-arcs contiguous and in ascending node
+    order, as a (stable) sort by *tails* leaves them.  Returns ``None``
+    when the arcs contain a cycle.  Unreachable nodes get ``inf``,
+    matching the "known unreachable" potential convention of the
+    kernel; a non-finite sum is never relaxed.
+
+    The kernel seeds cold-start potentials with it and lint rule RA604
+    bounds the cheapest source-to-sink chain with it.
+    """
+    indptr = csr_indptr(n, tails)
+    indeg = np.bincount(heads, minlength=n)
+    dist = np.full(n, _INF)
+    dist[source] = 0.0
+    frontier = np.nonzero(indeg == 0)[0]
+    while frontier.size:
+        pos, degs = csr_slices(indptr, frontier)
+        if not pos.size:
+            break
+        vv = heads[pos]
+        nd = dist[np.repeat(frontier, degs)] + costs[pos]
+        reached = np.isfinite(nd)
+        np.minimum.at(dist, vv[reached], nd[reached])
+        np.subtract.at(indeg, vv, 1)
+        frontier = np.unique(vv[indeg[vv] == 0])
+    if (indeg > 0).any():
+        return None
+    return dist
 
 
 @dataclass(frozen=True)
@@ -141,9 +214,7 @@ class FlowKernel:
         self.res_cap = res_cap
         self._active = int(np.count_nonzero(res_cap))
         if csr is None:
-            counts = np.bincount(res_tail, minlength=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
+            indptr = csr_indptr(n, res_tail)
             # Narrow keys let numpy's stable sort pick radix, which is
             # several times faster than comparison sorting here.
             keys = res_tail.astype(np.int16) if n < 2**15 else res_tail
@@ -410,14 +481,9 @@ class FlowKernel:
             if rounds > max_rounds:
                 raise GraphError("network contains a negative-cost cycle")
             stats.pops += int(frontier.size)
-            starts = indptr[frontier]
-            degs = indptr[frontier + 1] - starts
-            total = int(degs.sum())
-            if total == 0:
+            pos, degs = csr_slices(indptr, frontier)
+            if not pos.size:
                 break
-            # Ragged expansion of the frontier's CSR slices.
-            run_starts = np.cumsum(degs) - degs
-            pos = np.repeat(starts - run_starts, degs) + np.arange(total)
             rids = order[pos]
             u = np.repeat(frontier, degs)
             live = self.res_cap[rids] > 0
@@ -447,54 +513,6 @@ class FlowKernel:
             frontier = np.unique(winners)
         return dist, pred
 
-    def _initial_potentials(self, source: int) -> np.ndarray | None:
-        """Exact cold-start potentials when the active residual is a DAG.
-
-        Allocation networks are acyclic, so the exact shortest distances
-        from *source* — the ideal initial potentials — fall out of one
-        Kahn-layered relaxation sweep that touches every active arc
-        exactly once (negative costs included: a node's distance is final
-        before its out-arcs are relaxed).  Returns ``None`` when the
-        active residual contains a cycle; the caller then starts from
-        zeros and the label-correcting pass takes over (and detects
-        negative cycles).  Unreachable nodes get ``inf``, matching the
-        "known unreachable" potential convention used everywhere else.
-        """
-        n = self.num_nodes
-        # The order-space views are already tail-sorted, so compressing
-        # them by the active mask yields grouped adjacency with no sort.
-        mask = self._o_cap > 0
-        u = self._o_tail[mask]
-        v_s = self._o_head[mask]
-        c_s = self._o_cost[mask]
-        counts = np.bincount(u, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indeg = np.bincount(v_s, minlength=n)
-        dist = np.full(n, _INF)
-        dist[source] = 0.0
-        frontier = np.nonzero(indeg == 0)[0]
-        processed = 0
-        while frontier.size:
-            processed += int(frontier.size)
-            starts = indptr[frontier]
-            degs = indptr[frontier + 1] - starts
-            total = int(degs.sum())
-            if total == 0:
-                break
-            run_starts = np.cumsum(degs) - degs
-            pos = np.repeat(starts - run_starts, degs) + np.arange(total)
-            uu = np.repeat(frontier, degs)
-            vv = v_s[pos]
-            nd = dist[uu] + c_s[pos]
-            reached = np.isfinite(nd)
-            np.minimum.at(dist, vv[reached], nd[reached])
-            np.subtract.at(indeg, vv, 1)
-            frontier = np.unique(vv[indeg[vv] == 0])
-        if (indeg > 0).any():
-            return None  # cycle among active arcs: fall back to zeros
-        return dist
-
     # ------------------------------------------------------------------
     # successive shortest paths
     # ------------------------------------------------------------------
@@ -510,10 +528,11 @@ class FlowKernel:
 
         Runs successive shortest paths from the current residual state.
         With ``potential=None`` (cold start) potentials are initialised
-        by the one-sweep DAG relaxation of :meth:`_initial_potentials`
-        (zeros when the residual is cyclic); a warm ``potential`` vector
-        merely changes how much work the searches do (THEORY.md §7 —
-        correctness never depends on potential quality).
+        by the one-sweep DAG relaxation of :func:`dag_distances` over
+        the active arcs (zeros when the residual is cyclic); a warm
+        ``potential`` vector merely changes how much work the searches
+        do (THEORY.md §7 — correctness never depends on potential
+        quality).
 
         Args:
             source: Dense source node index.
@@ -533,7 +552,20 @@ class FlowKernel:
         """
         n = self.num_nodes
         if potential is None:
-            initial = self._initial_potentials(source)
+            # The order-space views are already tail-sorted, so
+            # compressing them by the active mask groups arcs by tail
+            # with no sort.
+            mask = self._o_cap > 0
+            initial = dag_distances(
+                n,
+                self._o_tail[mask],
+                self._o_head[mask],
+                self._o_cost[mask],
+                source,
+            )
+            # A cycle among active arcs: start from zeros and let the
+            # label-correcting pass take over (it detects negative
+            # cycles).
             potential = np.zeros(n) if initial is None else initial
         else:
             potential = np.asarray(potential, dtype=np.float64).copy()
@@ -672,14 +704,10 @@ class FlowKernel:
                     converged = True
                     break
                 stats.bf_passes += 1
-                starts = indptr[frontier]
-                degs = indptr[frontier + 1] - starts
-                total = int(degs.sum())
-                if total == 0:
+                pos, degs = csr_slices(indptr, frontier)
+                if not pos.size:
                     converged = True
                     break
-                run_starts = np.cumsum(degs) - degs
-                pos = np.repeat(starts - run_starts, degs) + np.arange(total)
                 u = np.repeat(frontier, degs)
                 live = self._o_cap[pos] > 0
                 pos = pos[live]

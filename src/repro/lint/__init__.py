@@ -30,7 +30,8 @@ RA6xx    dataflow analysis and feasibility proofs (time-cut and
 RA9xx    engine-internal (a rule crashed)
 =======  ==============================================================
 
-Entry points: :func:`run_lint` for a report, :func:`gate_problem` for
+Entry points: :func:`run_lint` for a report (:func:`run_rules` over a
+caller-built :class:`LintContext`), :func:`gate_problem` for
 the opt-in pre-solve gate (``SolveOptions(lint="error")`` on any
 ``allocate*`` entry point), text/JSON reporters, and a SARIF 2.1.0
 exporter for CI consumption.  One lint run derives each fact once:
@@ -52,7 +53,7 @@ from repro.lint.diagnostics import (
     NO_LOCATION,
     Severity,
 )
-from repro.lint.engine import gate_problem, run_lint
+from repro.lint.engine import gate_problem, run_lint, run_rules
 from repro.lint.prove import (
     InfeasibilityCertificate,
     check_certificate,
@@ -105,6 +106,7 @@ __all__ = [
     "rule",
     "rules_markdown",
     "run_lint",
+    "run_rules",
     "sarif_to_json",
     "to_sarif",
 ]

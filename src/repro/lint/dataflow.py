@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduling.schedule import Schedule
@@ -118,22 +120,22 @@ class Interval:
             raise ValueError(f"interval [{self.lo}, {self.hi}] is empty")
 
     @classmethod
-    def hull(cls, values: Iterable[float]) -> "Interval | None":
+    def hull(
+        cls, values: "Sequence[float] | np.ndarray"
+    ) -> "Interval | None":
         """Smallest interval containing *values* (``None`` when empty).
 
         NaNs poison the hull to ``[-inf, inf]`` — the conservative
-        answer, and the one that trips the finiteness check.
+        answer, and the one that trips the finiteness check.  Each bound
+        is the *first* extreme element, so a hull of signed zeros keeps
+        the sign a left-to-right scan would.
         """
-        lo = math.inf
-        hi = -math.inf
-        seen = False
-        for value in values:
-            seen = True
-            if math.isnan(value):
-                return cls(-math.inf, math.inf)
-            lo = min(lo, value)
-            hi = max(hi, value)
-        return cls(lo, hi) if seen else None
+        array = np.asarray(values, dtype=np.float64)
+        if not array.size:
+            return None
+        if np.isnan(array).any():
+            return cls(-math.inf, math.inf)
+        return cls(float(array[array.argmin()]), float(array[array.argmax()]))
 
     @property
     def finite(self) -> bool:

@@ -1,9 +1,9 @@
 """The analysis engine: run the rule set over one instance.
 
 :func:`run_lint` is the package's entry point: it wraps the instance in
-a :class:`~repro.lint.context.LintContext`, walks the enabled rules in
-stable code order, and folds their findings into a
-:class:`~repro.lint.diagnostics.LintReport`.  Everything is pre-solve
+a :class:`~repro.lint.context.LintContext` and :func:`run_rules` walks
+the enabled rules over it in stable code order, folding their findings
+into a :class:`~repro.lint.diagnostics.LintReport`.  Everything is pre-solve
 and side-effect free — no flow is ever solved.
 
 :func:`gate_problem` is the opt-in pipeline gate behind
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.problem import AllocationProblem
     from repro.scheduling.schedule import Schedule
 
-__all__ = ["run_lint", "gate_problem"]
+__all__ = ["run_lint", "run_rules", "gate_problem"]
 
 
 def run_lint(
@@ -46,7 +46,18 @@ def run_lint(
         The :class:`LintReport` with every finding of the enabled rules.
     """
     config = config or LintConfig()
-    ctx = LintContext(problem, schedule=schedule, config=config)
+    return run_rules(LintContext(problem, schedule=schedule, config=config))
+
+
+def run_rules(ctx: LintContext) -> LintReport:
+    """Run the rules *ctx*'s config enables over *ctx*.
+
+    :func:`run_lint` in two halves: a caller that builds the
+    :class:`~repro.lint.context.LintContext` itself can reuse what the
+    analysis derived once the report is out — the admission gate hands
+    :attr:`~repro.lint.context.LintContext.built` on to the solve.
+    """
+    config = ctx.config
     diagnostics: list[Diagnostic] = []
     with obs.span("lint.run"):
         for entry in config.active_rules():

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.flow.kernel import csr_indptr, csr_slices
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -385,15 +386,21 @@ def reachable(
 
     The one forward walk over a network's arc arrays: the prover runs it
     over positive-capacity arcs (and, with the arcs reversed, toward the
-    sink); rule RA503 runs it over every arc.  Returns a mask indexed by
-    dense node id, of length *n*.
+    sink); rule RA503 runs it over every arc.  One stable sort groups
+    the arcs by tail, then each BFS layer expands its frontier's CSR
+    slices (:func:`~repro.flow.kernel.csr_slices`), so a layer touches
+    only the out-arcs of its own nodes.  Returns a mask indexed by dense
+    node id, of length *n*.
     """
+    order = np.argsort(tails, kind="stable")
+    indptr = csr_indptr(n, tails)
+    grouped_heads = heads[order]
     seen = np.zeros(n, dtype=bool)
     seen[start] = True
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
-        on_frontier = seen[tails] & np.isin(tails, frontier)
-        nxt = np.unique(heads[on_frontier])
+        pos, _ = csr_slices(indptr, frontier)
+        nxt = np.unique(grouped_heads[pos])
         nxt = nxt[~seen[nxt]]
         seen[nxt] = True
         frontier = nxt

@@ -30,6 +30,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator
 
+import numpy as np
+
+from repro.flow.kernel import dag_distances
 from repro.lint.context import Finding, LintContext
 from repro.lint.dataflow import Interval, liveness
 from repro.lint.diagnostics import Location, Severity
@@ -243,8 +246,7 @@ def check_cost_intervals(ctx: LintContext) -> Iterator[Finding]:
         "handoff": costs[k + p : k + p + h],
     }
     intervals = {
-        role: Interval.hull(values.tolist())
-        for role, values in groups.items()
+        role: Interval.hull(values) for role, values in groups.items()
     }
     evidence = {
         "intervals": {
@@ -305,33 +307,26 @@ def check_cost_intervals(ctx: LintContext) -> Iterator[Finding]:
 
 
 def _shortest_path_cost(built) -> float | None:
-    """Cheapest s-to-t path cost by topological relaxation.
+    """Cheapest s-to-t path cost over the positive-capacity arcs.
 
-    Negative costs are fine on a DAG; returns ``None`` when the network
-    is cyclic or the sink is unreachable (other rules report those).
+    One Kahn-layered sweep (:func:`~repro.flow.kernel.dag_distances`,
+    the kernel's cold-start relaxation) over the arcs stably sorted by
+    tail; negative costs are fine on a DAG.  Returns ``None`` when those
+    arcs contain a cycle or the sink is unreachable (other rules report
+    those).
     """
     network = built.network
-    order = network.topological_order()
-    if order is None:
-        return None
     arrays = network.arrays()
-    dist = {node: math.inf for node in network.nodes}
-    dist[built.source] = 0.0
-    out: dict = {}
-    for i in range(network.num_arcs):
-        out.setdefault(int(arrays.tails[i]), []).append(i)
-    index_of = {node: network.node_index(node) for node in network.nodes}
-    nodes = network.nodes
-    for node in order:
-        d = dist[node]
-        if not math.isfinite(d):
-            continue
-        for i in out.get(index_of[node], ()):
-            if arrays.capacities[i] <= 0:
-                continue
-            head = nodes[int(arrays.heads[i])]
-            nd = d + float(arrays.costs[i])
-            if nd < dist[head]:
-                dist[head] = nd
-    d = dist[built.sink]
+    positive = np.nonzero(arrays.capacities > 0)[0]
+    grouped = positive[np.argsort(arrays.tails[positive], kind="stable")]
+    dist = dag_distances(
+        network.num_nodes,
+        arrays.tails[grouped],
+        arrays.heads[grouped],
+        arrays.costs[grouped],
+        network.node_index(built.source),
+    )
+    if dist is None:
+        return None
+    d = float(dist[network.node_index(built.sink)])
     return d if math.isfinite(d) else None

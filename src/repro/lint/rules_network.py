@@ -12,12 +12,18 @@ oracles of :mod:`repro.verify`.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from repro.lint.context import Finding, LintContext
 from repro.lint.diagnostics import Location, Severity
 from repro.lint.prove import reachable
 from repro.lint.registry import rule
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.network_builder import BuiltNetwork
+    from repro.lifetimes.intervals import Segment
 
 __all__: list[str] = []
 
@@ -44,6 +50,16 @@ def _arc_label(arc) -> str:
     return f"{arc.tail}->{arc.head}"
 
 
+def _flat_segments(built: "BuiltNetwork") -> list["Segment"]:
+    """Segments in the builder's flattened order (position ``i`` owns
+    segment arc ``i``)."""
+    return [seg for segs in built.problem.segments.values() for seg in segs]
+
+
+def _segment_name(segment: "Segment") -> str:
+    return f"{segment.name}#{segment.index}"
+
+
 @rule(
     "RA500",
     "network-construction-failed",
@@ -68,20 +84,26 @@ def check_construction(ctx: LintContext) -> Iterator[Finding]:
     "the network was mutated or built outside FlowNetwork.add_arc",
 )
 def check_arc_bounds(ctx: LintContext) -> Iterator[Finding]:
-    """RA501: flag arcs with non-integer, negative, or inverted bounds."""
+    """RA501: flag arcs with negative or inverted bounds.
+
+    Integrality needs no per-arc check: the bound columns of
+    :meth:`~repro.flow.graph.FlowNetwork.arrays` are ``int64``.
+    """
     if ctx.built is None:
         return
-    for arc in ctx.built.network.arcs:
+    network = ctx.built.network
+    arrays = network.arrays()
+    negative = arrays.lowers < 0
+    inverted = arrays.capacities < arrays.lowers
+    for index in np.nonzero(negative | inverted)[0].tolist():
+        arc = network.arc(index)
         problems = []
-        if not isinstance(arc.capacity, int) or not isinstance(arc.lower, int):
-            problems.append("non-integer bounds")
-        else:
-            if arc.lower < 0:
-                problems.append(f"negative lower bound {arc.lower}")
-            if arc.capacity < arc.lower:
-                problems.append(
-                    f"lower {arc.lower} exceeds capacity {arc.capacity}"
-                )
+        if negative[index]:
+            problems.append(f"negative lower bound {arc.lower}")
+        if inverted[index]:
+            problems.append(
+                f"lower {arc.lower} exceeds capacity {arc.capacity}"
+            )
         for defect in problems:
             yield Finding(
                 f"arc {_arc_label(arc)} has {defect}",
@@ -99,35 +121,46 @@ def check_arc_bounds(ctx: LintContext) -> Iterator[Finding]:
     "window between regions of maximum lifetime density",
 )
 def check_adjacent_handoffs(ctx: LintContext) -> Iterator[Finding]:
-    """RA502: flag adjacent-style handoffs crossing a density region."""
+    """RA502: flag adjacent-style handoffs crossing a density region.
+
+    Handoff endpoints come from the builder's role arrays
+    (``handoff_src``/``handoff_dst``, ``-1`` for ``s``/``t``) and the
+    segments' own start/end times, so no arc payload is materialised.
+    """
     problem = ctx.problem
-    if problem.graph_style != "adjacent" or ctx.built is None:
+    built = ctx.built
+    if problem.graph_style != "adjacent" or built is None:
         return
     density = ctx.density
-    if density is None:
+    if density is None or built.roles is None:
         return
-    era = _era_index(density, problem.horizon)
+    era = np.asarray(_era_index(density, problem.horizon), dtype=np.int64)
     boundary = problem.horizon + 1
-    for arc in ctx.built.network.arcs:
-        data = arc.data
-        if not (isinstance(data, tuple) and data and data[0] == "handoff"):
-            continue
-        src, dst = data[1], data[2]
-        read_time = src.end if src is not None else 0
-        write_time = dst.start if dst is not None else boundary
-        if not (0 <= read_time <= boundary and 0 <= write_time <= boundary):
-            continue  # RA2xx reports out-of-range segment times
-        if era[read_time] != era[write_time]:
-            src_name = f"{src.name}#{src.index}" if src is not None else "s"
-            dst_name = f"{dst.name}#{dst.index}" if dst is not None else "t"
-            yield Finding(
-                f"handoff {src_name} -> {dst_name} idles a register from "
-                f"step {read_time} to step {write_time} across a "
-                f"maximum-density point",
-                Location(
-                    step=read_time, detail=f"{src_name} -> {dst_name}"
-                ),
-            )
+    segments = _flat_segments(built)
+    src = built.roles.handoff_src
+    dst = built.roles.handoff_dst
+    # Position -1 (the source s, the sink t) picks the trailing entry:
+    # s reads at step 0 and t writes at the boundary.
+    ends = [seg.end for seg in segments] + [0]
+    starts = [seg.start for seg in segments] + [boundary]
+    read = np.array(ends, dtype=np.int64)[src]
+    write = np.array(starts, dtype=np.int64)[dst]
+    # Out-of-range segment times are RA2xx's to report.
+    in_range = (read >= 0) & (read <= boundary)
+    in_range &= (write >= 0) & (write <= boundary)
+    crossing = np.zeros(len(src), dtype=bool)
+    crossing[in_range] = era[read[in_range]] != era[write[in_range]]
+    for i in np.nonzero(crossing)[0].tolist():
+        s, d = int(src[i]), int(dst[i])
+        src_name = _segment_name(segments[s]) if s >= 0 else "s"
+        dst_name = _segment_name(segments[d]) if d >= 0 else "t"
+        read_time, write_time = int(read[i]), int(write[i])
+        yield Finding(
+            f"handoff {src_name} -> {dst_name} idles a register from "
+            f"step {read_time} to step {write_time} across a "
+            f"maximum-density point",
+            Location(step=read_time, detail=f"{src_name} -> {dst_name}"),
+        )
 
 
 @rule(
@@ -140,7 +173,11 @@ def check_adjacent_handoffs(ctx: LintContext) -> Iterator[Finding]:
     "otherwise it silently degenerates to memory residency",
 )
 def check_reachability(ctx: LintContext) -> Iterator[Finding]:
-    """RA503: flag segment arcs unreachable from the source node."""
+    """RA503: flag segment arcs unreachable from the source node.
+
+    The builder numbers the segment arcs ``[0, k)`` in flattened segment
+    order, so their write nodes are the first ``k`` tails.
+    """
     if ctx.built is None:
         return
     built = ctx.built
@@ -152,14 +189,15 @@ def check_reachability(ctx: LintContext) -> Iterator[Finding]:
         arrays.heads,
         start=network.node_index(built.source),
     )
-    for key, arc in sorted(built.segment_arcs.items()):
-        if not reached[network.node_index(arc.tail)]:
-            name, index = key
-            yield Finding(
-                f"write node of segment {name}#{index} is unreachable "
-                f"from the source",
-                Location(variable=name, segment=index),
-            )
+    segments = _flat_segments(built)
+    k = len(segments)
+    unreached = np.nonzero(~reached[arrays.tails[:k]])[0].tolist()
+    for name, index in sorted(segments[i].key for i in unreached):
+        yield Finding(
+            f"write node of segment {name}#{index} is unreachable "
+            f"from the source",
+            Location(variable=name, segment=index),
+        )
 
 
 @rule(
@@ -176,9 +214,10 @@ def check_source_capacity(ctx: LintContext) -> Iterator[Finding]:
     if ctx.built is None:
         return
     built = ctx.built
-    capacity = sum(
-        arc.capacity for arc in built.network.arcs_from(built.source)
-    )
+    network = built.network
+    arrays = network.arrays()
+    source = network.node_index(built.source)
+    capacity = int(arrays.capacities[arrays.tails == source].sum())
     if capacity < built.flow_value:
         yield Finding(
             f"source cut capacity {capacity} is below the flow value "

@@ -42,6 +42,7 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeou
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
+from repro.core.network_builder import BuiltNetwork
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
@@ -50,13 +51,25 @@ from repro.exceptions import InfeasibleFlowError, ServiceError
 from repro.flow.warm_start import WarmStartCache
 from repro.obs import trace as obs
 from repro.service.cache import ResultCache, SolveSummary
-from repro.service.canonical import canonicalize
+from repro.service.canonical import CanonicalInstance, canonicalize
 from repro.service.lintgate import LintGate, LintVerdict
 from repro.workloads.random_blocks import spawn_rng
 
 __all__ = ["BatchExecutor", "JobResult"]
 
 _log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class _Pending:
+    """One submitted job awaiting :meth:`BatchExecutor.gather`."""
+
+    index: int
+    job_id: str
+    problem: AllocationProblem
+    schedule: Any
+    canonical: CanonicalInstance | None
+    network: BuiltNetwork | None
 
 
 @dataclass
@@ -143,17 +156,19 @@ def _execute_job(
     problem: AllocationProblem,
     certify: bool,
     warm_cache: WarmStartCache | None,
+    network: BuiltNetwork | None = None,
 ) -> JobResult:
     """Worker entry point: one exact solve settles one pending *job*.
 
     Runs in the worker process (or inline for ``workers == 1``); the
-    arguments and the returned result are picklable.
+    arguments and the returned result are picklable.  *network* is the
+    instance's already-built flow network (inline path only).
     """
     start = time.perf_counter()
     options = SolveOptions(certify=certify, warm_cache=warm_cache)
     try:
         with obs.span("service.solve.ssp"):
-            allocation = allocate(problem, options)
+            allocation = allocate(problem, options, network=network)
         job = replace(
             job,
             status="ok",
@@ -253,7 +268,7 @@ class BatchExecutor:
         #: Verdicts of the last :meth:`gather`, in submission order
         #: (empty when no *lint_gate* is configured).
         self.lint_verdicts: list[LintVerdict] = []
-        self._pending: list[tuple[int, str, AllocationProblem, Any]] = []
+        self._pending: list[_Pending] = []
         self._submitted = 0
 
     def submit(
@@ -261,6 +276,9 @@ class BatchExecutor:
         problem: AllocationProblem,
         job_id: str | None = None,
         schedule: Any = None,
+        *,
+        canonical: CanonicalInstance | None = None,
+        network: BuiltNetwork | None = None,
     ) -> str:
         """Queue one instance; returns its (possibly generated) job id.
 
@@ -270,12 +288,24 @@ class BatchExecutor:
             schedule: The schedule the lifetimes came from, when the
                 caller has one — enables the schedule-aware lint rules
                 at the admission gate.
+            canonical: *problem*'s canonical form, when the caller
+                already computed it (computed at gather time otherwise).
+            network: *problem*'s flow network, when the caller already
+                built it; the in-process solve uses it instead of
+                building another (pool workers build their own).
         """
         if job_id is None:
             job_id = f"job-{self._submitted}"
         if self.storage is not None and problem.storage is None:
+            # A different problem: what the caller derived no longer
+            # describes it.
             problem = problem.with_options(storage=self.storage)
-        self._pending.append((self._submitted, job_id, problem, schedule))
+            canonical = network = None
+        self._pending.append(
+            _Pending(
+                self._submitted, job_id, problem, schedule, canonical, network
+            )
+        )
         self._submitted += 1
         return job_id
 
@@ -310,8 +340,10 @@ class BatchExecutor:
         with obs.span("service.batch"):
             with obs.span("service.canonicalize"):
                 canonicals = [
-                    (index, job_id, problem, canonicalize(problem), schedule)
-                    for index, job_id, problem, schedule in pending
+                    canonicalize(item.problem)
+                    if item.canonical is None
+                    else item.canonical
+                    for item in pending
                 ]
             rejected: set[int] = set()
             if self.lint_gate is not None:
@@ -319,48 +351,57 @@ class BatchExecutor:
                     # Every job is gated — result-cache hits included —
                     # so the verdict list (and any SARIF export) covers
                     # the whole batch, not just the solved remainder.
-                    for index, job_id, problem, canonical, sched in canonicals:
-                        verdict = self.lint_gate.check(
-                            problem,
-                            schedule=sched,
-                            label=job_id,
+                    # The gate's networks are dropped: holding one per
+                    # job until the solve pass would grow peak memory.
+                    for item, canonical in zip(pending, canonicals):
+                        verdict, _ = self.lint_gate.check(
+                            item.problem,
+                            schedule=item.schedule,
+                            label=item.job_id,
                             canonical=canonical,
                         )
                         self.lint_verdicts.append(verdict)
                         if verdict.blocking:
-                            rejected.add(index)
-                            results[index] = JobResult(
-                                job_id=job_id,
-                                index=index,
+                            rejected.add(item.index)
+                            results[item.index] = JobResult(
+                                job_id=item.job_id,
+                                index=item.index,
                                 key=canonical.key,
                                 status="rejected",
                                 error=verdict.report.summary(),
                             )
-            # The warm-start kernel state is process-local (numpy arrays
-            # + CSR views); it rides along only on the inline path.
-            warm_cache = self.warm_cache if self.workers == 1 else None
+            # The warm-start kernel state and prebuilt networks are
+            # process-local (numpy arrays + CSR views); they ride along
+            # only on the inline path.
+            inline = self.workers == 1
+            warm_cache = self.warm_cache if inline else None
             tasks = []
             renamings = {}
-            for index, job_id, problem, canonical, _ in canonicals:
-                if index in rejected:
+            for item, canonical in zip(pending, canonicals):
+                if item.index in rejected:
                     continue
-                job = JobResult(job_id, index, canonical.key, "pending")
+                job = JobResult(
+                    item.job_id, item.index, canonical.key, "pending"
+                )
                 entry = (
                     self.cache.get(canonical.key)
                     if self.cache is not None
                     else None
                 )
                 if entry is not None:
-                    results[index] = replace(
+                    results[item.index] = replace(
                         job,
                         status="ok",
                         cached=True,
                         summary=entry.remap(canonical.inverse()),
                     )
                 else:
-                    certify = self._certify(job_id)
-                    tasks.append((job, problem, certify, warm_cache))
-                    renamings[index] = canonical.renaming
+                    certify = self._certify(item.job_id)
+                    network = item.network if inline else None
+                    tasks.append(
+                        (job, item.problem, certify, warm_cache, network)
+                    )
+                    renamings[item.index] = canonical.renaming
 
             run = self._run_inline if self.workers == 1 else self._run_pool
             for result in run(tasks) if tasks else ():
@@ -383,7 +424,7 @@ class BatchExecutor:
                 obs.count("service.solver_error", solver_errors)
             if rejected:
                 obs.count("service.lint.rejected_jobs", len(rejected))
-        return [results[index] for index, _, _, _ in pending]
+        return [results[item.index] for item in pending]
 
     # ------------------------------------------------------------------
     # internals

@@ -7,9 +7,12 @@ disagreement, a broken cost model — is rejected up front with the full
 diagnostic report instead of burning a solver slot to rediscover the
 problem the hard way.
 
-Every check runs :func:`~repro.lint.run_lint` with the default rule
-set.  Verdicts are cached in the shared :class:`~repro.service.cache`
-store under the instance's canonical sha256 digest, with two twists:
+Every check runs the default rule set over a
+:class:`~repro.lint.LintContext` it builds itself
+(:func:`~repro.lint.run_rules`), so the flow network the analysis
+constructed can be handed back to the caller's solve.  Verdicts are
+cached in the shared :class:`~repro.service.cache` store under the
+instance's canonical sha256 digest, with two twists:
 the canonical form is name-free and captures lifetimes but not the
 schedule they came from, while a report names variables and the
 schedule-aware rules (RA1xx, RA602) analyse the schedule.  A verdict
@@ -31,12 +34,13 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.lint import LintReport, Severity, run_lint
+from repro.lint import LintContext, LintReport, Severity, run_rules
 from repro.obs import trace as obs
 from repro.service.cache import CachedLint, ResultCache
 from repro.service.canonical import canonicalize
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.network_builder import BuiltNetwork
     from repro.core.problem import AllocationProblem
     from repro.scheduling.schedule import Schedule
     from repro.service.canonical import CanonicalInstance
@@ -144,7 +148,7 @@ class LintGate:
         schedule: "Schedule | None" = None,
         label: str = "",
         canonical: "CanonicalInstance | None" = None,
-    ) -> LintVerdict:
+    ) -> "tuple[LintVerdict, BuiltNetwork | None]":
         """Lint one job (through the verdict cache) and classify it.
 
         Args:
@@ -155,12 +159,20 @@ class LintGate:
             canonical: Pre-computed canonical form, when the caller
                 already paid for it (the executor canonicalizes every
                 job anyway); computed here otherwise.
+
+        Returns:
+            ``(verdict, network)``: *network* is the flow network the
+            analysis built for *problem*, which the caller may solve
+            instead of building it again — ``None`` on a verdict-cache
+            hit or when the build failed.  Neither the gate nor its
+            cache keeps it.
         """
         if canonical is None:
             canonical = canonicalize(problem)
         fingerprint = schedule_fingerprint(schedule)
         naming = _naming(canonical)
         report: LintReport | None = None
+        network: "BuiltNetwork | None" = None
         cached = False
         if self.cache is not None:
             entry = self.cache.get_lint(canonical.key, fingerprint, naming)
@@ -171,7 +183,9 @@ class LintGate:
                 except Exception:
                     report = None  # corrupt verdict: re-analyse
         if report is None:
-            report = run_lint(problem, schedule=schedule)
+            context = LintContext(problem, schedule=schedule)
+            report = run_rules(context)
+            network = context.built
             if self.cache is not None:
                 self.cache.put_lint(
                     CachedLint(
@@ -187,7 +201,7 @@ class LintGate:
         obs.count("service.lint.checked")
         if blocking:
             obs.count("service.lint.blocked")
-        return LintVerdict(
+        verdict = LintVerdict(
             label=label,
             key=canonical.key,
             fingerprint=fingerprint,
@@ -196,3 +210,4 @@ class LintGate:
             blocking=blocking,
             cached=cached,
         )
+        return verdict, network

@@ -48,10 +48,15 @@ machine-checkable evidence, without ever occupying a queue slot or a
 solver.  Verdicts are cached by canonical digest, schedule fingerprint
 and variable naming (:mod:`repro.service.lintgate`), so re-posting a
 manifest re-uses its verdicts (``service.lint.cache_hit``); rejections
-accumulate on ``service.lint.rejected_requests``.
+accumulate on ``service.lint.rejected_requests``.  An admitted job is
+canonicalized once and its network built once: the gate and the
+executor share the canonical form, and the in-process solve runs on the
+network the gate's analysis built.
 
-Backpressure is explicit, never silent: a request that would overflow
-the bounded admission queue, exceed its client's token-bucket rate, or
+Backpressure is explicit, never silent: a request carrying more jobs
+than the whole admission queue holds can never be admitted and is
+answered ``413`` before anything is built or linted; one that would
+overflow the queue now, exceed its client's token-bucket rate, or
 arrive while draining is answered ``503`` with a ``Retry-After`` header
 and a JSON body naming the shed reason — and counted on
 ``service.shed`` / ``service.shed.<reason>``.  ``SIGTERM`` (or
@@ -69,7 +74,7 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 from urllib.parse import parse_qs
 
 from repro.exceptions import ServiceError
@@ -79,10 +84,14 @@ from repro.lint.sarif import merge_sarif
 from repro.obs.export import counter_group, metrics_text
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
+from repro.service.canonical import CanonicalInstance, canonicalize
 from repro.service.executor import BatchExecutor
 from repro.service.lintgate import LintGate, LintVerdict
 from repro.service.manifest import BuiltWorkload, Manifest, parse_manifest
 from repro.service.report import build_batch_report
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.network_builder import BuiltNetwork
 
 __all__ = ["AllocationServer", "ServerConfig", "serve"]
 
@@ -160,10 +169,23 @@ class _Ticket:
     manifest: Manifest
     jobs: int
     future: "asyncio.Future[tuple[int, dict]]"
-    #: Workloads already built (and linted) at admission time, so the
-    #: dispatcher does not rebuild the manifest; ``None`` when the
-    #: admission lint gate is off.
-    workloads: "list[BuiltWorkload] | None" = None
+    #: Jobs already built and linted at admission time, so the
+    #: dispatcher neither rebuilds the manifest nor canonicalizes or
+    #: builds a network again; ``None`` when the admission lint gate is
+    #: off.
+    gated: "list[_GatedJob] | None" = None
+
+
+@dataclass
+class _GatedJob:
+    """One workload as the admission gate left it, ready to solve."""
+
+    workload: BuiltWorkload
+    canonical: CanonicalInstance
+    verdict: LintVerdict
+    #: The network the gate's analysis built (``None`` on a verdict
+    #: cache hit); it lives only as long as the request.
+    network: "BuiltNetwork | None"
 
 
 class _HttpError(Exception):
@@ -354,12 +376,6 @@ class AllocationServer:
         """Blocking per-request work; runs in a worker thread."""
         cfg = self.config
         start = time.perf_counter()
-        workloads = ticket.workloads
-        if workloads is None:
-            try:
-                workloads = ticket.manifest.build()
-            except ServiceError as exc:
-                return 400, {"error": str(exc)}
         executor = BatchExecutor(
             workers=cfg.workers,
             cache=self.cache,
@@ -367,11 +383,24 @@ class AllocationServer:
             chunksize=cfg.chunksize,
             warm_cache=self.warm_cache,
         )
-        results = executor.map_blocks(
-            [w.problem for w in workloads],
-            ids=[w.label for w in workloads],
-            schedules=[w.schedule for w in workloads],
-        )
+        if ticket.gated is None:
+            try:
+                workloads = ticket.manifest.build()
+            except ServiceError as exc:
+                return 400, {"error": str(exc)}
+            for w in workloads:
+                executor.submit(w.problem, w.label, schedule=w.schedule)
+        else:
+            for job in ticket.gated:
+                w = job.workload
+                executor.submit(
+                    w.problem,
+                    w.label,
+                    schedule=w.schedule,
+                    canonical=job.canonical,
+                    network=job.network,
+                )
+        results = executor.gather()
         wall = time.perf_counter() - start
         self.admission.observe_service_time(wall, max(1, len(results)))
         report = build_batch_report(
@@ -494,32 +523,37 @@ class AllocationServer:
 
     def _lint_workloads(
         self, manifest: Manifest, gate: LintGate
-    ) -> "tuple[list[BuiltWorkload], list[LintVerdict]]":
+    ) -> "list[_GatedJob]":
         """Build a manifest and gate every workload (blocking call).
 
-        Runs in a worker thread via ``asyncio.to_thread``; manifest
-        build failures surface as 400s through :class:`_HttpError`.
+        Each workload is canonicalized once; the gate and, for an
+        admitted request, the executor share that form and the network
+        the gate's analysis built.  Runs in a worker thread via
+        ``asyncio.to_thread``; manifest build failures surface as 400s
+        through :class:`_HttpError`.
         """
         try:
             workloads = manifest.build()
         except ServiceError as exc:
             raise _HttpError(400, str(exc))
-        verdicts = [
-            gate.check(
+        gated = []
+        for workload in workloads:
+            canonical = canonicalize(workload.problem)
+            verdict, network = gate.check(
                 workload.problem,
                 schedule=workload.schedule,
                 label=workload.label,
+                canonical=canonical,
             )
-            for workload in workloads
-        ]
-        return workloads, verdicts
+            gated.append(_GatedJob(workload, canonical, verdict, network))
+        return gated
 
     @staticmethod
-    def _sarif_body(verdicts: "list[LintVerdict]") -> dict[str, Any]:
-        """Merged SARIF log for a verdict list, one run per job."""
+    def _sarif_body(gated: "list[_GatedJob]") -> dict[str, Any]:
+        """Merged SARIF log of the gated jobs, one run per job."""
         return merge_sarif(
-            (verdict.report, verdict.run_properties())
-            for verdict in verdicts
+            (job.verdict.report, job.verdict.run_properties())
+            for job in gated
         )
 
     async def _handle_batch(
@@ -528,14 +562,23 @@ class AllocationServer:
         self.requests_served += 1
         obs.count("service.server.requests")
         manifest = self._parse_body_manifest(request)
-        workloads: "list[BuiltWorkload] | None" = None
+        jobs = manifest.job_count()
+        if jobs > self.config.queue_capacity:
+            # No retry can ever be admitted: refuse before building or
+            # linting anything.
+            raise _HttpError(
+                413,
+                f"request carries {jobs} jobs but the admission queue "
+                f"holds at most {self.config.queue_capacity}; split it",
+            )
+        gated: "list[_GatedJob] | None" = None
         if self.lint_gate is not None:
             # Lint BEFORE admission: a provably-bad manifest must never
             # occupy a queue slot, let alone a solver.
-            workloads, verdicts = await asyncio.to_thread(
+            gated = await asyncio.to_thread(
                 self._lint_workloads, manifest, self.lint_gate
             )
-            blocking = [v for v in verdicts if v.blocking]
+            blocking = [job.verdict for job in gated if job.verdict.blocking]
             if blocking:
                 obs.count("service.lint.rejected_requests")
                 body = _json_bytes(
@@ -543,10 +586,10 @@ class AllocationServer:
                         "error": (
                             f"manifest rejected by the admission lint "
                             f"gate: {len(blocking)} of "
-                            f"{len(verdicts)} job(s) provably bad"
+                            f"{len(gated)} job(s) provably bad"
                         ),
                         "rejected_jobs": [v.label for v in blocking],
-                        "sarif": self._sarif_body(verdicts),
+                        "sarif": self._sarif_body(gated),
                     }
                 )
                 return 422, body, {}
@@ -555,9 +598,9 @@ class AllocationServer:
         ticket = _Ticket(
             client=client,
             manifest=manifest,
-            jobs=manifest.job_count(),
+            jobs=jobs,
             future=loop.create_future(),
-            workloads=workloads,
+            gated=gated,
         )
         verdict = self.admission.admit(client, ticket, weight=ticket.jobs)
         if not verdict.admitted:
@@ -592,10 +635,8 @@ class AllocationServer:
         # A lint-only request must report, never reject; reuse the
         # admission gate (shared verdict cache) when it exists.
         gate = self.lint_gate or LintGate(cache=self.cache, fail_on="never")
-        _, verdicts = await asyncio.to_thread(
-            self._lint_workloads, manifest, gate
-        )
-        return 200, _json_bytes(self._sarif_body(verdicts)), {}
+        gated = await asyncio.to_thread(self._lint_workloads, manifest, gate)
+        return 200, _json_bytes(self._sarif_body(gated)), {}
 
     def _write_response(
         self,

@@ -119,3 +119,17 @@ def test_format_mentions_chains():
     text = allocation.format()
     assert "R0:" in text
     assert "objective" in text
+
+
+def test_prebuilt_network_is_solved_and_must_match_its_problem():
+    from repro.core.network_builder import build_network
+
+    problem = five_var_problem(2)
+    network = build_network(problem)
+    given = allocate(problem, network=network)
+    assert given.flow.network is network.network
+    fresh = allocate(problem)
+    assert list(given.flow.flows) == list(fresh.flow.flows)
+    assert given.residency == fresh.residency
+    with pytest.raises(ValueError, match="different problem"):
+        allocate(five_var_problem(2), network=network)

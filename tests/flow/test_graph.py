@@ -81,21 +81,6 @@ def test_has_lower_bounds():
     assert net.has_lower_bounds()
 
 
-def test_topological_order_acyclic():
-    net = FlowNetwork()
-    net.add_arc("a", "b", capacity=1)
-    net.add_arc("b", "c", capacity=1)
-    net.add_arc("a", "c", capacity=1)
-    order = net.topological_order()
-    assert order is not None
-    assert order.index("a") < order.index("b") < order.index("c")
-
-
-def test_topological_order_cyclic_returns_none():
-    net = FlowNetwork()
-    net.add_arc("a", "b", capacity=1)
-    net.add_arc("b", "a", capacity=1)
-    assert net.topological_order() is None
 
 
 def test_iteration_yields_arcs_in_insertion_order():

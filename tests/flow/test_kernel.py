@@ -23,7 +23,7 @@ from repro.energy import MemoryConfig
 from repro.exceptions import GraphError, InfeasibleFlowError
 from repro.flow import check_flow, kernel as kernel_module, solve_min_cost_flow
 from repro.flow.graph import FlowNetwork
-from repro.flow.kernel import FlowKernel
+from repro.flow.kernel import FlowKernel, dag_distances
 from repro.scheduling.list_scheduler import list_schedule
 from repro.verify.certificates import certify_flow
 from repro.workloads.registry import (
@@ -52,6 +52,43 @@ def random_network(seed: int, nodes: int = 10, arcs: int = 30) -> FlowNetwork:
             cost=float(rng.randint(-5, 9)),
         )
     return net
+
+
+def _tail_grouped(net: FlowNetwork):
+    arrays = net.arrays()
+    order = np.argsort(arrays.tails, kind="stable")
+    return arrays.tails[order], arrays.heads[order], arrays.costs[order]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dag_distances_match_bellman_ford_on_random_dags(seed):
+    import networkx as nx
+
+    net = random_network(seed)
+    source = seed % 3  # lower node ids stay unreachable
+    dist = dag_distances(net.num_nodes, *_tail_grouped(net), source)
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(net.nodes)
+    for arc in net.arcs:
+        graph.add_edge(arc.tail, arc.head, weight=arc.cost)
+    expected = nx.single_source_bellman_ford_path_length(graph, source)
+    assert any(cost < 0 for cost in net.arrays().costs)
+    for node in net.nodes:
+        got = dist[net.node_index(node)]
+        assert got == expected.get(node, float("inf")), node
+
+
+def test_dag_distances_mark_unreachable_nodes_inf():
+    tails = np.array([0, 2], dtype=np.int64)
+    heads = np.array([1, 1], dtype=np.int64)
+    dist = dag_distances(4, tails, heads, np.array([-3.0, -7.0]), 0)
+    assert dist.tolist() == [0.0, -3.0, float("inf"), float("inf")]
+
+
+def test_dag_distances_return_none_on_a_cycle():
+    tails = np.array([0, 1, 2], dtype=np.int64)
+    heads = np.array([1, 2, 1], dtype=np.int64)
+    assert dag_distances(3, tails, heads, np.zeros(3), 0) is None
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -21,6 +21,7 @@ from repro.lint.prove import (
     check_certificate,
     find_certificates,
     prove_infeasible,
+    reachable,
 )
 from repro.service.manifest import parse_manifest
 from repro.verify.fuzz import build_problem, draw_case
@@ -131,6 +132,23 @@ def test_prover_never_contradicts_the_solver_on_seeded_instances():
     # The sweep must actually exercise both sides of the oracle.
     assert infeasible > 0, "sweep drew no infeasible instances"
     assert proofs > 0, "sweep produced no certificates"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reachable_matches_networkx_descendants(seed):
+    import networkx as nx
+    import numpy as np
+
+    rng = spawn_rng(seed, "reachable")
+    n = 12
+    arcs = [(rng.randrange(n), rng.randrange(n)) for _ in range(20)]
+    tails = np.array([t for t, _ in arcs], dtype=np.int64)
+    heads = np.array([h for _, h in arcs], dtype=np.int64)
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(arcs)
+    want = nx.descendants(graph, 0) | {0}
+    assert set(np.nonzero(reachable(n, tails, heads, 0))[0].tolist()) == want
 
 
 def test_restricted_memory_pressure_is_proved():

@@ -25,6 +25,7 @@ from repro.lifetimes.intervals import Lifetime
 from repro.lint import LintConfig, LintContext, Severity, get_rule, run_lint
 from repro.scheduling.schedule import Schedule
 from tests.conftest import make_lifetime
+from tests.lint.facade_oracle import plant
 
 
 def corrupt_lifetime(name, write, reads, live_out=False):
@@ -315,7 +316,7 @@ def test_ra501_inverted_arc_bounds():
     problem = simple_problem()
     built = build_network(problem)
     arc = built.segment_arcs[("a", 0)]
-    object.__setattr__(arc, "lower", arc.capacity + 1)
+    plant(built.network, arc.index, lower=arc.capacity + 1)
     ctx = doctored_context(problem, built)
     findings = list(get_rule("RA501").check(ctx))
     assert len(findings) == 1
@@ -350,8 +351,8 @@ def test_ra503_unreachable_segment():
     problem = simple_problem()
     built = build_network(problem)
     arc = built.segment_arcs[("a", 0)]
-    object.__setattr__(arc, "tail", ("orphan", "node"))
     built.network.add_node(("orphan", "node"))
+    plant(built.network, arc.index, tail=("orphan", "node"))
     ctx = doctored_context(problem, built)
     findings = list(get_rule("RA503").check(ctx))
     assert [f.location.variable for f in findings] == ["a"]

@@ -36,11 +36,11 @@ class PlantedSolverBug(RuntimeError):
     """Stands in for a defect inside the exact allocator."""
 
 
-def allocate_with_planted_bug(problem, options=None):
+def allocate_with_planted_bug(problem, options=None, *, network=None):
     """:func:`allocate`, except that single-register instances crash."""
     if problem.register_count == 1:
         raise PlantedSolverBug("kernel lost an arc")
-    return allocate(problem, options)
+    return allocate(problem, options, network=network)
 
 
 def doomed_problem() -> AllocationProblem:

@@ -90,10 +90,13 @@ def test_verdict_cached_by_digest_and_fingerprint():
     problem, schedule = healthy()
     cache = ResultCache()
     gate = LintGate(cache=cache, fail_on="error")
-    first = gate.check(problem, schedule=schedule, label="a")
-    second = gate.check(problem, schedule=schedule, label="a")
+    first, network = gate.check(problem, schedule=schedule, label="a")
+    second, no_network = gate.check(problem, schedule=schedule, label="a")
     assert not first.cached and second.cached
     assert cache.stats()["lint_hits"] == 1
+    # A miss hands back the network it analysed; a hit built none.
+    assert network is not None and network.problem is problem
+    assert no_network is None
 
 
 def test_different_schedule_fingerprint_is_a_miss():
@@ -103,7 +106,7 @@ def test_different_schedule_fingerprint_is_a_miss():
     gate.check(problem, schedule=schedule)
     # Same canonical problem, no schedule: the verdict must not be
     # shared (the schedule-aware rules did not run for this lookup).
-    verdict = gate.check(problem, schedule=None)
+    verdict, _ = gate.check(problem, schedule=None)
     assert not verdict.cached
     assert cache.stats()["lint_misses"] == 2
 
@@ -118,8 +121,8 @@ def test_renamed_instance_is_a_miss():
     )
     other = renamed(problem, "zz_")
     gate = LintGate(cache=ResultCache(), fail_on="error")
-    first = gate.check(problem)
-    verdict = gate.check(other)
+    first, _ = gate.check(problem)
+    verdict, _ = gate.check(other)
     assert verdict.key == first.key
     assert not verdict.cached
 
@@ -130,7 +133,7 @@ def test_renamed_instance_is_a_miss():
     assert witness(first.report) == ["d"]
     assert witness(verdict.report) == witness(run_lint(other)) == ["zz_d"]
     # A byte-identical re-submission still hits.
-    again = gate.check(other)
+    again, _ = gate.check(other)
     assert again.cached and witness(again.report) == ["zz_d"]
 
 
@@ -145,7 +148,7 @@ def test_verdicts_persist_on_disk_next_to_results(tmp_path):
     assert len(lint_files) == 1
     # A fresh cache over the same directory serves the verdict from disk.
     second_cache = ResultCache(directory=store)
-    verdict = LintGate(cache=second_cache, fail_on="error").check(
+    verdict, _ = LintGate(cache=second_cache, fail_on="error").check(
         problem, schedule=schedule
     )
     assert verdict.cached
@@ -155,7 +158,7 @@ def test_sharded_cache_separates_lint_entries_in_stats(tmp_path):
     problem, schedule = healthy()
     store = tmp_path / "store"
     cache = ResultCache(directory=store)
-    verdict = LintGate(cache=cache, fail_on="error").check(
+    verdict, _ = LintGate(cache=cache, fail_on="error").check(
         problem, schedule=schedule
     )
     stats = cache.stats()
@@ -173,7 +176,7 @@ def test_corrupt_cached_verdict_is_reanalysed():
     problem, schedule = healthy()
     cache = ResultCache()
     gate = LintGate(cache=cache, fail_on="error")
-    verdict = gate.check(problem, schedule=schedule)
+    verdict, _ = gate.check(problem, schedule=schedule)
     cache.put_lint(
         CachedLint(
             key=verdict.key,
@@ -182,7 +185,7 @@ def test_corrupt_cached_verdict_is_reanalysed():
             report={"schema": "bogus"},
         )
     )
-    again = gate.check(problem, schedule=schedule)
+    again, _ = gate.check(problem, schedule=schedule)
     assert not again.cached
     assert again.report.codes == verdict.report.codes
 
@@ -193,14 +196,14 @@ def test_corrupt_cached_verdict_is_reanalysed():
 def test_unknown_fail_on_fails_closed_to_error():
     gate = LintGate(fail_on="definitely-not-a-severity")
     problem, schedule = corrupted()
-    verdict = gate.check(problem, schedule=schedule)
+    verdict, _ = gate.check(problem, schedule=schedule)
     assert verdict.blocking
 
 
 def test_never_lints_but_never_blocks():
     gate = LintGate(fail_on="never")
     problem, schedule = corrupted()
-    verdict = gate.check(problem, schedule=schedule)
+    verdict, _ = gate.check(problem, schedule=schedule)
     assert verdict.report.codes  # findings exist
     assert not verdict.blocking
 

@@ -74,7 +74,7 @@ def test_text_rendering_mentions_every_job(batch):
 
 
 def test_failed_jobs_surface_their_errors(monkeypatch):
-    def broken_allocate(problem, options=None):
+    def broken_allocate(problem, options=None, *, network=None):
         raise ArithmeticError("negative reduced cost on a tree arc")
 
     monkeypatch.setattr(executor_module, "allocate", broken_allocate)

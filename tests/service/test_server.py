@@ -115,6 +115,24 @@ def test_single_job_request_round_trip():
         assert report["totals"]["ok"] == 1
 
 
+def test_request_larger_than_the_queue_is_refused_unbuilt():
+    config = ServerConfig(queue_capacity=4)
+    with ServerHarness(config) as harness:
+        document = tiny_manifest(
+            jobs=[{"kind": "random", "variables": 6, "horizon": 8,
+                   "seed": 1, "count": 5}]
+        )
+        status, headers, body = harness.post_json("/v1/batch", document)
+        assert status == 413
+        assert "retry-after" not in headers
+        assert "at most 4" in body["error"]
+        _, metrics = harness.get_json("/metrics")
+    counters = metrics["counters"]
+    assert counters.get("network.builds", 0) == 0
+    assert counters.get("service.lint.checked", 0) == 0
+    assert metrics["admission"]["shed_jobs"] == 0
+
+
 # ---------------------------------------------------------------------------
 # paper manifest, twice: the cache-hit acceptance bar
 # ---------------------------------------------------------------------------
@@ -170,11 +188,16 @@ def test_batch_cli_hits_what_the_server_cached(
 
 
 def test_served_energies_match_the_batch_cli(paper_manifest, tmp_path, capsys):
-    with ServerHarness(ServerConfig()) as harness:
+    with ServerHarness(ServerConfig(workers=1)) as harness:
         status, _, served = harness.post_json(
             "/v1/batch", paper_manifest, client_id="parity"
         )
+        _, metrics = harness.get_json("/metrics")
     assert status == 200
+    # One network build per job: the in-process solve reuses the one
+    # the admission gate's analysis built.
+    counters = metrics["counters"]
+    assert counters["network.builds"] == counters["service.jobs"] == 16
     out = tmp_path / "batch.json"
     assert main(
         ["batch", str(PAPER_MANIFEST), "--no-cache", "-o", str(out)]

@@ -249,7 +249,7 @@ def test_batch_bad_manifest_is_a_clean_error(tmp_path, capsys):
 def test_batch_solver_error_exits_nonzero(tmp_path, capsys, monkeypatch):
     import repro.service.executor as executor_module
 
-    def broken_allocate(problem, options=None):
+    def broken_allocate(problem, options=None, *, network=None):
         raise ArithmeticError("negative reduced cost on a tree arc")
 
     monkeypatch.setattr(executor_module, "allocate", broken_allocate)
