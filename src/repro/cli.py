@@ -1259,7 +1259,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=64,
         help="admission queue bound in jobs; overflow sheds with 503, "
-        "a request larger than the whole queue gets 413 (default: 64)",
+        "a batch or lint request larger than the whole queue gets 413 "
+        "(default: 64)",
     )
     serve_cmd.add_argument(
         "--rate",

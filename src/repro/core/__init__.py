@@ -38,7 +38,7 @@ from repro.core.pipeline import (
 )
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem, GraphStyle
-from repro.core.solver import allocate, allocate_flow, solve_built
+from repro.core.solver import allocate, allocate_flow, allocate_many, solve_built
 from repro.core.storage import (
     BankStructure,
     StorageLevel,
@@ -70,6 +70,7 @@ __all__ = [
     "allocate",
     "allocate_block",
     "allocate_flow",
+    "allocate_many",
     "allocate_schedule",
     "allocate_task_graph",
     "allocate_with_port_limit",

@@ -1,6 +1,6 @@
 """Vectorized minimum-cost-flow kernel over flat residual arrays.
 
-This is the numeric engine behind :func:`repro.flow.ssp.solve_min_cost_flow`
+This is the numeric engine behind :func:`repro.flow.ssp.solve_min_cost_flows`
 and :mod:`repro.flow.warm_start`.  It operates exclusively on the
 struct-of-arrays view of a :class:`~repro.flow.graph.FlowNetwork`
 (:meth:`~repro.flow.graph.FlowNetwork.arrays`) and never materialises an
@@ -10,41 +10,58 @@ Residual layout (DESIGN.md, "Performance model"):
 
 * residual arc ``2*i`` is the forward image of original arc ``i`` and
   ``2*i + 1`` its backward image; ``rid ^ 1`` is always the partner;
-* ``res_tail``/``res_head`` (``int64[2m]``) are dense node indices,
-  ``res_cost`` (``float64[2m]``) carries ``+cost``/``-cost`` and
-  ``res_cap`` (``int64[2m]``) the residual capacities (forward starts at
-  ``capacity``, backward at the current flow);
-* adjacency is CSR-style: ``csr_order`` holds the residual arc ids
-  stably sorted by tail and ``csr_indptr[u] : csr_indptr[u + 1]`` slices
+* adjacency is CSR-style: ``csr.order`` holds the residual arc ids
+  stably sorted by tail and ``csr.indptr[u] : csr.indptr[u + 1]`` slices
   the out-arcs of node ``u``.  The CSR pair depends on topology only, so
-  warm starts reuse it across cost perturbations.
+  warm starts reuse it across cost perturbations;
+* every residual column is stored in that CSR order only: position ``p``
+  of ``res_tail``/``res_head`` (dense node indices, ``int32``),
+  ``res_cost`` (``+cost``/``-cost``) and ``res_cap`` (forward starts at
+  ``capacity``, backward at the current flow) describes residual arc
+  ``csr.order[p]``, and a partner table maps each position to its
+  reverse arc's position.
 
-Shortest paths dispatch on the sign of the reduced costs.  The fast path
-stages ``cost + pot[tail] - pot[head]`` (plus an additive saturation
-blocker, ``inf`` on zero-capacity arcs) into a persistent
-``scipy.sparse.csr_array`` sharing the CSR layout above and runs
-``scipy.sparse.csgraph.dijkstra`` with an adaptive distance ``limit``
-(2x the historic sink distance, escalating to unbounded if the sink is
-not reached); distances are capped at ``dist[sink]`` before the
-potential fold, which THEORY.md §7 shows preserves non-negative reduced
-costs.  When reduced costs go negative (stale warm-start potentials) or
-scipy is absent, a frontier label-correcting scheme (vectorized
-Bellman-Ford with a work list, ``np.minimum.at`` scatter) takes over —
-potential quality affects the number of rounds, never the distances.  A
-round count exceeding ``2n`` there exposes a negative-cost residual
-cycle, mirroring the classic Bellman-Ford argument.  Cold starts on
-acyclic residuals skip the question entirely: one Kahn-layered sweep
-(:func:`dag_distances`, shared with lint rule RA604) yields exact
-initial potentials.  Work is reported through
-:class:`KernelStats` into the ``ssp.*`` counters (``dijkstra_pops``,
-``dijkstra_relaxations``, ``relax_rounds``, ``augmenting_paths``,
-``potential_updates``).
+One kernel holds ``k >= 1`` independent instances side by side
+(:meth:`FlowKernel.stacked`): instance ``i`` owns the nodes from
+``noff[i]`` and the arcs from ``aoff[i]``, so the residual graph is
+block-diagonal and one CSR, one persistent ``scipy.sparse.csr_array``
+and one set of columns serve them all.  :meth:`FlowKernel.solve_many`
+runs successive shortest paths on every instance in lockstep; a single
+solve is the ``k = 1`` case of the same loop.  Initial potentials come
+from one Kahn-layered sweep (:func:`dag_distances`, shared with lint
+rule RA604) seeded at every source: the blocks are disconnected, so each
+node gets its own instance's distance (a cyclic union is split into
+single solves, which start from zeros).  Each round then
+
+* stages ``cost + pot[tail] - pot[head]`` (plus an additive saturation
+  blocker, ``inf`` on zero-capacity arcs) for the unfinished instances;
+* runs one multi-source ``scipy.sparse.csgraph.dijkstra`` from their
+  sources with ``min_only=True`` — every node's nearest source is its
+  own instance's, so one O(N) call yields each instance's own
+  shortest-path tree;
+* recovers every instance's path arcs in one vector step: for each path
+  hop the first active, tight arc of the tail's CSR slice into the head;
+* pushes each instance's bottleneck and folds its distances, capped at
+  its own ``dist[sink]``, into its potentials (THEORY.md §7).
+
+An instance whose sink becomes unreachable leaves the lockstep with its
+own :class:`~repro.exceptions.InfeasibleFlowError`; the others carry on.
+No instance's flow, potentials, counters or error depend on which
+instances share its kernel.  When an instance's reduced costs go
+negative, or scipy is absent, a frontier label-correcting scheme
+(vectorized Bellman-Ford with a work list, ``np.minimum.at`` scatter)
+searches from those instances' sources at once — potential quality
+affects the number of rounds, never the distances.  A round count
+exceeding ``2n + 4`` there exposes a negative-cost residual cycle,
+mirroring the classic Bellman-Ford argument.  Work is reported through
+one :class:`KernelStats` per instance into the ``ssp.*`` counters, and
+:attr:`FlowKernel.searches` counts the multi-source searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -101,7 +118,7 @@ def dag_distances(
     tails: np.ndarray,
     heads: np.ndarray,
     costs: np.ndarray,
-    source: int,
+    source: int | np.ndarray,
 ) -> np.ndarray | None:
     """Exact shortest distances from *source* when the arcs form a DAG.
 
@@ -114,10 +131,17 @@ def dag_distances(
     matching the "known unreachable" potential convention of the
     kernel; a non-finite sum is never relaxed.
 
+    *source* may be an array of sources, all at distance zero: on
+    disconnected blocks each node then gets the distance from the
+    source of its own block, layer for layer what a sweep of that block
+    alone computes.
+
     The kernel seeds cold-start potentials with it and lint rule RA604
     bounds the cheapest source-to-sink chain with it.
     """
     indptr = csr_indptr(n, tails)
+    # Native-width heads: every layer indexes with them.
+    heads = np.asarray(heads, dtype=np.intp)
     indeg = np.bincount(heads, minlength=n)
     dist = np.full(n, _INF)
     dist[source] = 0.0
@@ -137,13 +161,28 @@ def dag_distances(
     return dist
 
 
+def _segment_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sum of ``values[bounds[j]:bounds[j + 1]]`` per segment (0 if empty)."""
+    total = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=total[1:])
+    return total[bounds[1:]] - total[bounds[:-1]]
+
+
+def _runs(members: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal ``[first, stop)`` ranges of consecutive sorted *members*."""
+    cuts = np.flatnonzero(np.diff(members) != 1) + 1
+    firsts = members[np.concatenate(([0], cuts))]
+    lasts = members[np.concatenate((cuts - 1, [members.size - 1]))]
+    return list(zip(firsts.tolist(), (lasts + 1).tolist()))
+
+
 @dataclass(frozen=True)
 class ResidualCSR:
     """Topology-only CSR adjacency of a residual network.
 
     Attributes:
-        order: ``int64[2m]`` residual arc ids stably sorted by tail node.
-        indptr: ``int64[n + 1]`` slice bounds: the out-arcs of node ``u``
+        order: ``int32[2m]`` residual arc ids stably sorted by tail node.
+        indptr: ``int32[n + 1]`` slice bounds: the out-arcs of node ``u``
             are ``order[indptr[u] : indptr[u + 1]]``.
 
     Depends only on ``tails``/``heads`` (never on capacities or costs),
@@ -156,13 +195,14 @@ class ResidualCSR:
 
 @dataclass
 class KernelStats:
-    """Work counters of one kernel invocation (fed into ``repro.obs``).
+    """Work counters of one instance's solve (fed into ``repro.obs``).
 
     Attributes:
-        pops: Frontier node expansions across all shortest-path rounds
-            (the vectorized analogue of Dijkstra heap pops).
-        relaxations: Successful distance improvements.
-        rounds: Label-correcting rounds run.
+        pops: Nodes settled across all shortest-path searches (the
+            label-correcting fallback counts frontier expansions).
+        relaxations: Arcs staged for a search (label-correcting:
+            successful distance improvements).
+        rounds: Shortest-path searches (label-correcting: its rounds).
         paths: Augmenting paths pushed.
         potential_updates: Node-potential entries rewritten.
         cancellations: Negative residual cycles cancelled (incremental
@@ -180,366 +220,172 @@ class KernelStats:
 
 
 class FlowKernel:
-    """Mutable flat residual network with vectorized solve primitives.
+    """Mutable flat residual state of ``k >= 1`` independent networks.
 
-    Lower bounds are not handled here; callers transform them away first
-    (:mod:`repro.flow.lower_bounds`).  Construction is O(m log m) for the
-    CSR sort unless a cached :class:`ResidualCSR` is supplied.
+    ``FlowKernel(network)`` holds one network; :meth:`stacked` lays
+    several out block-diagonally.  Lower bounds are not handled here;
+    callers transform them away first (:mod:`repro.flow.lower_bounds`).
+    Construction is O(m log m) for the CSR sort unless a cached
+    :class:`ResidualCSR` is supplied.
+
+    Attributes:
+        networks: The instances, in block order.
+        noff / aoff: ``int64[k + 1]`` node and arc offsets of the blocks.
+        searches: Multi-source shortest-path searches run so far.
     """
 
     def __init__(
         self, network: FlowNetwork, csr: ResidualCSR | None = None
     ) -> None:
-        arrays = network.arrays()
-        n = network.num_nodes
-        m = network.num_arcs
-        self.network = network
+        self._lay_out((network,), csr)
+
+    @classmethod
+    def stacked(cls, networks: Sequence[FlowNetwork]) -> "FlowKernel":
+        """One kernel over *networks*, block-diagonally (``k >= 1``)."""
+        kernel = cls.__new__(cls)
+        kernel._lay_out(tuple(networks), None)
+        return kernel
+
+    def _lay_out(
+        self, networks: tuple[FlowNetwork, ...], csr: ResidualCSR | None
+    ) -> None:
+        k = len(networks)
+        node_counts = [network.num_nodes for network in networks]
+        arc_counts = [network.num_arcs for network in networks]
+        noff = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(node_counts, out=noff[1:])
+        aoff = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(arc_counts, out=aoff[1:])
+        n, m = int(noff[-1]), int(aoff[-1])
+        self.networks = networks
+        self.noff = noff
+        self.aoff = aoff
         self.num_nodes = n
         self.num_arcs = m
-        res_tail = np.empty(2 * m, dtype=np.int64)
-        res_head = np.empty(2 * m, dtype=np.int64)
-        res_cost = np.empty(2 * m, dtype=np.float64)
-        res_cap = np.empty(2 * m, dtype=np.int64)
-        res_tail[0::2] = arrays.tails
-        res_tail[1::2] = arrays.heads
-        res_head[0::2] = arrays.heads
-        res_head[1::2] = arrays.tails
-        res_cost[0::2] = arrays.costs
-        res_cost[1::2] = -arrays.costs
-        res_cap[0::2] = arrays.capacities
-        res_cap[1::2] = 0
-        self.res_tail = res_tail
-        self.res_head = res_head
-        self.res_cost = res_cost
-        self.res_cap = res_cap
-        self._active = int(np.count_nonzero(res_cap))
+        self.searches = 0
+        idx = np.int32 if max(n, 2 * m) < 2**31 - 1 else np.int64
+        blocks = [
+            (network.arrays(), int(noff[i]), 2 * int(aoff[i]), 2 * int(aoff[i + 1]))
+            for i, network in enumerate(networks)
+        ]
+
+        def by_arc_id(forward, backward, dtype) -> np.ndarray:
+            """One residual column in arc-id order: the forward image of
+            arc ``a`` at ``2a``, the backward one at ``2a + 1``."""
+            column = np.empty(2 * m, dtype=dtype)
+            for arrays, shift, lo, hi in blocks:
+                column[lo:hi:2] = forward(arrays, shift)
+                column[lo + 1:hi:2] = backward(arrays, shift)
+            return column
+
+        # Each column is built in arc-id order, gathered once into CSR
+        # order and dropped, so construction holds one temporary at a time.
+        rid_tail = by_arc_id(
+            lambda a, shift: a.tails + shift,
+            lambda a, shift: a.heads + shift,
+            idx,
+        )
         if csr is None:
-            indptr = csr_indptr(n, res_tail)
             # Narrow keys let numpy's stable sort pick radix, which is
             # several times faster than comparison sorting here.
-            keys = res_tail.astype(np.int16) if n < 2**15 else res_tail
-            order = np.argsort(keys, kind="stable").astype(np.int64)
-            csr = ResidualCSR(order=order, indptr=indptr)
+            keys = rid_tail.astype(np.int16) if n < 2**15 else rid_tail
+            csr = ResidualCSR(
+                order=np.argsort(keys, kind="stable").astype(idx),
+                indptr=csr_indptr(n, rid_tail).astype(idx),
+            )
+            del keys
         self.csr = csr
-        # Order-space (CSR-sorted) companions used by the Dijkstra fast
-        # path.  Tails/heads/costs are static per kernel; capacities are
-        # kept in sync with ``res_cap`` through ``_push`` (the ``_rank``
-        # inverse permutation maps residual arc ids to order positions).
         order = csr.order
-        self._rank = np.empty_like(order)
-        self._rank[order] = np.arange(order.size)
-        self._o_tail = res_tail[order]
-        self._o_head = res_head[order]
-        self._o_cost = res_cost[order]
-        self._o_cap = res_cap[order]
+        self.res_tail = rid_tail[order]
+        del rid_tail
+        self.res_head = by_arc_id(
+            lambda a, shift: a.heads + shift,
+            lambda a, shift: a.tails + shift,
+            idx,
+        )[order]
+        self.res_cost = by_arc_id(
+            lambda a, shift: a.costs, lambda a, shift: -a.costs, np.float64
+        )[order]
+        self.res_cap = by_arc_id(
+            lambda a, shift: a.capacities, lambda a, shift: 0, np.int64
+        )[order]
+        rank = np.empty(2 * m, dtype=idx)
+        rank[order] = np.arange(2 * m, dtype=idx)
+        self._partner = rank[order ^ 1]
+        del rank
         # Additive blocker: 0.0 on active arcs, inf on saturated ones.
         # Adding it to a weight vector masks inactive arcs in one pass.
-        self._o_block = np.where(self._o_cap > 0, 0.0, _INF)
+        self._block = np.where(self.res_cap > 0, 0.0, _INF)
         if _csr_array is not None:
-            idx_dtype = np.int32 if n < 2**31 - 1 else np.int64
-            # One persistent scipy graph whose data buffer is rewritten
-            # with fresh reduced costs before every Dijkstra call; the
-            # int32 index arrays skip scipy's per-call downcast copy.
-            self._gdata = np.zeros(2 * m)
+            # One persistent scipy graph sharing ``res_head`` and the
+            # CSR bounds; its data buffer is rewritten with fresh
+            # reduced costs before every search.
             self._graph = _csr_array(
-                (
-                    self._gdata,
-                    self._o_head.astype(idx_dtype),
-                    csr.indptr.astype(idx_dtype),
-                ),
-                shape=(n, n),
+                (np.zeros(2 * m), self.res_head, csr.indptr), shape=(n, n)
             )
-            self._gdata = self._graph.data
-            self._pot_tail = np.empty(2 * m)
-            self._pot_head = np.empty(2 * m)
-        # Adaptive Dijkstra search limit (see _dijkstra): distances past
-        # the sink never matter, so searches stop early once a typical
-        # sink distance is known; a miss falls back to an unlimited run.
-        self._limit_guess = _INF
-        self._max_sink_dist = 0.0
-        self._recent_sink: list[float] = []
-        # Identity of the last potential vector proven non-negative on
-        # every active arc (folding Dijkstra distances preserves this).
-        self._vetted_potential: np.ndarray | None = None
+            self._weights = self._graph.data
+            self._scratch = np.empty(2 * m)
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
     def load_flows(self, flows: np.ndarray) -> None:
-        """Install a feasible flow as the residual state.
+        """Install a feasible flow as the residual state (``k == 1``).
 
         ``flows`` is per original arc; forward residual capacity becomes
         ``capacity - flow`` and backward capacity ``flow``.  Used by the
         warm-start path to resume from a previously optimal flow.
         """
         flows = np.asarray(flows, dtype=np.int64)
-        caps = self.network.arrays().capacities
+        (network,) = self.networks
+        caps = network.arrays().capacities
         if flows.shape != caps.shape:
             raise GraphError("flow vector length mismatch")
         if flows.min(initial=0) < 0 or np.any(flows > caps):
             raise GraphError("flow vector violates capacities")
-        self.res_cap[0::2] = caps - flows
-        self.res_cap[1::2] = flows
-        self._o_cap[:] = self.res_cap[self.csr.order]
-        self._o_block = np.where(self._o_cap > 0, 0.0, _INF)
-        self._active = int(np.count_nonzero(self.res_cap))
+        rid_cap = np.empty(2 * self.num_arcs, dtype=np.int64)
+        rid_cap[0::2] = caps - flows
+        rid_cap[1::2] = flows
+        self.res_cap[:] = rid_cap[self.csr.order]
+        self._block = np.where(self.res_cap > 0, 0.0, _INF)
 
-    def _push(self, rids: np.ndarray, amount: int) -> None:
-        """Push *amount* units through residual arcs *rids* (in order).
+    def _push(
+        self, pos: np.ndarray, amount: int | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Push *amount* units through the arcs at positions *pos*.
 
-        Updates the rid-space capacities plus their order-space mirror
-        and blocker (so the Dijkstra fast path never has to re-gather)
-        and the active arc tally.
+        *amount* is one value or one per position.  Keeps the blocker in
+        sync and returns, per position, whether its partner arc was
+        activated and whether the arc itself saturated.
         """
-        partners = rids ^ 1
-        activated = int(np.count_nonzero(self.res_cap[partners] == 0))
-        self.res_cap[rids] -= amount
+        partners = self._partner[pos]
+        activated = self.res_cap[partners] == 0
+        self.res_cap[pos] -= amount
         self.res_cap[partners] += amount
-        self._active += activated - int(
-            np.count_nonzero(self.res_cap[rids] == 0)
-        )
-        pos = self._rank[rids]
-        ppos = self._rank[partners]
-        self._o_cap[pos] -= amount
-        self._o_cap[ppos] += amount
-        self._o_block[pos] = np.where(self._o_cap[pos] > 0, 0.0, _INF)
-        self._o_block[ppos] = 0.0
+        saturated = self.res_cap[pos] == 0
+        self._block[pos] = np.where(saturated, _INF, 0.0)
+        self._block[partners] = 0.0
+        return activated, saturated
 
     def flows(self) -> np.ndarray:
         """Current per-arc flow (the backward residual capacities)."""
-        return self.res_cap[1::2].copy()
+        rid_cap = np.empty(2 * self.num_arcs, dtype=np.int64)
+        rid_cap[self.csr.order] = self.res_cap
+        return rid_cap[1::2].copy()
 
     # ------------------------------------------------------------------
-    # shortest paths (vectorized label-correcting)
-    # ------------------------------------------------------------------
-    def shortest_paths(
-        self,
-        source: int,
-        sink: int,
-        potential: np.ndarray,
-        stats: KernelStats,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact shortest distances from *source* on reduced costs.
-
-        Dispatches to C-speed Dijkstra (:mod:`scipy.sparse.csgraph`)
-        whenever every active reduced cost is non-negative — the common
-        case once potentials are valid — and to the vectorized
-        label-correcting fallback otherwise (stale warm-start
-        potentials, negative costs before initialisation, or a scipy-less
-        environment).  Both produce identical distances.
-
-        Args:
-            source: Dense source node index.
-            sink: Dense sink node index (lets the fast path stop early
-                and recover predecessor arcs along the sink path only).
-            potential: ``float64[n]`` node potentials; entries may be
-                stale (warm start) or ``inf`` (known-unreachable).
-                Negative reduced costs are handled, not clamped.
-            stats: Work counters, updated in place.
-
-        Returns:
-            ``(dist, pred)`` — reduced-cost distances and the
-            predecessor residual arc id per node (``-1`` where absent).
-            The Dijkstra fast path caps distances at ``dist[sink]`` —
-            still a valid potential update (THEORY.md §7) — and fills
-            ``pred`` only along the ``source -> sink`` path; the
-            fallback returns uncapped distances (``inf`` where
-            unreachable) and a full predecessor tree.
-
-        Raises:
-            GraphError: When label-correcting rounds exceed ``2n + 4``,
-                which (by the Bellman-Ford argument, with slack for the
-                ``EPS`` relaxation margin) proves a negative-cost
-                residual cycle.
-        """
-        if _scipy_dijkstra is None:
-            return self._spfa(source, potential, stats)
-        finite = np.isfinite(potential)
-        w = self._gdata
-        if finite.all():
-            np.take(potential, self._o_tail, out=self._pot_tail)
-            np.take(potential, self._o_head, out=self._pot_head)
-            np.add(self._o_cost, self._pot_tail, out=w)
-            np.subtract(w, self._pot_head, out=w)
-            np.add(w, self._o_block, out=w)
-            # A vector already vetted here and folded only with Dijkstra
-            # distances stays non-negative (THEORY.md §7): skip the scan.
-            if self._vetted_potential is not potential:
-                wmin = float(w.min()) if w.size else _INF
-                if wmin < -EPS:
-                    return self._spfa(source, potential, stats)
-                self._vetted_potential = potential
-            np.maximum(w, 0.0, out=w)
-            stats.relaxations += self._active
-            return self._dijkstra(source, sink, stats)
-        # Some nodes are known-unreachable (infinite potential): mask
-        # every arc touching them out of the graph entirely.
-        valid = self._o_cap > 0
-        valid &= finite[self._o_tail]
-        valid &= finite[self._o_head]
-        pot_t = potential[self._o_tail]
-        pot_h = potential[self._o_head]
-        w.fill(_INF)
-        np.add(self._o_cost, pot_t, out=w, where=valid)
-        np.subtract(w, pot_h, out=w, where=valid)
-        if valid.any() and float(w[valid].min()) < -EPS:
-            return self._spfa(source, potential, stats)
-        np.maximum(w, 0.0, out=w)
-        stats.relaxations += int(valid.sum())
-        return self._dijkstra(source, sink, stats)
-
-    def _dijkstra(
-        self, source: int, sink: int, stats: KernelStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dijkstra over the persistent CSR graph (weights pre-staged).
-
-        The caller has already written the clamped reduced costs into
-        the shared ``self._graph`` data buffer, with ``inf`` marking
-        inactive arcs — scipy never relaxes through an infinite weight,
-        and duplicate ``(u, v)`` entries act as parallel edges, so the
-        fixed structure survives every augmentation.
-
-        Two sink-directed optimisations, both distance-preserving:
-
-        * the search runs under an adaptive ``limit`` (a multiple of the
-          largest sink distance seen); if the sink is not reached within
-          it, one unlimited retry settles reachability;
-        * returned distances are capped at ``dist[sink]`` — nodes the
-          limited search never finalised are exactly the ones whose true
-          distance is ``>= dist[sink]``, so the cap keeps every active
-          reduced cost non-negative after the potential fold (THEORY.md
-          §7) while letting later searches stop early too.
-        """
-        n = self.num_nodes
-        # Escalating search limits: the tight guess (recent sink
-        # distances) almost always holds; a miss climbs to the largest
-        # distance ever seen, then to an unbounded search.
-        ladder = [self._limit_guess]
-        if np.isfinite(self._limit_guess):
-            historic = 2.0 * self._max_sink_dist + 1.0
-            if historic > self._limit_guess:
-                ladder.append(historic)
-            ladder.append(_INF)
-        for limit in ladder:
-            dist, pred_nodes = _scipy_dijkstra(
-                self._graph,
-                indices=source,
-                return_predecessors=True,
-                limit=limit,
-            )
-            if np.isfinite(dist[sink]):
-                break
-        stats.rounds += 1
-        stats.pops += int(np.isfinite(dist).sum())
-        pred = np.full(n, -1, dtype=np.int64)
-        d_sink = float(dist[sink])
-        if np.isfinite(d_sink):
-            # Recover predecessor *arc ids* along the sink path only (the
-            # augmentation walk touches nothing else): within u's CSR
-            # slice the tree arc into v is active and tight.
-            w = self._gdata
-            indptr = self.csr.indptr
-            v = sink
-            while v != source:
-                u = int(pred_nodes[v])
-                lo, hi = int(indptr[u]), int(indptr[u + 1])
-                cand = np.nonzero(
-                    (self._o_head[lo:hi] == v)
-                    & (self._o_cap[lo:hi] > 0)
-                    & (np.abs(w[lo:hi] - (dist[v] - dist[u])) <= EPS)
-                )[0]
-                assert cand.size, "Dijkstra predecessor arc lost"
-                pred[v] = int(self.csr.order[lo + int(cand[0])])
-                v = u
-            np.minimum(dist, d_sink, out=dist)
-            self._max_sink_dist = max(self._max_sink_dist, d_sink)
-            recent = self._recent_sink
-            recent.append(d_sink)
-            if len(recent) > 3:
-                del recent[0]
-            self._limit_guess = min(
-                2.0 * self._max_sink_dist, 4.0 * max(recent)
-            ) + 1.0
-        return dist, pred
-
-    def _spfa(
-        self, source: int, potential: np.ndarray, stats: KernelStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized label-correcting fallback (handles negative costs)."""
-        n = self.num_nodes
-        order = self.csr.order
-        indptr = self.csr.indptr
-        dist = np.full(n, _INF)
-        dist[source] = 0.0
-        pred = np.full(n, -1, dtype=np.int64)
-        frontier = np.array([source], dtype=np.int64)
-        max_rounds = 2 * n + 4
-        rounds = 0
-        while frontier.size:
-            rounds += 1
-            stats.rounds += 1
-            if rounds > max_rounds:
-                raise GraphError("network contains a negative-cost cycle")
-            stats.pops += int(frontier.size)
-            pos, degs = csr_slices(indptr, frontier)
-            if not pos.size:
-                break
-            rids = order[pos]
-            u = np.repeat(frontier, degs)
-            live = self.res_cap[rids] > 0
-            rids = rids[live]
-            u = u[live]
-            v = self.res_head[rids]
-            pot_v = potential[v]
-            known = np.isfinite(pot_v)
-            if not known.all():
-                rids = rids[known]
-                u = u[known]
-                v = v[known]
-                pot_v = pot_v[known]
-            reduced = self.res_cost[rids] + potential[u] - pot_v
-            nd = dist[u] + reduced
-            better = nd < dist[v] - EPS
-            if not better.any():
-                break
-            v2 = v[better]
-            nd2 = nd[better]
-            r2 = rids[better]
-            stats.relaxations += int(v2.size)
-            np.minimum.at(dist, v2, nd2)
-            win = nd2 <= dist[v2]
-            winners = v2[win]
-            pred[winners] = r2[win]
-            frontier = np.unique(winners)
-        return dist, pred
-
-    # ------------------------------------------------------------------
-    # successive shortest paths
+    # successive shortest paths, k instances in lockstep
     # ------------------------------------------------------------------
     def solve(
         self,
         source: int,
         sink: int,
         flow_value: int,
-        potential: np.ndarray | None = None,
         labels: tuple[Any, Any] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, KernelStats]:
-        """Ship exactly *flow_value* units at minimum cost.
+        """Ship exactly *flow_value* units at minimum cost (``k == 1``).
 
-        Runs successive shortest paths from the current residual state.
-        With ``potential=None`` (cold start) potentials are initialised
-        by the one-sweep DAG relaxation of :func:`dag_distances` over
-        the active arcs (zeros when the residual is cyclic); a warm
-        ``potential`` vector merely changes how much work the searches
-        do (THEORY.md §7 — correctness never depends on potential
-        quality).
-
-        Args:
-            source: Dense source node index.
-            sink: Dense sink node index.
-            flow_value: Units to ship (``> 0``).
-            potential: Optional warm-start potentials (copied).
-            labels: Original source/sink keys for error messages.
+        The one-instance case of :meth:`solve_many`.
 
         Returns:
             ``(flows, potential, stats)`` — per-arc flows, the final
@@ -550,71 +396,112 @@ class FlowKernel:
                 units from source to sink.
             GraphError: On a negative-cost residual cycle.
         """
-        n = self.num_nodes
+        (outcome,) = self.solve_many(
+            [source], [sink], [flow_value], None if labels is None else [labels]
+        )
+        if isinstance(outcome, InfeasibleFlowError):
+            raise outcome
+        return outcome
+
+    def solve_many(
+        self,
+        sources: Sequence[int],
+        sinks: Sequence[int],
+        flow_values: Sequence[int],
+        labels: Sequence[tuple[Any, Any]] | None = None,
+    ) -> list[tuple[np.ndarray, np.ndarray, KernelStats] | InfeasibleFlowError]:
+        """Successive shortest paths on every instance, in lockstep.
+
+        Runs from the current residual state, with potentials from one
+        :func:`dag_distances` sweep seeded at every source (zeros for a
+        lone cyclic instance; a cyclic union is solved instance by
+        instance instead).
+
+        Args:
+            sources / sinks: Dense node index of each instance's source
+                and sink, within its own network (distinct per instance).
+            flow_values: Units each instance ships (``> 0``).
+            labels: Original source/sink keys per instance, for error
+                messages.
+
+        Returns:
+            Per instance, in block order: ``(flows, potential, stats)``
+            — its per-arc flows, final (feasible) potentials (views into
+            arrays of the whole union) and work counters — or the
+            :class:`InfeasibleFlowError` saying how many units fit.
+
+        Raises:
+            GraphError: On a negative-cost residual cycle or a lost
+                predecessor arc, in any instance.
+        """
+        k = len(self.networks)
+        if labels is None:
+            labels = list(zip(sources, sinks))
+        noff = self.noff
+        live = self.res_cap > 0
+        src = noff[:-1] + np.asarray(sources, dtype=np.int64)
+        potential = dag_distances(
+            self.num_nodes,
+            self.res_tail[live],
+            self.res_head[live],
+            self.res_cost[live],
+            src,
+        )
         if potential is None:
-            # The order-space views are already tail-sorted, so
-            # compressing them by the active mask groups arcs by tail
-            # with no sort.
-            mask = self._o_cap > 0
-            initial = dag_distances(
-                n,
-                self._o_tail[mask],
-                self._o_head[mask],
-                self._o_cost[mask],
-                source,
-            )
+            if k > 1:
+                return self._solve_apart(sources, sinks, flow_values, labels)
             # A cycle among active arcs: start from zeros and let the
             # label-correcting pass take over (it detects negative
             # cycles).
-            potential = np.zeros(n) if initial is None else initial
-        else:
-            potential = np.asarray(potential, dtype=np.float64).copy()
-        src_label, dst_label = labels if labels is not None else (source, sink)
-        stats = KernelStats()
-        shipped = 0
-        while shipped < flow_value:
-            dist, pred = self.shortest_paths(source, sink, potential, stats)
-            if not np.isfinite(dist[sink]):
-                if shipped == 0:
-                    raise InfeasibleFlowError(
-                        f"sink {dst_label!r} unreachable from "
-                        f"source {src_label!r}"
-                    )
-                raise InfeasibleFlowError(
-                    f"only {shipped} of {flow_value} flow units fit "
-                    f"from {src_label!r} to {dst_label!r}"
+            potential = np.zeros(self.num_nodes)
+        run = _Lockstep(
+            self,
+            src,
+            noff[:-1] + np.asarray(sinks, dtype=np.int64),
+            np.asarray(flow_values, dtype=np.int64),
+            potential,
+            _segment_sum(live, 2 * self.aoff),
+        )
+        run.ship()
+        flows = self.flows()
+        outcomes: list[
+            tuple[np.ndarray, np.ndarray, KernelStats] | InfeasibleFlowError
+        ] = []
+        for i in range(k):
+            if run.shipped[i] < run.want[i]:
+                outcomes.append(
+                    _shortfall(int(run.shipped[i]), int(run.want[i]), labels[i])
                 )
-            # Bottleneck along the predecessor path (short python walk).
-            path: list[int] = []
-            v = sink
-            bottleneck = flow_value - shipped
-            while v != source:
-                rid = int(pred[v])
-                path.append(rid)
-                cap = int(self.res_cap[rid])
-                if cap < bottleneck:
-                    bottleneck = cap
-                v = int(self.res_tail[rid])
-            rids = np.asarray(path, dtype=np.int64)
-            self._push(rids, bottleneck)
-            shipped += bottleneck
-            stats.paths += 1
-            # Fold the exact distances into the potentials: reduced costs
-            # become non-negative again for the next round.
-            reached = np.isfinite(dist)
-            finite_pot = np.isfinite(potential)
-            update = reached & finite_pot
-            potential[update] += dist[update]
-            stats.potential_updates += int(update.sum())
-            potential[finite_pot & ~reached] = _INF
-        return self.flows(), potential, stats
+                continue
+            outcomes.append(
+                (
+                    flows[self.aoff[i]:self.aoff[i + 1]],
+                    potential[noff[i]:noff[i + 1]],
+                    run.stats(i),
+                )
+            )
+        return outcomes
+
+    def _solve_apart(self, sources, sinks, flow_values, labels):
+        """:meth:`solve_many` one instance at a time (cyclic unions)."""
+        outcomes = []
+        for index, network in enumerate(self.networks):
+            alone = FlowKernel(network)
+            outcomes += alone.solve_many(
+                [sources[index]],
+                [sinks[index]],
+                [flow_values[index]],
+                [labels[index]],
+            )
+            self.searches += alone.searches
+        return outcomes
 
     # ------------------------------------------------------------------
     # incremental re-solve (warm start, cost-only perturbations)
     # ------------------------------------------------------------------
     def reoptimize(
         self, potential: np.ndarray, stats: KernelStats | None = None
-    ) -> tuple[np.ndarray, KernelStats]:
+    ) -> tuple[np.ndarray, np.ndarray, KernelStats]:
         """Re-optimise the *current* residual flow after a cost change.
 
         The loaded flow (see :meth:`load_flows`) stays feasible under any
@@ -624,6 +511,7 @@ class FlowKernel:
         cycle.  This cancels negative reduced-cost cycles (vectorized
         Bellman-Ford sweeps seeded at zero, i.e. a virtual super-source)
         until the converged pass itself *is* the optimality proof.
+        Single-instance (``k == 1``).
 
         Args:
             potential: Previous potentials; non-finite entries are
@@ -650,31 +538,31 @@ class FlowKernel:
         pot = np.where(np.isfinite(potential), potential, 0.0)
         max_cancels = 2 * self.num_arcs + 8
         # Costs and potentials never change inside a re-solve, only the
-        # capacity pattern does — so the order-space reduced costs are
-        # computed once and shared by every round below.
-        w = self._o_cost + pot[self._o_tail] - pot[self._o_head]
+        # capacity pattern does — so the reduced costs are computed once
+        # and shared by every round below.
+        w = self.res_cost + pot[self.res_tail] - pot[self.res_head]
         neg_cost = w < -EPS
         indptr = self.csr.indptr
-        order = self.csr.order
         fmask = np.zeros(n, dtype=bool)
         while True:  # one round per batch of cancelled cycles
             dist = np.zeros(n)
+            # Predecessor arc (CSR position) per node, -1 where absent.
             pred = np.full(n, -1, dtype=np.int64)
             # Seeding every node at distance zero (a virtual super-source)
             # means only strictly negative active arcs can improve first;
             # later passes only need the out-arcs of nodes whose distance
             # just dropped, exactly like the label-correcting fallback.
-            neg = np.nonzero(neg_cost & (self._o_cap > 0))[0]
+            neg = np.nonzero(neg_cost & (self.res_cap > 0))[0]
             stats.bf_passes += 1
             stats.relaxations += int(neg.size)
             if neg.size == 0:
                 return self.flows(), pot + dist, stats
-            v = self._o_head[neg]
+            v = self.res_head[neg]
             nd = w[neg]
             np.minimum.at(dist, v, nd)
             win = nd <= dist[v]
             winners = v[win]
-            pred[winners] = order[neg[win]]
+            pred[winners] = neg[win]
             fmask[winners] = True
             frontier = np.nonzero(fmask)[0]
             fmask[frontier] = False
@@ -694,9 +582,9 @@ class FlowKernel:
                         # and a push only *raises* the partner arcs'
                         # capacity, so every cycle found can be cancelled
                         # in one go.
-                        for rids in cycles:
-                            bottleneck = int(self.res_cap[rids].min())
-                            self._push(rids, bottleneck)
+                        for pos in cycles:
+                            bottleneck = int(self.res_cap[pos].min())
+                            self._push(pos, bottleneck)
                             stats.cancellations += 1
                         cancelled = True
                         break
@@ -709,10 +597,10 @@ class FlowKernel:
                     converged = True
                     break
                 u = np.repeat(frontier, degs)
-                live = self._o_cap[pos] > 0
+                live = self.res_cap[pos] > 0
                 pos = pos[live]
                 u = u[live]
-                v = self._o_head[pos]
+                v = self.res_head[pos]
                 nd = dist[u] + w[pos]
                 better = nd < dist[v] - EPS
                 stats.relaxations += int(pos.size)
@@ -722,7 +610,7 @@ class FlowKernel:
                 np.minimum.at(dist, v2, nd2)
                 win = nd2 <= dist[v2]
                 winners = v2[win]
-                pred[winners] = order[p2[win]]
+                pred[winners] = p2[win]
                 fmask[winners] = True
                 frontier = np.nonzero(fmask)[0]
                 fmask[frontier] = False
@@ -737,12 +625,13 @@ class FlowKernel:
     def _pred_cycles(self, pred: np.ndarray) -> list[np.ndarray]:
         """Extract the node-disjoint cycles of a predecessor-arc forest.
 
-        ``pred[v]`` is the residual arc id currently entering *v* (or
-        ``-1``).  Every node has at most one such arc, so the "follow your
-        predecessor's tail" graph is functional: iteratively peeling
-        nodes that nobody points at (or whose successor was peeled)
-        leaves exactly the nodes lying on cycles, and each surviving
-        cycle's arcs are the ``pred`` entries of its nodes.
+        ``pred[v]`` is the CSR position of the residual arc currently
+        entering *v* (or ``-1``).  Every node has at most one such arc,
+        so the "follow your predecessor's tail" graph is functional:
+        iteratively peeling nodes that nobody points at (or whose
+        successor was peeled) leaves exactly the nodes lying on cycles,
+        and each surviving cycle's arcs are the ``pred`` entries of its
+        nodes.
         """
         n = self.num_nodes
         alive = pred >= 0
@@ -764,10 +653,386 @@ class FlowKernel:
             vtx = int(start)
             if seen[vtx]:
                 continue
-            rids: list[int] = []
+            arcs: list[int] = []
             while not seen[vtx]:
                 seen[vtx] = True
-                rids.append(int(pred[vtx]))
+                arcs.append(int(pred[vtx]))
                 vtx = int(succ[vtx])
-            cycles.append(np.asarray(rids, dtype=np.int64))
+            cycles.append(np.asarray(arcs, dtype=np.int64))
         return cycles
+
+
+def _shortfall(
+    shipped: int, flow_value: int, labels: tuple[Any, Any]
+) -> InfeasibleFlowError:
+    """The error of an instance whose sink became unreachable."""
+    src_label, dst_label = labels
+    if shipped == 0:
+        return InfeasibleFlowError(
+            f"sink {dst_label!r} unreachable from source {src_label!r}"
+        )
+    return InfeasibleFlowError(
+        f"only {shipped} of {flow_value} flow units fit "
+        f"from {src_label!r} to {dst_label!r}"
+    )
+
+
+class _Lockstep:
+    """The per-round state of one :meth:`FlowKernel.solve_many` call.
+
+    Every array here is indexed by instance (``k`` entries) except
+    ``potential`` (union nodes); the kernel's columns hold the rest.
+    """
+
+    def __init__(
+        self,
+        kernel: FlowKernel,
+        sources: np.ndarray,
+        sinks: np.ndarray,
+        want: np.ndarray,
+        potential: np.ndarray,
+        active_arcs: np.ndarray,
+    ) -> None:
+        k = len(kernel.networks)
+        self.kernel = kernel
+        self.sources = sources
+        self.sinks = sinks
+        self.want = want
+        self.potential = potential
+        self.active_arcs = active_arcs
+        self.shipped = np.zeros(k, dtype=np.int64)
+        self.node_counts = np.diff(kernel.noff)
+        # Potentials free of ``inf`` (known-unreachable) entries, and
+        # potentials proven to leave every reduced cost non-negative
+        # (folding capped Dijkstra distances preserves this, THEORY.md
+        # §7, so the scan is skipped from then on).
+        self.finite = _segment_sum(~np.isfinite(potential), kernel.noff) == 0
+        self.vetted = np.zeros(k, dtype=bool)
+        self.pops = np.zeros(k, dtype=np.int64)
+        self.relaxations = np.zeros(k, dtype=np.int64)
+        self.rounds = np.zeros(k, dtype=np.int64)
+        self.paths = np.zeros(k, dtype=np.int64)
+        self.potential_updates = np.zeros(k, dtype=np.int64)
+
+    def stats(self, i: int) -> KernelStats:
+        """Instance *i*'s work counters."""
+        return KernelStats(
+            pops=int(self.pops[i]),
+            relaxations=int(self.relaxations[i]),
+            rounds=int(self.rounds[i]),
+            paths=int(self.paths[i]),
+            potential_updates=int(self.potential_updates[i]),
+        )
+
+    def ship(self) -> None:
+        """Augment every instance until it ships its value or runs dry."""
+        members = np.flatnonzero(self.want > 0)
+        runs = _runs(members) if members.size else []
+        while members.size:
+            dist, labelled, pred_node, pred_arc = self._search(members, runs)
+            sink_dist = dist[self.sinks[members]]
+            # A sink out of reach ends that instance (shortfall).
+            reached = np.isfinite(sink_dist)
+            augment = members[reached]
+            if augment.size:
+                on_tree = augment[~labelled[augment]]
+                by_label = augment[labelled[augment]]
+                arcs, counts = self._tree_arcs(on_tree, pred_node, dist)
+                walked = [self._walk(i, pred_arc) for i in by_label.tolist()]
+                self._augment(
+                    np.concatenate((on_tree, by_label)),
+                    np.concatenate(
+                        [arcs] + [np.asarray(p, dtype=np.int64) for p in walked]
+                    ),
+                    np.asarray(counts + [len(p) for p in walked]),
+                )
+                cap = np.full(len(self.kernel.networks), _INF)
+                tree = reached & ~labelled[members]
+                cap[members[tree]] = sink_dist[tree]
+                self._fold(runs, dist, cap, ~labelled)
+            done = ~reached | (self.shipped[members] >= self.want[members])
+            if done.any():
+                members = members[~done]
+                runs = _runs(members) if members.size else []
+
+    # -- one round ------------------------------------------------------
+    def _search(self, members, runs):
+        """Shortest distances from every member's source, one search per
+        method: ``(dist, labelled, pred_node, pred_arc)``.
+
+        Members whose reduced costs are all non-negative go to one
+        multi-source Dijkstra (``pred_node`` holds tree parents); the
+        rest (``labelled``, a per-instance mask) to one label-correcting
+        pass (``pred_arc`` holds CSR positions).  Both fill ``dist`` on
+        their own blocks only.
+        """
+        kernel = self.kernel
+        k = len(kernel.networks)
+        labelled = np.zeros(k, dtype=bool)
+        if _scipy_dijkstra is None:
+            labelled[members] = True
+        else:
+            self._stage(runs)
+            check = members[~(self.vetted[members] & self.finite[members])]
+            if check.size:
+                low = self._weight_mins(runs)[check] < -EPS
+                labelled[check[low]] = True
+                passed = check[~low]
+                self.vetted[passed[self.finite[passed]]] = True
+        dijkstra = members[~labelled[members]]
+        spfa = members[labelled[members]]
+        dist = pred_node = pred_arc = None
+        if dijkstra.size:
+            weights = kernel._weights
+            for i0, i1 in runs:
+                lo, hi = 2 * kernel.aoff[i0], 2 * kernel.aoff[i1]
+                np.maximum(weights[lo:hi], 0.0, out=weights[lo:hi])
+            self._count_staged(dijkstra)
+            dist, pred_node, _ = _scipy_dijkstra(
+                kernel._graph,
+                indices=self.sources[dijkstra],
+                min_only=True,
+                return_predecessors=True,
+            )
+            kernel.searches += 1
+            self.rounds[dijkstra] += 1
+        if spfa.size:
+            spfa_dist, pred_arc = self._label_correcting(spfa)
+            kernel.searches += 1
+            dist = (
+                spfa_dist if dist is None else np.minimum(dist, spfa_dist)
+            )
+        return dist, labelled, pred_node, pred_arc
+
+    def _stage(self, runs) -> None:
+        """Write the reduced costs of the *runs*' arcs into the graph.
+
+        ``cost + pot[tail] - pot[head] + blocker``; an arc touching a
+        known-unreachable (``inf``) node is masked with ``inf`` too.
+        """
+        kernel = self.kernel
+        pot = self.potential
+        for i0, i1 in runs:
+            lo, hi = 2 * kernel.aoff[i0], 2 * kernel.aoff[i1]
+            w = kernel._weights[lo:hi]
+            pot_head = kernel._scratch[lo:hi]
+            np.take(pot, kernel.res_tail[lo:hi], out=w, mode="clip")
+            np.take(pot, kernel.res_head[lo:hi], out=pot_head, mode="clip")
+            if self.finite[i0:i1].all():
+                np.add(kernel.res_cost[lo:hi], w, out=w)
+                np.subtract(w, pot_head, out=w)
+                np.add(w, kernel._block[lo:hi], out=w)
+                continue
+            with np.errstate(invalid="ignore"):
+                np.add(kernel.res_cost[lo:hi], w, out=w)
+                np.subtract(w, pot_head, out=w)
+                np.add(w, kernel._block[lo:hi], out=w)
+            w[~np.isfinite(w)] = _INF
+
+    def _weight_mins(self, runs) -> np.ndarray:
+        """Smallest staged weight per instance (``inf`` outside *runs*)."""
+        kernel = self.kernel
+        mins = np.full(len(kernel.networks), _INF)
+        for i0, i1 in runs:
+            bounds = 2 * kernel.aoff[i0:i1 + 1]
+            starts = bounds[:-1] - bounds[0]
+            full = bounds[1:] > bounds[:-1]
+            if full.any():
+                mins[i0:i1][full] = np.minimum.reduceat(
+                    kernel._weights[bounds[0]:bounds[-1]], starts[full]
+                )
+        return mins
+
+    def _count_staged(self, members: np.ndarray) -> None:
+        """Credit each member with the arcs its search may relax."""
+        kernel = self.kernel
+        finite = self.finite[members]
+        self.relaxations[members[finite]] += self.active_arcs[members[finite]]
+        for i in members[~finite].tolist():
+            lo, hi = 2 * kernel.aoff[i], 2 * kernel.aoff[i + 1]
+            self.relaxations[i] += int(
+                np.count_nonzero(np.isfinite(kernel._weights[lo:hi]))
+            )
+
+    def _label_correcting(
+        self, members: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized label-correcting search from the members' sources.
+
+        Handles negative reduced costs.  Returns ``(dist, pred)`` —
+        uncapped distances (``inf`` where unreachable or outside the
+        members' blocks) and the predecessor arc's CSR position per node
+        (``-1`` where absent).
+
+        Raises:
+            GraphError: When a member's rounds exceed ``2n + 4`` for its
+                ``n`` nodes, which (by the Bellman-Ford argument, with
+                slack for the ``EPS`` relaxation margin) proves a
+                negative-cost residual cycle.
+        """
+        kernel = self.kernel
+        k = len(kernel.networks)
+        noff = kernel.noff
+        indptr = kernel.csr.indptr
+        potential = self.potential
+        dist = np.full(kernel.num_nodes, _INF)
+        pred = np.full(kernel.num_nodes, -1, dtype=np.int64)
+        frontier = np.sort(self.sources[members])
+        dist[frontier] = 0.0
+        max_rounds = 2 * self.node_counts + 4
+        spent = np.zeros(k, dtype=np.int64)
+        while frontier.size:
+            owner = np.searchsorted(noff, frontier, side="right") - 1
+            present = np.unique(owner)
+            spent[present] += 1
+            self.rounds[present] += 1
+            if (spent[present] > max_rounds[present]).any():
+                raise GraphError("network contains a negative-cost cycle")
+            self.pops += np.bincount(owner, minlength=k)
+            pos, degs = csr_slices(indptr, frontier)
+            if not pos.size:
+                break
+            u = np.repeat(frontier, degs)
+            live = kernel.res_cap[pos] > 0
+            pos = pos[live]
+            u = u[live]
+            v = kernel.res_head[pos]
+            pot_v = potential[v]
+            known = np.isfinite(pot_v)
+            if not known.all():
+                pos = pos[known]
+                u = u[known]
+                v = v[known]
+                pot_v = pot_v[known]
+            reduced = kernel.res_cost[pos] + potential[u] - pot_v
+            nd = dist[u] + reduced
+            better = nd < dist[v] - EPS
+            if not better.any():
+                break
+            v2 = v[better]
+            nd2 = nd[better]
+            p2 = pos[better]
+            self.relaxations += np.bincount(
+                np.searchsorted(noff, v2, side="right") - 1, minlength=k
+            )
+            np.minimum.at(dist, v2, nd2)
+            win = nd2 <= dist[v2]
+            winners = v2[win]
+            pred[winners] = p2[win]
+            frontier = np.unique(winners)
+        return dist, pred
+
+    def _tree_arcs(
+        self, members: np.ndarray, pred_node: np.ndarray, dist: np.ndarray
+    ) -> tuple[np.ndarray, list[int]]:
+        """CSR positions of each member's sink path in the Dijkstra tree.
+
+        The tree gives nodes; the arc into each path node is the first
+        active arc of its parent's CSR slice whose reduced cost is tight,
+        picked for every hop of every member in one vector step.
+        Returns the positions (member-major, sink first) and the hop
+        count per member.
+
+        Raises:
+            GraphError: If some hop has no such arc.
+        """
+        if not members.size:
+            return np.zeros(0, dtype=np.int64), []
+        kernel = self.kernel
+        parent = pred_node.item
+        tails: list[int] = []
+        heads: list[int] = []
+        counts: list[int] = []
+        for source, sink in zip(
+            self.sources[members].tolist(), self.sinks[members].tolist()
+        ):
+            v = sink
+            start = len(tails)
+            while v != source:
+                u = parent(v)
+                tails.append(u)
+                heads.append(v)
+                v = u
+            counts.append(len(tails) - start)
+        tail = np.asarray(tails, dtype=np.int64)
+        head = np.asarray(heads, dtype=np.int64)
+        pos, degs = csr_slices(kernel.csr.indptr, tail)
+        hop = np.repeat(np.arange(tail.size), degs)
+        gap = (dist[head] - dist[tail])[hop]
+        tight = np.flatnonzero(
+            (kernel.res_head[pos] == head[hop])
+            & (kernel.res_cap[pos] > 0)
+            & (np.abs(kernel._weights[pos] - gap) <= EPS)
+        )
+        first = np.ones(tight.size, dtype=bool)
+        first[1:] = hop[tight[1:]] != hop[tight[:-1]]
+        chosen = tight[first]
+        if chosen.size != tail.size:
+            raise GraphError("Dijkstra predecessor arc lost")
+        return pos[chosen], counts
+
+    def _walk(self, i: int, pred_arc: np.ndarray) -> list[int]:
+        """CSR positions of member *i*'s sink path (label-correcting)."""
+        source = int(self.sources[i])
+        tail = self.kernel.res_tail.item
+        arc_into = pred_arc.item
+        v = int(self.sinks[i])
+        path: list[int] = []
+        while v != source:
+            p = arc_into(v)
+            path.append(p)
+            v = tail(p)
+        return path
+
+    def _augment(
+        self, members: np.ndarray, arcs: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Push each member's bottleneck along its path.
+
+        *arcs* holds the members' paths back to back (CSR positions),
+        *counts* their lengths (each at least one arc).
+        """
+        starts = np.cumsum(counts) - counts
+        bottleneck = np.minimum(
+            np.minimum.reduceat(self.kernel.res_cap[arcs], starts),
+            self.want[members] - self.shipped[members],
+        )
+        activated, saturated = self.kernel._push(
+            arcs, np.repeat(bottleneck, counts)
+        )
+        self.active_arcs[members] += np.add.reduceat(
+            activated.astype(np.int64) - saturated, starts
+        )
+        self.shipped[members] += bottleneck
+        self.paths[members] += 1
+
+    def _fold(
+        self, runs, dist: np.ndarray, cap: np.ndarray, tree: np.ndarray
+    ) -> None:
+        """Fold the round's distances into the potentials.
+
+        Each instance's distances are capped at *cap* (its own sink
+        distance after a Dijkstra search, ``inf`` after a
+        label-correcting one) so active reduced costs stay non-negative
+        (THEORY.md §7); nodes left unreached become ``inf``.  The nodes
+        a Dijkstra search settled are counted for the instances in
+        *tree* (a per-instance mask).
+        """
+        kernel = self.kernel
+        for i0, i1 in runs:
+            lo, hi = kernel.noff[i0], kernel.noff[i1]
+            bounds = kernel.noff[i0:i1 + 1] - lo
+            raw = dist[lo:hi]
+            settled = _segment_sum(np.isfinite(raw), bounds)
+            self.pops[i0:i1] += np.where(tree[i0:i1], settled, 0)
+            d = np.minimum(raw, np.repeat(cap[i0:i1], self.node_counts[i0:i1]))
+            pot = self.potential[lo:hi]
+            known = np.isfinite(pot)
+            reached = np.isfinite(d)
+            update = reached & known
+            pot[update] += d[update]
+            self.potential_updates[i0:i1] += _segment_sum(update, bounds)
+            lost = known & ~reached
+            if lost.any():
+                pot[lost] = _INF
+                self.finite[i0:i1] &= _segment_sum(lost, bounds) == 0

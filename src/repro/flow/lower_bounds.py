@@ -24,6 +24,11 @@ remains exact despite negative arc costs.
 The transformation is exposed as :func:`transform_lower_bounds` so that
 a caller can inspect the transformed instance or solve it on its own and
 map the answer back with :meth:`LowerBoundTransform.recover`.
+:func:`solve_many` does that for many instances at once: it transforms
+each lower-bounded one, solves all of them in one lockstep kernel
+(:func:`~repro.flow.ssp.solve_min_cost_flows`) and recovers each flow.
+A cold :func:`solve` is its one-instance case; only a solve with a
+warm-start cache takes its own path.
 
 Both directions run on the networks' arrays
 (:meth:`~repro.flow.graph.FlowNetwork.arrays`): the original arcs enter
@@ -36,13 +41,13 @@ entries of :func:`~repro.flow.validate.node_balances`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.exceptions import InfeasibleFlowError
 from repro.flow.graph import FlowNetwork, FlowResult
-from repro.flow.ssp import solve_min_cost_flow
+from repro.flow.ssp import Instance, solve_min_cost_flows
 from repro.flow.validate import node_balances
 from repro.flow.warm_start import WarmStartCache, solve_warm
 
@@ -51,6 +56,7 @@ __all__ = [
     "transform_lower_bounds",
     "solve_with_lower_bounds",
     "solve",
+    "solve_many",
 ]
 
 _SUPER_SOURCE = ("__repro_super__", "source")
@@ -211,26 +217,21 @@ def solve_with_lower_bounds(
     Raises:
         InfeasibleFlowError: If no feasible flow meets the bounds and value.
     """
+    if warm_cache is None:
+        (result,) = solve_many([(network, source, sink, flow_value)])
+        if isinstance(result, InfeasibleFlowError):
+            raise result
+        return result
     if not network.has_lower_bounds():
-        if warm_cache is not None:
-            return solve_warm(network, source, sink, flow_value, warm_cache)
-        return solve_min_cost_flow(network, source, sink, flow_value)
+        return solve_warm(network, source, sink, flow_value, warm_cache)
     transform = transform_lower_bounds(network, source, sink, flow_value)
-    if warm_cache is not None:
-        inner = solve_warm(
-            transform.network,
-            transform.super_source,
-            transform.super_sink,
-            transform.demand,
-            warm_cache,
-        )
-    else:
-        inner = solve_min_cost_flow(
-            transform.network,
-            transform.super_source,
-            transform.super_sink,
-            transform.demand,
-        )
+    inner = solve_warm(
+        transform.network,
+        transform.super_source,
+        transform.super_sink,
+        transform.demand,
+        warm_cache,
+    )
     return transform.recover(inner)
 
 
@@ -263,3 +264,53 @@ def solve(
     return solve_with_lower_bounds(
         network, source, sink, flow_value, warm_cache=warm_cache
     )
+
+
+def solve_many(
+    instances: Sequence[Instance],
+) -> list[FlowResult | InfeasibleFlowError]:
+    """:func:`solve` for many independent instances, in one kernel.
+
+    Lower-bounded networks are transformed, the plain problems are
+    solved in lockstep and each transformed flow is recovered.  Every
+    instance gets the flow it gets when solved alone; a cold
+    :func:`solve` is the one-instance case.
+
+    Args:
+        instances: ``(network, source, sink, flow_value)`` tuples.
+
+    Returns:
+        Per instance, in order, its :class:`FlowResult` over the original
+        network or the :class:`InfeasibleFlowError` it raises alone.
+
+    Raises:
+        GraphError: On malformed input or a negative-cost cycle in any
+            instance.
+    """
+    transforms: list[LowerBoundTransform | None] = []
+    plain: list[Instance] = []
+    for network, source, sink, flow_value in instances:
+        if not network.has_lower_bounds():
+            transforms.append(None)
+            plain.append((network, source, sink, flow_value))
+            continue
+        transform = transform_lower_bounds(network, source, sink, flow_value)
+        transforms.append(transform)
+        plain.append(
+            (
+                transform.network,
+                transform.super_source,
+                transform.super_sink,
+                transform.demand,
+            )
+        )
+    results: list[FlowResult | InfeasibleFlowError] = []
+    for transform, inner in zip(transforms, solve_min_cost_flows(plain)):
+        if transform is None or isinstance(inner, InfeasibleFlowError):
+            results.append(inner)
+            continue
+        try:
+            results.append(transform.recover(inner))
+        except InfeasibleFlowError as exc:
+            results.append(exc)
+    return results

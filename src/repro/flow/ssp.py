@@ -13,6 +13,12 @@ struct-of-arrays kernel in :mod:`repro.flow.kernel`:
    distances are folded into the potentials (THEORY.md §7), until the
    requested flow value has been shipped.
 
+:func:`solve_min_cost_flows` solves many independent instances in one
+kernel: their residual networks sit side by side in one block-diagonal
+layout and every pass serves all unfinished instances with one
+multi-source search.  Each instance gets exactly the flow it gets alone;
+:func:`solve_min_cost_flow` is the one-instance case.
+
 Array invariants: the solver reads the network through
 :meth:`~repro.flow.graph.FlowNetwork.arrays` (``int64`` endpoint/bound
 columns, ``float64`` costs, indexed by arc id) and the kernel's residual
@@ -33,14 +39,17 @@ with the optimality certificate and its objective with the section-4 LP.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Sequence
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, InfeasibleFlowError
 from repro.flow.graph import FlowNetwork, FlowResult
 from repro.flow.kernel import FlowKernel, KernelStats
 from repro.obs import trace as obs
 
-__all__ = ["solve_min_cost_flow"]
+__all__ = ["solve_min_cost_flow", "solve_min_cost_flows"]
+
+#: One instance of a fixed-value problem: (network, source, sink, value).
+Instance = tuple[FlowNetwork, Hashable, Hashable, int]
 
 
 def solve_min_cost_flow(
@@ -69,32 +78,79 @@ def solve_min_cost_flow(
         GraphError: On lower-bounded arcs, unknown endpoints, or a
             negative-cost directed cycle.
     """
-    if flow_value < 0:
-        raise GraphError(f"flow value must be non-negative, got {flow_value}")
-    if not network.has_node(source) or not network.has_node(sink):
-        raise GraphError("source or sink is not a node of the network")
-    if network.has_lower_bounds():
-        raise GraphError(
-            "network has lower-bounded arcs; use solve_with_lower_bounds()"
-        )
-    s = network.node_index(source)
-    t = network.node_index(sink)
-    if flow_value == 0 or s == t:
-        return FlowResult(network, [0] * network.num_arcs, 0)
-    kernel = FlowKernel(network)
-    flows, _, stats = kernel.solve(
-        s, t, flow_value, labels=(source, sink)
+    (result,) = solve_min_cost_flows([(network, source, sink, flow_value)])
+    if isinstance(result, InfeasibleFlowError):
+        raise result
+    return result
+
+
+def solve_min_cost_flows(
+    instances: Sequence[Instance],
+) -> list[FlowResult | InfeasibleFlowError]:
+    """Solve independent instances in lockstep, each as if alone.
+
+    Args:
+        instances: ``(network, source, sink, flow_value)`` tuples, with
+            the same contract as :func:`solve_min_cost_flow`.
+
+    Returns:
+        Per instance, in order, its :class:`FlowResult` or the
+        :class:`InfeasibleFlowError` it raises alone.
+
+    Raises:
+        GraphError: On lower-bounded arcs, unknown endpoints, or a
+            negative-cost directed cycle in any instance.
+    """
+    results: list[FlowResult | InfeasibleFlowError | None] = [None] * len(
+        instances
     )
-    count_kernel_work(stats)
-    return FlowResult(network, flows.tolist(), flow_value)
+    todo: list[int] = []
+    for position, (network, source, sink, flow_value) in enumerate(instances):
+        if flow_value < 0:
+            raise GraphError(
+                f"flow value must be non-negative, got {flow_value}"
+            )
+        if not network.has_node(source) or not network.has_node(sink):
+            raise GraphError("source or sink is not a node of the network")
+        if network.has_lower_bounds():
+            raise GraphError(
+                "network has lower-bounded arcs; use solve_with_lower_bounds()"
+            )
+        if flow_value == 0 or source == sink:
+            results[position] = FlowResult(network, [0] * network.num_arcs, 0)
+        else:
+            todo.append(position)
+    if todo:
+        chosen = [instances[position] for position in todo]
+        kernel = FlowKernel.stacked([network for network, *_ in chosen])
+        solved = kernel.solve_many(
+            [network.node_index(source) for network, source, _, _ in chosen],
+            [network.node_index(sink) for network, _, sink, _ in chosen],
+            [flow_value for *_, flow_value in chosen],
+            [(source, sink) for _, source, sink, _ in chosen],
+        )
+        obs.count("ssp.searches", kernel.searches)
+        del kernel  # its residual state is no longer needed
+        for position, outcome in zip(todo, solved):
+            if isinstance(outcome, InfeasibleFlowError):
+                results[position] = outcome
+                continue
+            flows, _, stats = outcome
+            count_kernel_work(stats)
+            network, _, _, flow_value = instances[position]
+            results[position] = FlowResult(network, flows.tolist(), flow_value)
+    return results  # type: ignore[return-value]
 
 
 def count_kernel_work(stats: KernelStats) -> None:
-    """Report one from-scratch kernel solve on the ``ssp.*`` counters.
+    """Report one instance's from-scratch kernel solve on the ``ssp.*``
+    counters.
 
-    Shared by :func:`solve_min_cost_flow` and the cold path of
+    Shared by :func:`solve_min_cost_flows` and the cold path of
     :func:`repro.flow.warm_start.solve_warm`, so a solve's kernel work
-    is counted the same with or without a warm-start cache.
+    is counted the same with or without a warm-start cache.  The
+    ``ssp.searches`` counter belongs to the kernel, not the instance,
+    and is counted by the callers.
     """
     obs.count("ssp.solves")
     obs.count("ssp.dijkstra_pops", stats.pops)
@@ -102,4 +158,3 @@ def count_kernel_work(stats: KernelStats) -> None:
     obs.count("ssp.relax_rounds", stats.rounds)
     obs.count("ssp.augmenting_paths", stats.paths)
     obs.count("ssp.potential_updates", stats.potential_updates)
-

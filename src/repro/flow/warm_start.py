@@ -16,8 +16,11 @@ dispatches each request to the cheapest sound strategy:
   proportional to how far the perturbation moved the optimum, not to
   instance size — see THEORY.md §7 for the complementary-slackness
   argument;
-* **cold** — unknown topology: a full successive-shortest-path solve,
-  whose flow/potential/CSR products are stored for next time.
+* **cold** — unknown topology: a full successive-shortest-path solve
+  (the kernel's lockstep loop with one instance), whose
+  flow/potential/CSR products are stored for next time.  Cold misses
+  are solved one at a time here; batching them is
+  :func:`repro.flow.ssp.solve_min_cost_flows`' job.
 
 The cache key is a digest of the *topology only* — node and arc counts,
 tail/head indices, capacities, lower bounds, terminals and flow value —
@@ -36,8 +39,9 @@ kernel over the same topology.
 Observability: every call lands in a ``solver.warm_start`` span and
 bumps exactly one of ``solver.warm_start.cold`` /
 ``solver.warm_start.replay`` / ``solver.warm_start.incremental``;
-cold solves also report the same ``ssp.*`` kernel counters as
-:func:`repro.flow.ssp.solve_min_cost_flow`, and incremental re-solves
+cold solves also report the same ``ssp.*`` kernel counters (searches
+included) as :func:`repro.flow.ssp.solve_min_cost_flow`, and
+incremental re-solves
 report ``warm_start.bf_passes`` and ``warm_start.cycles_canceled``.
 """
 
@@ -171,6 +175,7 @@ def solve_warm(
                 s, t, flow_value, labels=(source, sink)
             )
             obs.count("solver.warm_start.cold")
+            obs.count("ssp.searches", kernel.searches)
             count_kernel_work(stats)
         elif (
             float(np.max(np.abs(entry.costs - costs), initial=0.0))

@@ -14,8 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.lint.diagnostics import NO_LOCATION, Location, Severity
-from repro.lint.prove import InfeasibilityCertificate, certificates_from
+from repro.lint.prove import (
+    InfeasibilityCertificate,
+    certificates_from,
+    reachable,
+)
 from repro.lint.registry import LintConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,13 +142,35 @@ class LintContext:
         return self._network_result[1]
 
     @cached_property
+    def source_reach(self) -> np.ndarray | None:
+        """Nodes reachable from the source over positive-capacity arcs
+        (``None`` when the network did not build).
+
+        The one forward walk of a lint run: the prover's reachability
+        proofs read it, and so does rule RA503 whenever every arc has
+        positive capacity (then the walk over all arcs reaches the same
+        nodes).
+        """
+        if self.built is None:
+            return None
+        network = self.built.network
+        arrays = network.arrays()
+        positive = arrays.capacities > 0
+        return reachable(
+            network.num_nodes,
+            arrays.tails[positive],
+            arrays.heads[positive],
+            start=network.node_index(self.built.source),
+        )
+
+    @cached_property
     def certificates(self) -> tuple[InfeasibilityCertificate, ...]:
         """Every prover certificate for the built network, derived once
         per lint run and shared by the RA6xx proof rules (``()`` when
         the network did not build)."""
         if self.built is None:
             return ()
-        return certificates_from(self.built)
+        return certificates_from(self.built, source_reach=self.source_reach)
 
     @cached_property
     def access_times(self) -> frozenset[int] | None:

@@ -216,13 +216,16 @@ def find_certificates(
 
 def certificates_from(
     built: "BuiltNetwork",
+    source_reach: np.ndarray | None = None,
 ) -> tuple[InfeasibilityCertificate, ...]:
     """:func:`find_certificates` over an already-constructed network.
 
     A lint run calls this once, on the
     :class:`~repro.lint.context.LintContext`'s cached network
     (:attr:`~repro.lint.context.LintContext.certificates`); the RA601,
-    RA603 and RA605 rules share the result.
+    RA603 and RA605 rules share the result.  *source_reach* is the
+    forward reachability from the source over positive-capacity arcs,
+    when the caller already walked it (computed here otherwise).
     """
     with obs.span("lint.prove"):
         problem = built.problem
@@ -277,7 +280,7 @@ def certificates_from(
                 )
             )
 
-        certificates.extend(_reachability_certificates(built))
+        certificates.extend(_reachability_certificates(built, source_reach))
         certificates.extend(_bank_capacity_certificates(problem))
         obs.count("lint.prove.calls")
         if certificates:
@@ -286,20 +289,28 @@ def certificates_from(
 
 
 def _reachability_certificates(
-    built: "BuiltNetwork",
+    built: "BuiltNetwork", from_s: np.ndarray | None
 ) -> list[InfeasibilityCertificate]:
     """Forced segments disconnected from a terminal (array BFS)."""
     roles = built.roles
     if roles is None:
         return []
-    arrays = built.network.arrays()
+    network = built.network
+    arrays = network.arrays()
     positive = arrays.capacities > 0
-    n = built.network.num_nodes
-    from_s = reachable(
-        n, arrays.tails[positive], arrays.heads[positive], start=0
-    )
+    n = network.num_nodes
+    if from_s is None:
+        from_s = reachable(
+            n,
+            arrays.tails[positive],
+            arrays.heads[positive],
+            start=network.node_index(built.source),
+        )
     to_t = reachable(
-        n, arrays.heads[positive], arrays.tails[positive], start=1
+        n,
+        arrays.heads[positive],
+        arrays.tails[positive],
+        start=network.node_index(built.sink),
     )
     problem = built.problem
     segments = [seg for segs in problem.segments.values() for seg in segs]
@@ -384,12 +395,15 @@ def reachable(
 ) -> np.ndarray:
     """Boolean reachability from node *start* following ``tails -> heads``.
 
-    The one forward walk over a network's arc arrays: the prover runs it
-    over positive-capacity arcs (and, with the arcs reversed, toward the
-    sink); rule RA503 runs it over every arc.  One stable sort groups
-    the arcs by tail, then each BFS layer expands its frontier's CSR
-    slices (:func:`~repro.flow.kernel.csr_slices`), so a layer touches
-    only the out-arcs of its own nodes.  Returns a mask indexed by dense
+    The one walk over a network's arc arrays: a lint run walks forward
+    from the source over positive-capacity arcs once
+    (:attr:`~repro.lint.context.LintContext.source_reach`, shared by the
+    prover and rule RA503) and, with the arcs reversed, toward the sink
+    once; RA503 walks every arc itself only when some arc has zero
+    capacity.  One stable sort groups the arcs by tail, then each BFS
+    layer expands its frontier's CSR slices
+    (:func:`~repro.flow.kernel.csr_slices`), so a layer touches only the
+    out-arcs of its own nodes.  Returns a mask indexed by dense
     node id, of length *n*.
     """
     order = np.argsort(tails, kind="stable")

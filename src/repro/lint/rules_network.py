@@ -176,19 +176,24 @@ def check_reachability(ctx: LintContext) -> Iterator[Finding]:
     """RA503: flag segment arcs unreachable from the source node.
 
     The builder numbers the segment arcs ``[0, k)`` in flattened segment
-    order, so their write nodes are the first ``k`` tails.
+    order, so their write nodes are the first ``k`` tails.  The walk
+    follows every arc; when all capacities are positive that is the
+    context's shared forward walk.
     """
     if ctx.built is None:
         return
     built = ctx.built
     network = built.network
     arrays = network.arrays()
-    reached = reachable(
-        network.num_nodes,
-        arrays.tails,
-        arrays.heads,
-        start=network.node_index(built.source),
-    )
+    if (arrays.capacities > 0).all():
+        reached = ctx.source_reach
+    else:
+        reached = reachable(
+            network.num_nodes,
+            arrays.tails,
+            arrays.heads,
+            start=network.node_index(built.source),
+        )
     segments = _flat_segments(built)
     k = len(segments)
     unreached = np.nonzero(~reached[arrays.tails[:k]])[0].tolist()

@@ -44,7 +44,7 @@ Instrumented names
 
 Counters: ``ssp.solves``, ``ssp.dijkstra_pops``,
 ``ssp.dijkstra_relaxations``, ``ssp.augmenting_paths``,
-``ssp.potential_updates``, ``network.builds``,
+``ssp.potential_updates``, ``ssp.searches``, ``network.builds``,
 ``network.nodes_built``, ``network.arcs_built``.  Gauges:
 ``network.density_regions``.  Spans: ``pipeline.schedule``,
 ``pipeline.build_problem``, ``pipeline.allocate``, ``pipeline.reallocate``,

@@ -7,14 +7,19 @@ through the canonical cache (:mod:`repro.service.canonical` /
 process for ``workers == 1``, or fanned out over a
 ``concurrent.futures.ProcessPoolExecutor`` with configurable chunking.
 
-Each miss is one call to the exact min-cost-flow allocator
-(:func:`repro.core.solver.allocate`).  An
+A gather's misses (or one pool chunk of them) go to the exact
+min-cost-flow allocator in one call,
+:func:`repro.core.solver.allocate_many`, which solves the plain ones'
+flows in lockstep and gives every job the answer it gets alone.  An
 :class:`~repro.exceptions.InfeasibleFlowError` settles the job as
 ``"infeasible"``; any other exception makes it ``"failed"`` with
 ``"<ExceptionClass>: <message>"`` in its error (the traceback goes to
-this module's logger), and a failed job is never cached.  There is no
-retry and no fallback solver: the allocator is deterministic, and the
-service never swaps in an approximate answer.
+this module's logger), and a failed job is never cached.  A fault in a
+shared lockstep solve is retried job by job, so it fails only its own
+job.  There is no fallback solver: the allocator is deterministic, and
+the service never swaps in an approximate answer.  A job's
+``wall_time_s`` is its own build, check and extraction time plus an
+equal share of its group's solve.
 
 Each cache miss is dispatched as an unsettled :class:`JobResult`; the
 worker settles it and sends it back, so the parent receives the very
@@ -45,7 +50,7 @@ from typing import Any, Iterable, Sequence
 from repro.core.network_builder import BuiltNetwork
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
-from repro.core.solver import allocate
+from repro.core.solver import Outcome, allocate_many
 from repro.core.storage import StorageSpec
 from repro.exceptions import InfeasibleFlowError, ServiceError
 from repro.flow.warm_start import WarmStartCache
@@ -151,47 +156,67 @@ class JobResult:
         return data
 
 
-def _execute_job(
-    job: JobResult,
-    problem: AllocationProblem,
-    certify: bool,
-    warm_cache: WarmStartCache | None,
-    network: BuiltNetwork | None = None,
-) -> JobResult:
-    """Worker entry point: one exact solve settles one pending *job*.
+def _execute_chunk(tasks: Sequence[tuple]) -> list[JobResult]:
+    """Worker entry point: settle a chunk of pending jobs in one
+    :func:`~repro.core.solver.allocate_many` call.
 
-    Runs in the worker process (or inline for ``workers == 1``); the
-    arguments and the returned result are picklable.  *network* is the
-    instance's already-built flow network (inline path only).
+    Each task is ``(job, problem, certify, warm_cache, network)``, where
+    *network* is the instance's already-built flow network (inline path
+    only).  Each outcome is reduced to its :class:`JobResult` as soon as
+    it settles, so only one lockstep group's networks and flows are
+    alive at a time.  Runs in the worker process (or inline for
+    ``workers == 1``); the arguments and the returned results are
+    picklable.
     """
     start = time.perf_counter()
-    options = SolveOptions(certify=certify, warm_cache=warm_cache)
+    worker = os.getpid()
+    settled: list[JobResult | None] = [None] * len(tasks)
     try:
         with obs.span("service.solve.ssp"):
-            allocation = allocate(problem, options, network=network)
-        job = replace(
-            job,
-            status="ok",
-            summary=SolveSummary.from_allocation(allocation, job.key),
-            certified=certify,
-        )
-    except InfeasibleFlowError as exc:
-        # A property of the instance, not a solver fault.
-        job = replace(job, status="infeasible", error=str(exc))
+            for index, outcome in allocate_many(
+                [problem for _, problem, *_ in tasks],
+                [
+                    SolveOptions(certify=certify, warm_cache=warm_cache)
+                    for _, _, certify, warm_cache, _ in tasks
+                ],
+                networks=[network for *_, network in tasks],
+            ):
+                job, _, certify, *_ = tasks[index]
+                settled[index] = _settle(job, outcome, certify, worker)
     except Exception as exc:  # noqa: BLE001 - worker boundary: failures
         # become job results, never batch-level crashes.
-        _log.exception("solver failed on a batch job")
+        _log.exception("batch solve failed")
+        left = [index for index, done in enumerate(settled) if done is None]
+        share = (time.perf_counter() - start) / max(len(left), 1)
+        for index in left:
+            job, _, certify, *_ = tasks[index]
+            settled[index] = _settle(job, Outcome(exc, share), certify, worker)
+    return settled  # type: ignore[return-value]
+
+
+def _settle(
+    job: JobResult, outcome: Outcome, certify: bool, worker: int
+) -> JobResult:
+    """The settled form of pending *job* given its solve *outcome*."""
+    result = outcome.result
+    if not isinstance(result, Exception):
+        try:
+            summary = SolveSummary.from_allocation(result, job.key)
+        except Exception as exc:  # noqa: BLE001 - worker boundary
+            result = exc
+        else:
+            job = replace(
+                job, status="ok", summary=summary, certified=certify
+            )
+    if isinstance(result, InfeasibleFlowError):
+        # A property of the instance, not a solver fault.
+        job = replace(job, status="infeasible", error=str(result))
+    elif isinstance(result, Exception):
+        _log.error("solver failed on a batch job", exc_info=result)
         job = replace(
-            job, status="failed", error=f"{type(exc).__name__}: {exc}"
+            job, status="failed", error=f"{type(result).__name__}: {result}"
         )
-    return replace(
-        job, wall_time_s=time.perf_counter() - start, worker=os.getpid()
-    )
-
-
-def _execute_chunk(tasks: Sequence[tuple]) -> list[JobResult]:
-    """Worker entry point for one chunk of jobs (amortises IPC)."""
-    return [_execute_job(*task) for task in tasks]
+    return replace(job, wall_time_s=outcome.wall_time_s, worker=worker)
 
 
 class BatchExecutor:
@@ -439,11 +464,9 @@ class BatchExecutor:
         return rng.random() < self.certify_fraction
 
     def _run_inline(self, tasks: list[tuple]) -> list[JobResult]:
-        """Solve misses in-process (``workers == 1``)."""
-        solved = []
-        for position, task in enumerate(tasks):
-            obs.gauge("service.queue_depth", len(tasks) - position)
-            solved.append(_execute_job(*task))
+        """Solve misses in-process (``workers == 1``), all in one call."""
+        obs.gauge("service.queue_depth", len(tasks))
+        solved = _execute_chunk(tasks)
         obs.gauge("service.queue_depth", 0)
         return solved
 

@@ -37,7 +37,8 @@ Protocol (HTTP/1.1, ``Connection: close``):
   ``repro.service/batch-report/v1`` JSON for the whole request.
 * ``POST /v1/lint`` — same manifest body, but only the static analyser
   runs: the response is a merged SARIF 2.1.0 log with one run per job,
-  and nothing is queued or solved.
+  and nothing is queued or solved.  The job bound below applies here
+  too.
 
 Admission-time lint gating: unless ``ServerConfig.admission_lint`` is
 ``None``, every ``/v1/batch`` manifest is built and linted *before*
@@ -55,7 +56,8 @@ network the gate's analysis built.
 
 Backpressure is explicit, never silent: a request carrying more jobs
 than the whole admission queue holds can never be admitted and is
-answered ``413`` before anything is built or linted; one that would
+answered ``413`` before anything is built or linted (on ``/v1/lint``
+as on ``/v1/batch``); one that would
 overflow the queue now, exceed its client's token-bucket rate, or
 arrive while draining is answered ``503`` with a ``Retry-After`` header
 and a JSON body naming the shed reason — and counted on
@@ -562,15 +564,7 @@ class AllocationServer:
         self.requests_served += 1
         obs.count("service.server.requests")
         manifest = self._parse_body_manifest(request)
-        jobs = manifest.job_count()
-        if jobs > self.config.queue_capacity:
-            # No retry can ever be admitted: refuse before building or
-            # linting anything.
-            raise _HttpError(
-                413,
-                f"request carries {jobs} jobs but the admission queue "
-                f"holds at most {self.config.queue_capacity}; split it",
-            )
+        jobs = self._bounded_job_count(manifest)
         gated: "list[_GatedJob] | None" = None
         if self.lint_gate is not None:
             # Lint BEFORE admission: a provably-bad manifest must never
@@ -619,19 +613,35 @@ class AllocationServer:
         status, payload = await ticket.future
         return status, _json_bytes(payload), {}
 
+    def _bounded_job_count(self, manifest) -> int:
+        """*manifest*'s job count; 413 when the whole admission queue
+        could never hold it (no retry could help, so refuse before
+        building or linting anything)."""
+        jobs = manifest.job_count()
+        if jobs > self.config.queue_capacity:
+            raise _HttpError(
+                413,
+                f"request carries {jobs} jobs but the admission queue "
+                f"holds at most {self.config.queue_capacity}; split it",
+            )
+        return jobs
+
     async def _handle_lint(
         self, request: _Request
     ) -> tuple[int, bytes, dict[str, str]]:
         """``POST /v1/lint``: analyse a manifest without solving it.
 
-        Always answers 200 with the merged SARIF log — whether the jobs
-        are clean or provably bad is in the results, not the status —
-        and never touches the admission queue or a solver.
+        Answers 200 with the merged SARIF log — whether the jobs are
+        clean or provably bad is in the results, not the status — and
+        never touches the admission queue or a solver.  A manifest with
+        more jobs than the admission queue holds gets 413, as on
+        ``/v1/batch``, before anything is built or linted.
         """
         self.requests_served += 1
         obs.count("service.server.requests")
         obs.count("service.lint.requests")
         manifest = self._parse_body_manifest(request)
+        self._bounded_job_count(manifest)
         # A lint-only request must report, never reject; reuse the
         # admission gate (shared verdict cache) when it exists.
         gate = self.lint_gate or LintGate(cache=self.cache, fail_on="never")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
@@ -133,3 +134,58 @@ def test_prebuilt_network_is_solved_and_must_match_its_problem():
     assert given.residency == fresh.residency
     with pytest.raises(ValueError, match="different problem"):
         allocate(five_var_problem(2), network=network)
+
+
+def test_allocate_many_matches_allocate_and_returns_errors():
+    from repro.core.network_builder import build_network
+    from repro.core.solver import allocate_many
+
+    infeasible = AllocationProblem(
+        {"u": make_lifetime("u", 2, 4), "v": make_lifetime("v", 2, 4)},
+        1,
+        6,
+        memory=MemoryConfig(divisor=6, voltage=2.0),
+    )
+    problems = [five_var_problem(r) for r in (0, 1, 2, 3)] + [infeasible]
+    given = build_network(problems[2])
+    settled = list(
+        allocate_many(
+            problems,
+            [SolveOptions(certify=bool(i % 2)) for i in range(len(problems))],
+            networks=[None, None, given, None, None],
+        )
+    )
+    assert sorted(index for index, _ in settled) == list(range(5))
+    outcomes = [outcome for _, outcome in sorted(settled)]
+    for problem, outcome in zip(problems[:4], outcomes):
+        alone = allocate(problem)
+        assert outcome.result.residency == alone.residency
+        assert list(outcome.result.flow.flows) == list(alone.flow.flows)
+        assert outcome.wall_time_s > 0
+    assert outcomes[2].result.flow.network is given.network
+    error = outcomes[4].result
+    assert isinstance(error, InfeasibleFlowError)
+    assert error.problem is infeasible
+    with pytest.raises(InfeasibleFlowError) as alone_error:
+        allocate(infeasible)
+    assert str(alone_error.value) == str(error)
+    ((_, mismatch),) = allocate_many([five_var_problem(2)], networks=[given])
+    assert isinstance(mismatch.result, ValueError)
+
+
+def test_a_fault_in_a_lone_solve_is_not_solved_again(monkeypatch):
+    from repro.exceptions import GraphError
+    from repro.flow.kernel import FlowKernel
+
+    calls = []
+
+    def faulty_solve_many(self, sources, sinks, flow_values, labels=None):
+        calls.append(len(flow_values))
+        raise GraphError("negative-cost cycle")
+
+    monkeypatch.setattr(FlowKernel, "solve_many", faulty_solve_many)
+    with obs.collect() as trace:
+        with pytest.raises(GraphError, match="negative-cost cycle"):
+            allocate(five_var_problem(1))
+    assert calls == [1]
+    assert trace.counters["solver.flow_solve.calls"] == 1

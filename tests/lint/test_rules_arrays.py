@@ -16,12 +16,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.network_builder import build_network
 from repro.core.problem import AllocationProblem
 from repro.flow import graph
-from repro.lint import LintContext, get_rule, run_lint
+from repro.lint import LintContext, get_rule, prove, run_lint
+from repro.lint import context as context_module
+from repro.lint import rules_network
 from repro.service.manifest import parse_manifest
 from repro.workloads.registry import KERNEL_NAMES
 from tests.conftest import make_lifetime
@@ -118,6 +121,47 @@ def test_orphaned_segment_agrees():
     plant(built.network, 0, tail=("orphan", "node"))
     found = assert_agree(_context(problem, built))
     assert [f.location.variable for f in found["RA503"]] == ["a"]
+
+
+def test_zero_capacity_arcs_agree():
+    # Zeroing every arc into segment a's write node hides it from the
+    # positive-capacity walk the prover shares; RA503 walks every arc,
+    # so it must still reach the node and report nothing for it.
+    problem = AllocationProblem(
+        {"a": make_lifetime("a", 1, 4), "b": make_lifetime("b", 2, 5)}, 2, 5
+    )
+    built = build_network(problem)
+    network = built.network
+    arrays = network.arrays()
+    write = int(arrays.tails[0])
+    for index in np.flatnonzero(arrays.heads == write).tolist():
+        plant(network, index, capacity=0)
+    ctx = _context(problem, built)
+    assert not ctx.source_reach[write]
+    found = assert_agree(ctx)
+    assert [f.location.variable for f in found["RA503"]] == []
+
+
+def test_one_forward_walk_per_lint_run(monkeypatch):
+    walks = []
+    walk = prove.reachable
+
+    def counting(*args, **kwargs):
+        walks.append(kwargs.get("start"))
+        return walk(*args, **kwargs)
+
+    for module in (prove, context_module, rules_network):
+        monkeypatch.setattr(module, "reachable", counting)
+    jobs = [
+        {"kind": "random", "variables": 30, "horizon": 16, "seed": seed,
+         "registers": 4, "label": f"fresh-{seed}"}
+        for seed in range(8)
+    ]
+    for workload in _workloads(jobs):
+        walks.clear()
+        run_lint(workload.problem)
+        # Forward from the source once (shared), back from the sink once.
+        assert walks == [0, 1], workload.label
 
 
 def test_stretched_handoff_agrees():

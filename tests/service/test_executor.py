@@ -4,12 +4,12 @@ import json
 
 import pytest
 
-import repro.service.executor as executor_module
 from repro import obs
 from repro.core import allocate
 from repro.core.problem import AllocationProblem
 from repro.exceptions import ServiceError
-from repro.service import BatchExecutor, ResultCache, canonicalize
+from repro.flow.kernel import FlowKernel
+from repro.service import BatchExecutor, ResultCache, SolveSummary, canonicalize
 from repro.workloads.random_blocks import random_lifetimes, spawn_rng
 from tests.conftest import make_lifetime
 
@@ -36,11 +36,17 @@ class PlantedSolverBug(RuntimeError):
     """Stands in for a defect inside the exact allocator."""
 
 
-def allocate_with_planted_bug(problem, options=None, *, network=None):
-    """:func:`allocate`, except that single-register instances crash."""
-    if problem.register_count == 1:
+_solve_many = FlowKernel.solve_many
+
+
+def solve_many_with_planted_bug(
+    self, sources, sinks, flow_values, labels=None
+):
+    """:meth:`FlowKernel.solve_many`, except that a kernel holding a
+    single-register instance (flow value 1) crashes."""
+    if 1 in list(flow_values):
         raise PlantedSolverBug("kernel lost an arc")
-    return allocate(problem, options, network=network)
+    return _solve_many(self, sources, sinks, flow_values, labels)
 
 
 def doomed_problem() -> AllocationProblem:
@@ -50,8 +56,9 @@ def doomed_problem() -> AllocationProblem:
 
 @pytest.fixture
 def planted_bug(monkeypatch):
+    # Every flow solve, lockstep or alone, runs FlowKernel.solve_many.
     # Pool workers fork after the patch, so they inherit it too.
-    monkeypatch.setattr(executor_module, "allocate", allocate_with_planted_bug)
+    monkeypatch.setattr(FlowKernel, "solve_many", solve_many_with_planted_bug)
 
 
 def test_serial_batch_matches_direct_solve():
@@ -99,6 +106,13 @@ def test_solver_exception_is_a_job_failure_not_a_crash(planted_bug, workers):
     assert failed.solver is None and failed.summary is None
     assert not failed.certified
     assert all(r.solver == "ssp" and r.summary.exact for r in results if r.ok)
+    # The healthy jobs get the answers they get alone, and every job
+    # still accounts for its share of the solve.
+    for problem, result in zip(problems, results):
+        if result.ok:
+            alone = SolveSummary.from_allocation(allocate(problem), result.key)
+            assert result.summary.to_dict() == alone.to_dict()
+    assert all(r.wall_time_s > 0 for r in results)
     # Only the five exact answers were cached.
     assert len(cache) == 5
     assert cache.get(canonicalize(doomed_problem()).key) is None
@@ -297,3 +311,97 @@ def test_warm_cache_is_not_shipped_to_pool_workers():
     executor = BatchExecutor(workers=2, cache=None, warm_cache=WarmStartCache())
     results = executor.map_blocks(random_batch(4))
     assert all(result.ok for result in results)
+
+
+def _summaries(results):
+    return [r.summary.to_dict() if r.ok else (r.status, r.error) for r in results]
+
+
+def test_gather_splits_into_arc_budget_groups(monkeypatch):
+    import repro.core.solver as solver_module
+
+    problems = random_batch(9, seed=13) + [doomed_problem()]
+    whole = BatchExecutor(workers=1, cache=None).map_blocks(problems)
+    sizes = []
+    stacked = FlowKernel.stacked.__func__
+
+    def recording(cls, networks):
+        sizes.append(len(networks))
+        return stacked(cls, networks)
+
+    monkeypatch.setattr(FlowKernel, "stacked", classmethod(recording))
+    monkeypatch.setattr(solver_module, "GROUP_ARCS", 300)
+    split = BatchExecutor(workers=1, cache=None).map_blocks(problems)
+    assert len(sizes) > 1 and max(sizes) > 1
+    assert sum(sizes) == len(problems)
+    assert _summaries(split) == _summaries(whole)
+    assert [r.objective for r in split] == [
+        allocate(problem).objective for problem in problems
+    ]
+
+
+def test_paper_manifest_counts_work_per_instance():
+    import pathlib
+
+    from repro.service.manifest import parse_manifest
+
+    path = (
+        pathlib.Path(__file__).resolve().parents[2]
+        / "examples" / "manifests" / "paper.json"
+    )
+    manifest = parse_manifest(json.loads(path.read_text(encoding="utf-8")))
+    executor = BatchExecutor(workers=1, cache=None)
+    for workload in manifest.build():
+        executor.submit(workload.problem, job_id=workload.label)
+    with obs.collect() as trace:
+        results = executor.gather()
+    assert all(result.ok for result in results)
+    counters = trace.counters
+    # The totals of solving each job on its own.
+    assert counters["network.builds"] == 16
+    assert counters["solver.flow_solve.calls"] == 16
+    assert counters["ssp.solves"] == 16
+    assert counters["ssp.augmenting_paths"] == 93
+    assert counters["ssp.relax_rounds"] == 93
+    # One multi-source search serves every unfinished job of a round.
+    assert counters["ssp.searches"] < counters["ssp.relax_rounds"]
+
+
+def test_a_large_gather_holds_one_group_at_a_time(monkeypatch):
+    import weakref
+
+    import repro.core.solver as solver_module
+
+    problems = random_batch(24, seed=5)
+    networks, allocations, alive = [], [], []
+    build, finish = solver_module.build_network, solver_module._finish
+
+    def recording_build(problem):
+        built = build(problem)
+        networks.append(weakref.ref(built.network))
+        return built
+
+    def recording_finish(built, flow, options):
+        # What the gather still holds when the next job is finished.
+        alive.append(
+            (
+                sum(ref() is not None for ref in allocations),
+                sum(ref() is not None for ref in networks),
+            )
+        )
+        allocation = finish(built, flow, options)
+        allocations.append(weakref.ref(allocation))
+        return allocation
+
+    monkeypatch.setattr(solver_module, "build_network", recording_build)
+    monkeypatch.setattr(solver_module, "_finish", recording_finish)
+    # About two jobs per group, so the gather spans about ten groups.
+    monkeypatch.setattr(solver_module, "GROUP_ARCS", 150)
+    results = BatchExecutor(workers=1, cache=None).map_blocks(problems)
+    assert all(result.ok for result in results)
+    assert len(alive) == len(problems)
+    # Alive: the previous job's allocation, one group's networks (three
+    # at most here), the next job's, built before the group is solved,
+    # and the previous allocation's.  Nothing piles up per job.
+    assert max(count for count, _ in alive) <= 1
+    assert max(count for _, count in alive) <= 5

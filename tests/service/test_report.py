@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-import repro.service.executor as executor_module
+from repro.flow.kernel import FlowKernel
 from repro.service import (
     BatchExecutor,
     REPORT_SCHEMA,
@@ -74,10 +74,10 @@ def test_text_rendering_mentions_every_job(batch):
 
 
 def test_failed_jobs_surface_their_errors(monkeypatch):
-    def broken_allocate(problem, options=None, *, network=None):
+    def broken_solve_many(self, sources, sinks, flow_values, labels=None):
         raise ArithmeticError("negative reduced cost on a tree arc")
 
-    monkeypatch.setattr(executor_module, "allocate", broken_allocate)
+    monkeypatch.setattr(FlowKernel, "solve_many", broken_solve_many)
     executor = BatchExecutor(workers=1, cache=None)
     rng = spawn_rng(2, "report", 0)
     problem = AllocationProblem(random_lifetimes(rng, 6, 10), 2, 10)

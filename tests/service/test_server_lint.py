@@ -5,7 +5,9 @@
   happen for it;
 * re-POSTing a clean manifest shows ``service.lint.cache_hit >= 1`` on
   ``/metrics`` (verdicts are cached by digest + schedule fingerprint);
-* ``POST /v1/lint`` analyses without solving and always answers 200;
+* ``POST /v1/lint`` analyses without solving and answers 200, unless
+  the manifest carries more jobs than the admission queue holds (413,
+  nothing linted);
 * ``--admission-lint never`` lints without rejecting, ``off`` disables
   the gate.
 """
@@ -85,6 +87,21 @@ def test_lint_endpoint_analyses_without_solving():
         counters = _counters(harness)
         assert counters.get("solver.flow_solve.calls", 0) == 0
         assert counters["service.lint.requests"] == 1
+
+
+def test_lint_endpoint_refuses_more_jobs_than_the_queue_holds():
+    with ServerHarness(ServerConfig(queue_capacity=4)) as harness:
+        document = tiny_manifest(
+            jobs=[{"kind": "random", "variables": 6, "horizon": 8,
+                   "seed": 1, "count": 5}]
+        )
+        status, headers, body = harness.post_json("/v1/lint", document)
+        assert status == 413
+        assert "retry-after" not in headers
+        assert "at most 4" in body["error"]
+        counters = _counters(harness)
+    assert counters.get("service.lint.checked", 0) == 0
+    assert counters.get("network.builds", 0) == 0
 
 
 def test_lint_endpoint_get_is_rejected():

@@ -247,12 +247,12 @@ def test_batch_bad_manifest_is_a_clean_error(tmp_path, capsys):
 
 
 def test_batch_solver_error_exits_nonzero(tmp_path, capsys, monkeypatch):
-    import repro.service.executor as executor_module
+    from repro.flow.kernel import FlowKernel
 
-    def broken_allocate(problem, options=None, *, network=None):
+    def broken_solve_many(self, sources, sinks, flow_values, labels=None):
         raise ArithmeticError("negative reduced cost on a tree arc")
 
-    monkeypatch.setattr(executor_module, "allocate", broken_allocate)
+    monkeypatch.setattr(FlowKernel, "solve_many", broken_solve_many)
     manifest = _batch_manifest(
         tmp_path,
         jobs=[{"kind": "random", "variables": 5, "horizon": 8, "seed": 1,
