@@ -39,9 +39,7 @@ def batch_problems() -> tuple[AllocationProblem, ...]:
 
 
 def run_batch(workers: int, cache: ResultCache | None):
-    executor = BatchExecutor(
-        workers=workers, cache=cache, chunksize=max(1, JOBS // (workers * 4))
-    )
+    executor = BatchExecutor(workers=workers, cache=cache)
     start = time.perf_counter()
     results = executor.map_blocks(list(batch_problems()))
     return results, time.perf_counter() - start

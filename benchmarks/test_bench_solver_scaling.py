@@ -16,7 +16,8 @@ regression gates (see DESIGN.md "Performance model" and EXPERIMENTS.md):
   (default 10).
 * ``bench.sweep_*`` — a voltage sweep solved as one cold solve plus N-1
   ``recost_network`` + warm-started incremental re-solves must beat the
-  same sweep as N independent cold solves.
+  same sweep as N independent cold solves (each side timed best of
+  ``SWEEP_REPEATS``).
 
 Both gauges land in the committed ``BENCH_solver_scaling.json`` when
 ``REPRO_BENCH_REPORT_DIR`` is set; the sweep's solver spans are nested
@@ -24,6 +25,7 @@ under a ``bench.warm_sweep`` span so the top-level ``solver.*`` stage
 totals stay directly comparable with the seed report.
 """
 
+import math
 import os
 import random
 import time
@@ -62,6 +64,9 @@ SEED_STAGE_SECONDS = {
 # crossover discussion in EXPERIMENTS.md E8.
 SWEEP_SIZE = 400
 SWEEP_VOLTAGES = (5.0, 4.5, 4.0, 3.5, 3.0)
+
+# Timings per side of the sweep comparison; each side keeps its best.
+SWEEP_REPEATS = 3
 
 
 @lru_cache(maxsize=None)
@@ -109,31 +114,48 @@ def _sweep_problems():
     ]
 
 
+def _warm_sweep(problems) -> list[float]:
+    """One cold solve, then a recost and warm re-solve per later point."""
+    cache = WarmStartCache()
+    built = build_network(problems[0])
+    energies = [solve_built(built, FAST.replace(warm_cache=cache)).objective]
+    for problem in problems[1:]:
+        built = recost_network(built, problem)
+        energies.append(
+            solve_built(built, FAST.replace(warm_cache=cache)).objective
+        )
+    return energies
+
+
+def _cold_sweep(problems) -> list[float]:
+    """One independent cold solve per point."""
+    return [allocate(problem, FAST).objective for problem in problems]
+
+
 @lru_cache(maxsize=None)
 def sweep_timings():
     """Time the voltage sweep warm (1 cold + N-1 deltas) and cold (N solves).
 
+    Each side is timed ``SWEEP_REPEATS`` times, interleaved with the
+    other, and keeps its best time: a single timing per side let one
+    slow second of a shared host decide the comparison.
+
     Returns ``(warm_s, cold_s, warm_energies, cold_energies)``.
     """
     problems = _sweep_problems()
-
-    start = time.perf_counter()
-    cache = WarmStartCache()
-    built = build_network(problems[0])
-    warm_energies = [solve_built(built, FAST.replace(warm_cache=cache)).objective]
-    for problem in problems[1:]:
-        built = recost_network(built, problem)
-        warm_energies.append(
-            solve_built(built, FAST.replace(warm_cache=cache)).objective
-        )
-    warm_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    cold_energies = [
-        allocate(problem, FAST).objective for problem in problems
-    ]
-    cold_s = time.perf_counter() - start
-    return warm_s, cold_s, warm_energies, cold_energies
+    best = {_warm_sweep: math.inf, _cold_sweep: math.inf}
+    energies = {}
+    for _ in range(SWEEP_REPEATS):
+        for sweep in best:
+            start = time.perf_counter()
+            energies[sweep] = sweep(problems)
+            best[sweep] = min(best[sweep], time.perf_counter() - start)
+    return (
+        best[_warm_sweep],
+        best[_cold_sweep],
+        energies[_warm_sweep],
+        energies[_cold_sweep],
+    )
 
 
 def test_scaling_is_polynomial(show, bench_report):

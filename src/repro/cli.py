@@ -807,7 +807,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=cache,
             timeout=args.timeout,
-            chunksize=args.chunksize,
             lint_gate=lint_gate,
             certify_fraction=args.certify_fraction,
             seed=args.seed,
@@ -875,7 +874,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache_dir=args.cache_dir,
             timeout=args.timeout,
-            chunksize=args.chunksize,
             admission_lint=(
                 None
                 if args.admission_lint == "off"
@@ -1193,13 +1191,10 @@ def main(argv: list[str] | None = None) -> int:
         "--timeout",
         type=float,
         default=None,
-        help="per-job time budget in seconds (needs --workers > 1)",
-    )
-    batch.add_argument(
-        "--chunksize",
-        type=int,
-        default=1,
-        help="jobs dispatched per worker task (default: 1)",
+        help="per-job time budget in seconds (needs --workers > 1): a "
+        "worker past its chunk's deadline (timeout x jobs in the chunk) "
+        "is killed and replaced, and only a job late on its own ends "
+        "'timeout'",
     )
     batch.add_argument(
         "--lint",
@@ -1280,8 +1275,9 @@ def main(argv: list[str] | None = None) -> int:
         "-j",
         type=int,
         default=1,
-        help="executor worker processes per request; 1 solves "
-        "in-process and keeps the warm-start cache hot (default: 1)",
+        help="executor worker processes; 1 solves in-process and keeps "
+        "the warm-start cache hot; more fork one pool at the first "
+        "request that every later request reuses (default: 1)",
     )
     serve_cmd.add_argument(
         "--cache-dir",
@@ -1293,13 +1289,10 @@ def main(argv: list[str] | None = None) -> int:
         "--timeout",
         type=float,
         default=None,
-        help="per-job time budget in seconds (needs --workers > 1)",
-    )
-    serve_cmd.add_argument(
-        "--chunksize",
-        type=int,
-        default=1,
-        help="jobs dispatched per worker task (default: 1)",
+        help="per-job time budget in seconds (needs --workers > 1): a "
+        "worker past its chunk's deadline (timeout x jobs in the chunk) "
+        "is killed and replaced, and only a job late on its own ends "
+        "'timeout'",
     )
     serve_cmd.add_argument(
         "--admission-lint",

@@ -14,10 +14,12 @@ layer (the ROADMAP's production-scale direction).  Three pillars:
   ``batch`` and ``serve``; every entry carries its provenance (which
   solver produced it and whether that solver is exact);
 * :mod:`repro.service.executor` — a batch executor
-  (``submit``/``map_blocks``/``gather``) over a ``ProcessPoolExecutor``
-  with per-job timeouts that solves every miss with one call to the
-  exact allocator; a solver error fails its job, which is never cached,
-  retried or answered by an approximate fallback.
+  (``submit``/``map_blocks``/``gather``) that solves every miss with one
+  call to the exact allocator, in process or on the process's
+  long-lived pool of forked workers (:mod:`repro.service.pool`), where
+  a worker past its chunk's deadline is killed and replaced; a solver
+  error fails its job, which is never cached or answered by an
+  approximate fallback.
 
 :mod:`repro.service.manifest` loads JSON workload manifests and
 :mod:`repro.service.report` emits the versioned

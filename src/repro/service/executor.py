@@ -4,13 +4,17 @@
 :class:`~repro.core.problem.AllocationProblem` instances, deduplicated
 through the canonical cache (:mod:`repro.service.canonical` /
 :mod:`repro.service.cache`), and the remaining misses are solved — in
-process for ``workers == 1``, or fanned out over a
-``concurrent.futures.ProcessPoolExecutor`` with configurable chunking.
+process for ``workers == 1``, or on the process's long-lived pool of
+forked workers (:mod:`repro.service.pool`) otherwise.  The first pooled
+gather starts that pool, each gather resizes it to its ``workers``, and
+every later executor in the process (each ``serve`` request, each
+``dag --workers N`` dispatch) reuses it.
 
-A gather's misses (or one pool chunk of them) go to the exact
-min-cost-flow allocator in one call,
+A gather's misses go to the exact min-cost-flow allocator in one call,
 :func:`repro.core.solver.allocate_many`, which solves the plain ones'
-flows in lockstep and gives every job the answer it gets alone.  An
+flows in lockstep and gives every job the answer it gets alone.  On the
+pool, the misses are split into one contiguous chunk per worker and each
+worker makes that call on its chunk.  An
 :class:`~repro.exceptions.InfeasibleFlowError` settles the job as
 ``"infeasible"``; any other exception makes it ``"failed"`` with
 ``"<ExceptionClass>: <message>"`` in its error (the traceback goes to
@@ -29,13 +33,19 @@ Observability: a ``service.batch`` span wraps each gather;
 ``service.jobs`` / ``service.failures`` and the cache hit/miss counters
 accumulate, ``service.solver_error`` counts the jobs settled
 ``"failed"`` (solver faults, as opposed to infeasible, rejected or
-timed-out jobs), and the ``service.queue_depth`` gauge tracks
-outstanding work while the pool drains.
+timed-out jobs), the ``service.queue_depth`` gauge tracks outstanding
+work while the pool drains, and ``service.pool.replaced`` counts the
+workers killed or found dead and replaced.
 
-Timeouts are enforced per dispatched chunk (``timeout * chunk length``
-seconds) on the parent side; a chunk that blows its deadline marks its
-jobs ``"timeout"`` without sinking the batch.  The in-process path
-cannot preempt a running solve, so timeouts require ``workers > 1``.
+Deadlines hold on the pool.  A chunk's deadline is ``timeout`` times its
+length, from dispatch.  A worker still busy at its chunk's deadline is
+killed and replaced, and so is one that dies mid-chunk.  The jobs of
+such a lost chunk of two or more are sent again one job per chunk, each
+with deadline ``timeout`` — the rule ``allocate_many`` applies to a
+faulting lockstep group — so of a lost chunk's jobs only one that is
+late on its own ends ``"timeout"``, and only one that kills its worker
+on its own ends ``"failed"``.  The in-process path cannot preempt a
+running solve, so timeouts require ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -43,7 +53,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
@@ -55,6 +64,7 @@ from repro.core.storage import StorageSpec
 from repro.exceptions import InfeasibleFlowError, ServiceError
 from repro.flow.warm_start import WarmStartCache
 from repro.obs import trace as obs
+from repro.service import pool
 from repro.service.cache import ResultCache, SolveSummary
 from repro.service.canonical import CanonicalInstance, canonicalize
 from repro.service.lintgate import LintGate, LintVerdict
@@ -94,7 +104,8 @@ class JobResult:
             names (``None`` unless ``status == "ok"``).
         certified: Whether an optimality certificate was spot-checked.
         wall_time_s: Solve wall time (0 for cache hits).
-        worker: PID of the process that solved the job, if any.
+        worker: PID of the process that solved the job, or of the pool
+            worker lost with it (killed late, or dead); ``None`` if none.
         error: Failure message when the job did not succeed.
     """
 
@@ -233,11 +244,13 @@ class BatchExecutor:
 
     Args:
         workers: Worker processes; 1 solves in-process (no pool).
+            More run the misses on the process's shared
+            :mod:`~repro.service.pool`, one contiguous chunk per worker.
         cache: Shared :class:`~repro.service.cache.ResultCache`
             (``None`` disables caching entirely).
-        timeout: Per-job time budget, seconds (enforced per chunk on the
-            pool path; ``None`` disables).
-        chunksize: Jobs dispatched per worker task.
+        timeout: Per-job time budget, seconds; a pool chunk's deadline
+            is ``timeout`` times its length, and a late worker is killed
+            (``None`` disables; the inline path cannot enforce it).
         lint_gate: Optional admission-time
             :class:`~repro.service.lintgate.LintGate`.  Every job —
             including result-cache hits — is linted in the parent before
@@ -264,7 +277,6 @@ class BatchExecutor:
         workers: int = 1,
         cache: ResultCache | None = None,
         timeout: float | None = None,
-        chunksize: int = 1,
         lint_gate: LintGate | None = None,
         certify_fraction: float = 0.0,
         seed: int = 0,
@@ -273,8 +285,6 @@ class BatchExecutor:
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        if chunksize < 1:
-            raise ServiceError(f"chunksize must be >= 1, got {chunksize}")
         if not 0.0 <= certify_fraction <= 1.0:
             raise ServiceError(
                 f"certify fraction {certify_fraction} outside [0, 1]"
@@ -284,7 +294,6 @@ class BatchExecutor:
         self.workers = workers
         self.cache = cache
         self.timeout = timeout
-        self.chunksize = chunksize
         self.lint_gate = lint_gate
         self.certify_fraction = certify_fraction
         self.seed = seed
@@ -471,49 +480,51 @@ class BatchExecutor:
         return solved
 
     def _run_pool(self, tasks: list[tuple]) -> list[JobResult]:
-        """Fan misses out over a process pool, chunked, with deadlines."""
+        """Solve misses on the process's worker pool: one contiguous
+        chunk per worker, then each job of a lost chunk on its own."""
+        workers = pool.shared(self.workers)
+        count = min(self.workers, len(tasks))
+        bounds = [len(tasks) * part // count for part in range(count + 1)]
+        chunks = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
         solved: list[JobResult] = []
-        chunks = [
-            tasks[start:start + self.chunksize]
-            for start in range(0, len(tasks), self.chunksize)
-        ]
-        remaining = len(tasks)
-        obs.gauge("service.queue_depth", remaining)
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                (chunk, pool.submit(_execute_chunk, chunk))
-                for chunk in chunks
-            ]
-            for chunk, future in futures:
-                deadline = (
-                    self.timeout * len(chunk)
-                    if self.timeout is not None
-                    else None
-                )
-                try:
-                    solved.extend(future.result(timeout=deadline))
-                except FutureTimeout:
-                    future.cancel()
-                    error = f"chunk exceeded its {deadline:.3f}s deadline"
-                    solved.extend(
-                        replace(
-                            job,
-                            status="timeout",
-                            error=error,
-                            wall_time_s=deadline or 0.0,
-                        )
-                        for job, *_ in chunk
-                    )
-                except Exception as exc:  # noqa: BLE001 - pool failures
-                    # (e.g. BrokenProcessPool) degrade to job failures.
-                    solved.extend(
-                        replace(
-                            job,
-                            status="failed",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                        for job, *_ in chunk
-                    )
-                remaining -= len(chunk)
-                obs.gauge("service.queue_depth", remaining)
+        obs.gauge("service.queue_depth", len(tasks))
+        while chunks:
+            replies = workers.run(
+                _execute_chunk, chunks, [self._deadline(c) for c in chunks]
+            )
+            retry = []
+            for chunk, reply in zip(chunks, replies):
+                if not isinstance(reply, Exception):
+                    solved.extend(reply)
+                elif len(chunk) > 1:
+                    retry.extend([task] for task in chunk)
+                else:
+                    solved.append(self._lost(chunk, reply))
+            chunks = retry
+            obs.gauge("service.queue_depth", len(chunks))
         return solved
+
+    def _deadline(self, chunk: list[tuple]) -> float | None:
+        """Seconds *chunk* may run on a worker, from its dispatch."""
+        return self.timeout * len(chunk) if self.timeout is not None else None
+
+    def _lost(self, chunk: list[tuple], reply: Exception) -> JobResult:
+        """The settled form of a one-job *chunk* that got no result."""
+        job = chunk[0][0]
+        pid = reply.pid if isinstance(reply, pool.WorkerLost) else None
+        if isinstance(reply, pool.WorkerLost) and reply.late:
+            deadline = self._deadline(chunk) or 0.0
+            return replace(
+                job,
+                status="timeout",
+                error=f"exceeded its {deadline:.3f}s deadline; "
+                f"worker {pid} was killed",
+                wall_time_s=deadline,
+                worker=pid,
+            )
+        return replace(
+            job,
+            status="failed",
+            error=f"{type(reply).__name__}: {reply}",
+            worker=pid,
+        )

@@ -10,8 +10,8 @@ running in a worker thread, so the loop stays responsive (``/healthz``
 answers mid-solve) while the solve itself may still fan out over worker
 processes.
 
-Why long-lived matters: the server keeps three caches hot across the
-whole request stream —
+Why long-lived matters: the server keeps three caches and one pool
+across the whole request stream —
 
 * the result cache (:class:`~repro.service.cache.ResultCache`), on
   disk with ``--cache-dir`` in the same layout ``repro-alloc batch``
@@ -23,7 +23,12 @@ whole request stream —
   O(changed arcs);
 * a process-global :class:`~repro.obs.trace.TraceCollector`, exported
   by ``/metrics``, so warm-start hits, solve and failure counts and
-  shed totals are observable without restarting anything.
+  shed totals are observable without restarting anything;
+* with ``workers > 1``, the process's pool of forked workers
+  (:mod:`repro.service.pool`): the first request forks it, every later
+  one reuses it, a worker past its chunk's deadline is killed and
+  replaced, and :meth:`AllocationServer.close` stops it after the
+  drain.
 
 Protocol (HTTP/1.1, ``Connection: close``):
 
@@ -84,6 +89,7 @@ from repro.flow.warm_start import WarmStartCache
 from repro.obs import trace as obs
 from repro.lint.sarif import merge_sarif
 from repro.obs.export import counter_group, metrics_text
+from repro.service import pool
 from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
 from repro.service.canonical import CanonicalInstance, canonicalize
@@ -117,15 +123,18 @@ class ServerConfig:
         rate: Per-client sustained admission rate in jobs/second
             (``None`` disables rate limiting).
         burst: Per-client burst allowance (defaults to ``max(rate, 1)``).
-        workers: Executor worker processes per request; 1 solves
-            in-process, which is also the only mode that can share the
-            warm-start cache across requests.
+        workers: Executor worker processes; 1 solves in-process, which
+            is also the only mode that can share the warm-start cache
+            across requests.  More run every request on one pool of
+            forked workers that the server owns for its lifetime
+            (:mod:`repro.service.pool`).
         cache_dir: Directory of the on-disk result store, shared with
             ``repro-alloc batch --cache-dir`` (``None`` = in-memory
             result cache only).
         cache_capacity: In-memory LRU entries of the result cache.
-        timeout: Per-job solve budget in seconds (pool mode only).
-        chunksize: Jobs per worker-pool task.
+        timeout: Per-job solve budget in seconds (pool mode only): a
+            worker still solving past its chunk's deadline is killed
+            and replaced, and only the late job ends ``"timeout"``.
         admission_lint: Severity threshold of the admission-time lint
             gate (``"error"``, ``"warning"``, ``"note"``; unknown names
             fail closed to ``"error"``).  ``"never"`` lints — verdicts
@@ -145,7 +154,6 @@ class ServerConfig:
     cache_dir: str | Path | None = None
     cache_capacity: int = 1024
     timeout: float | None = None
-    chunksize: int = 1
     admission_lint: str | None = "error"
     drain_grace: float = 60.0
     max_body_bytes: int = 8 * 1024 * 1024
@@ -321,7 +329,11 @@ class AllocationServer:
             await self._server.wait_closed()
 
     async def close(self) -> None:
-        """Tear down (drains first if not already drained)."""
+        """Tear down (drains first if not already drained).
+
+        A server with ``workers > 1`` owns the process's worker pool
+        for its lifetime: after the drain, its workers are stopped.
+        """
         await self.drain()
         if self._dispatcher is not None:
             self._dispatcher.cancel()
@@ -330,6 +342,8 @@ class AllocationServer:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
             self._dispatcher = None
+        if self.config.workers > 1:
+            await asyncio.to_thread(pool.shutdown)
         if self._own_collector is not None:
             if obs.current() is self._own_collector:
                 obs.uninstall()
@@ -382,7 +396,6 @@ class AllocationServer:
             workers=cfg.workers,
             cache=self.cache,
             timeout=cfg.timeout,
-            chunksize=cfg.chunksize,
             warm_cache=self.warm_cache,
         )
         if ticket.gated is None:

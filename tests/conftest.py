@@ -9,6 +9,7 @@ import pytest
 from repro.energy import ActivityEnergyModel, StaticEnergyModel
 from repro.ir.values import DataVariable
 from repro.lifetimes.intervals import Lifetime
+from repro.service import pool
 
 
 def make_lifetime(
@@ -23,6 +24,18 @@ def make_lifetime(
     if isinstance(reads, int):
         reads = (reads,)
     return Lifetime(DataVariable(name, width, trace), write, reads, live_out)
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_pool_outlives_a_test():
+    """Stop the process's worker pool after each test.
+
+    Workers fork with the parent's monkeypatches in place, so a pool
+    left running would carry one test's patch into the next.  A no-op
+    when no test started a pool.
+    """
+    yield
+    pool.shutdown()
 
 
 @pytest.fixture

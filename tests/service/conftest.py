@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import os
 import threading
 from pathlib import Path
 from typing import Any, Mapping
@@ -135,6 +136,21 @@ class ServerHarness:
 def paper_manifest() -> dict:
     """The decoded 16-job paper manifest (fresh copy per test)."""
     return json.loads(PAPER_MANIFEST.read_text(encoding="utf-8"))
+
+
+def running(pid: int) -> bool:
+    """Whether process *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no /proc on this host
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
 
 
 def tiny_manifest(jobs: list[dict] | None = None, **defaults) -> dict:

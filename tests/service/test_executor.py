@@ -1,6 +1,8 @@
 """Batch executor: caching, solver failures, the parallel path."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -9,9 +11,17 @@ from repro.core import allocate
 from repro.core.problem import AllocationProblem
 from repro.exceptions import ServiceError
 from repro.flow.kernel import FlowKernel
-from repro.service import BatchExecutor, ResultCache, SolveSummary, canonicalize
+from repro.service import (
+    BatchExecutor,
+    ResultCache,
+    SolveSummary,
+    canonicalize,
+    pool,
+)
 from repro.workloads.random_blocks import random_lifetimes, spawn_rng
 from tests.conftest import make_lifetime
+
+from .conftest import running
 
 
 def small_problem() -> AllocationProblem:
@@ -57,7 +67,8 @@ def doomed_problem() -> AllocationProblem:
 @pytest.fixture
 def planted_bug(monkeypatch):
     # Every flow solve, lockstep or alone, runs FlowKernel.solve_many.
-    # Pool workers fork after the patch, so they inherit it too.
+    # Pool workers fork after the patch, so they inherit it too: the
+    # suite stops the pool after every test (tests/conftest.py).
     monkeypatch.setattr(FlowKernel, "solve_many", solve_many_with_planted_bug)
 
 
@@ -121,12 +132,70 @@ def test_solver_exception_is_a_job_failure_not_a_crash(planted_bug, workers):
 def test_pool_and_serial_paths_agree():
     problems = random_batch(12, seed=11)
     serial = BatchExecutor(workers=1, cache=None).map_blocks(problems)
-    pooled = BatchExecutor(
-        workers=2, cache=None, chunksize=4
-    ).map_blocks(problems)
+    pooled = BatchExecutor(workers=2, cache=None).map_blocks(problems)
     assert [r.status for r in serial] == [r.status for r in pooled]
-    for left, right in zip(serial, pooled):
-        assert left.objective == right.objective
+    assert _summaries(pooled) == _summaries(serial)
+    # One contiguous chunk per worker, each solved in one lockstep call.
+    pids = [r.worker for r in pooled]
+    assert len(set(pids[:6])) == len(set(pids[6:])) == 1
+    assert pids[0] != pids[-1]
+
+
+def solve_many_with_planted_stalls(
+    self, sources, sinks, flow_values, labels=None
+):
+    """:meth:`FlowKernel.solve_many`, except that a kernel holding a
+    two-register instance hangs and one holding a single-register
+    instance kills its process."""
+    values = list(flow_values)
+    if 1 in values:
+        os._exit(3)
+    if 2 in values:
+        time.sleep(60)
+    return _solve_many(self, sources, sinks, flow_values, labels)
+
+
+def test_late_and_crashing_jobs_cost_only_their_own_answers(monkeypatch):
+    # Chunk one holds the sleeper (index 3), chunk two the crasher (7).
+    problems = (
+        random_batch(3) + [small_problem()]
+        + random_batch(3, seed=9) + [doomed_problem()]
+    )
+    healthy = [0, 1, 2, 4, 5, 6]
+    alone = {
+        index: SolveSummary.from_allocation(
+            allocate(problems[index]), canonicalize(problems[index]).key
+        ).to_dict()
+        for index in healthy
+    }
+    monkeypatch.setattr(FlowKernel, "solve_many", solve_many_with_planted_stalls)
+    timeout = 0.5
+    executor = BatchExecutor(workers=2, cache=None, timeout=timeout)
+    start = time.monotonic()
+    with obs.collect() as trace:
+        results = executor.map_blocks(problems)
+    elapsed = time.monotonic() - start
+    # Both chunks are lost, then each job runs alone under `timeout`.
+    assert elapsed < 2 * timeout * 4 + 2.0
+    assert [r.status for r in results] == (
+        ["ok"] * 3 + ["timeout"] + ["ok"] * 3 + ["failed"]
+    )
+    assert {i: results[i].summary.to_dict() for i in healthy} == alone
+    late, crashed = results[3], results[7]
+    assert late.error == (
+        f"exceeded its {timeout:.3f}s deadline; worker {late.worker} was killed"
+    )
+    assert late.wall_time_s == timeout
+    assert crashed.error.startswith("WorkerLost: worker ")
+    assert "exited with code 3" in crashed.error
+    # Both first-round workers and both second-round ones were replaced.
+    assert trace.counters["service.pool.replaced"] == 4
+    assert not running(late.worker) and not running(crashed.worker)
+    again = BatchExecutor(workers=2, cache=None).map_blocks(random_batch(4, 21))
+    assert all(result.ok for result in again)
+    live = pool.shared(2).pids
+    assert {result.worker for result in again} == set(live)
+    assert len(live) == 2 and all(running(pid) for pid in live)
 
 
 def test_results_keep_submission_order_and_ids():
@@ -239,8 +308,6 @@ def test_lint_gate_failure_becomes_a_job_failure():
 def test_invalid_parameters_rejected():
     with pytest.raises(ServiceError, match="workers"):
         BatchExecutor(workers=0)
-    with pytest.raises(ServiceError, match="chunksize"):
-        BatchExecutor(chunksize=0)
     with pytest.raises(ServiceError, match="fraction"):
         BatchExecutor(certify_fraction=1.5)
     with pytest.raises(ServiceError, match="timeout"):

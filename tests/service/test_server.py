@@ -18,13 +18,15 @@ blocking clients).  The acceptance bars of the serving PR live here:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 
 from repro.cli import main
 from repro.service.server import ServerConfig
 
-from .conftest import PAPER_MANIFEST, ServerHarness, tiny_manifest
+from .conftest import PAPER_MANIFEST, ServerHarness, running, tiny_manifest
 
 
 def _job_energies(report: dict) -> dict[str, float]:
@@ -206,6 +208,38 @@ def test_served_energies_match_the_batch_cli(paper_manifest, tmp_path, capsys):
     cli_report = json.loads(out.read_text(encoding="utf-8"))
     assert _job_energies(served) == _job_energies(cli_report)
     assert len(_job_energies(served)) == 16
+
+
+def test_a_pooled_server_reuses_its_workers_and_stops_them(paper_manifest):
+    fields = (
+        "job_id", "status", "objective", "mem_accesses", "reg_accesses",
+        "registers_used", "address_count",
+    )
+    with ServerHarness(ServerConfig(workers=1)) as harness:
+        _, _, inline = harness.post_json("/v1/batch", paper_manifest)
+    fresh = tiny_manifest(
+        jobs=[
+            {"kind": "random", "variables": 6, "horizon": 8, "seed": seed}
+            for seed in range(1, 5)
+        ]
+    )
+    with ServerHarness(ServerConfig(workers=2)) as harness:
+        status, _, pooled = harness.post_json("/v1/batch", paper_manifest)
+        assert status == 200
+        status, _, second = harness.post_json("/v1/batch", fresh)
+        assert status == 200
+    assert [[job[f] for f in fields] for job in pooled["jobs"]] == [
+        [job[f] for f in fields] for job in inline["jobs"]
+    ]
+    # Both requests ran on the same two forked workers ...
+    first_pids = {job["worker"] for job in pooled["jobs"]}
+    second_pids = {job["worker"] for job in second["jobs"]}
+    assert second["totals"]["cached"] == 0
+    assert first_pids == second_pids and len(first_pids) == 2
+    assert os.getpid() not in first_pids
+    # ... which the server stopped after its drain.
+    assert multiprocessing.active_children() == []
+    assert not [pid for pid in first_pids if running(pid)]
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,9 @@ def test_batch_solver_error_exits_nonzero(tmp_path, capsys, monkeypatch):
     [
         ["batch", "m.json", "--retries", "1"],
         ["batch", "m.json", "--inject-fault", "ssp"],
+        ["batch", "m.json", "--chunksize", "4"],
         ["serve", "--retries", "1"],
+        ["serve", "--chunksize", "4"],
         ["serve", "--lint", "error"],
         ["serve", "--shard-width", "2"],
     ],
