@@ -3,9 +3,11 @@
 The ROADMAP's production-scale direction needs the batch service
 (:mod:`repro.service`) to actually buy wall time from parallelism: this
 bench times one batch of seeded random instances through the executor at
-1 worker (in-process) and at N workers (process pool) and asserts the
-pool run is faster wherever more than one CPU exists (single-core hosts
-record both timings but cannot enforce a speedup).  It also
+1 worker (in-process) and at N workers (process pool), best of three
+interleaved gathers each after one untimed pooled gather has forked the
+long-lived pool, and asserts the pool run is faster wherever more than
+one CPU exists (single-core hosts record both timings but cannot enforce
+a speedup).  It also
 regression-checks the cache: replaying the same batch must be served
 entirely from cache, far faster than solving.
 """
@@ -27,6 +29,9 @@ HORIZON = 24
 WORKERS = min(4, os.cpu_count() or 1)
 MULTICORE = WORKERS > 1
 
+#: Timed gathers per configuration, interleaved; each keeps its fastest.
+REPEATS = 3
+
 
 @lru_cache(maxsize=None)
 def batch_problems() -> tuple[AllocationProblem, ...]:
@@ -47,8 +52,19 @@ def run_batch(workers: int, cache: ResultCache | None):
 
 @lru_cache(maxsize=None)
 def timings():
-    serial, t_serial = run_batch(1, None)
-    pooled, t_pool = run_batch(WORKERS, None) if MULTICORE else (serial, None)
+    if MULTICORE:
+        # The pool forks at a process's first pooled gather and outlives
+        # it: fork it untimed, so the timed gathers measure solving.
+        run_batch(WORKERS, None)
+    serial_runs, pool_runs = [], []
+    for _ in range(REPEATS):
+        serial_runs.append(run_batch(1, None))
+        if MULTICORE:
+            pool_runs.append(run_batch(WORKERS, None))
+    serial, t_serial = min(serial_runs, key=lambda run: run[1])
+    pooled, t_pool = (
+        min(pool_runs, key=lambda run: run[1]) if MULTICORE else (serial, None)
+    )
     cache = ResultCache()
     BatchExecutor(workers=1, cache=cache).map_blocks(list(batch_problems()))
     cached, t_cached = run_batch(1, cache)

@@ -158,7 +158,8 @@ def explore_design_space(
 
     With ``warm_start`` (the default) the sweep exploits that changing
     the memory operating point is a *cost-only* perturbation: per
-    register count the flow network is built once and re-costed in place
+    register count the flow network is built once and every further
+    point solves a cost-only copy of it
     (:func:`~repro.core.network_builder.recost_network`), and a shared
     :class:`~repro.flow.warm_start.WarmStartCache` turns every re-solve
     after the first into an incremental re-optimisation whose work is

@@ -721,6 +721,18 @@ def _cmd_dag(args: argparse.Namespace) -> int:
     from repro.obs import collect
     from repro.verify import OracleViolation, oracle_dag_reconciliation
 
+    if args.workers < 1:
+        print(
+            f"error: workers must be >= 1, got {args.workers}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.registers < 0:
+        print(
+            f"error: register count must be >= 0, got {args.registers}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         graph = dag_workload(args.workload, seed=args.seed)
     except WorkloadError as exc:

@@ -52,9 +52,9 @@ interleaving by a single ``lexsort``; for separable energy models the arc
 costs come from :func:`repro.core.costs.separable_cost_terms` vector
 tables (per-pair Python calls remain as fallback for pair-coupled
 models).  :class:`ArcRoles` records which flattened segment produced
-every arc so :func:`recost_network` can rewrite the cost column of an
-existing network in O(arcs) array work — the warm-start sweep path —
-without re-deriving any topology.
+every arc so :func:`recost_network` can derive a cost-only copy of an
+existing network in O(arcs) array work — the path of voltage and
+energy-table sweeps — without re-deriving any topology.
 """
 
 from __future__ import annotations
@@ -411,16 +411,18 @@ def _handoff_pairs(
 
 
 def recost_network(built: BuiltNetwork, problem: AllocationProblem) -> BuiltNetwork:
-    """Rewrite *built*'s arc costs in place for *problem* and return it.
+    """The network of *problem*, derived from *built* by re-costing a copy.
 
-    The warm-start sweep fast path: a cost-only perturbation (energy
+    The fast path of cost-only sweeps: a cost-only perturbation (energy
     parameters, memory voltage) keeps the topology — node ids, arc ids,
     capacities, lower bounds — bit-identical, so only the cost column is
-    recomputed from the :class:`ArcRoles` arrays and installed via
-    :meth:`~repro.flow.graph.FlowNetwork.set_costs`.  Raises
-    :class:`GraphError` when *problem* does not share *built*'s topology
-    (different segments, register count, graph style, access times or
-    forced set) — callers should rebuild instead.
+    recomputed from the :class:`ArcRoles` arrays, into a copy of the
+    network (:meth:`~repro.flow.graph.FlowNetwork.with_costs`).  The
+    costs equal those :func:`build_network` gives *problem*.  *built* is
+    left untouched, so a network already handed to a solve or a batch
+    keeps its costs.  Raises :class:`GraphError` when *problem* does not
+    share *built*'s topology (different segments, register count, graph
+    style, access times or forced set) — callers should rebuild instead.
     """
     roles = built.roles
     if roles is None:
@@ -450,8 +452,7 @@ def recost_network(built: BuiltNetwork, problem: AllocationProblem) -> BuiltNetw
             "(cost-only perturbation); rebuild the network instead"
         )
     model = problem.energy_model
-    network = built.network
-    costs = np.zeros(network.num_arcs, dtype=np.float64)
+    costs = np.zeros(built.network.num_arcs, dtype=np.float64)
     k = roles.num_segments
     p = len(roles.intra_pairs)
     terms = separable_cost_terms(model, segments)
@@ -480,10 +481,15 @@ def recost_network(built: BuiltNetwork, problem: AllocationProblem) -> BuiltNetw
         ]
     # Intra and bypass arcs cost zero under the uniform decomposition and
     # are already zero-initialised in the vector path.
-    network.set_costs(costs)
-    built.problem = problem
     obs.count("network.recosts")
-    return built
+    return BuiltNetwork(
+        problem,
+        built.network.with_costs(costs),
+        built.source,
+        built.sink,
+        roles,
+        built.banks,
+    )
 
 
 def _era_index(problem: AllocationProblem) -> list[int]:

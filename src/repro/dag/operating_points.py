@@ -10,15 +10,17 @@ energy.  The feasibility check is the same delay-slack relation the lint
 rule RA403 enforces (:data:`DELAY_SLACK` is asserted equal to the lint
 constant by the test battery, so the two cannot drift apart).
 
-The co-optimiser re-solves every task's min-cost-flow allocation at every
+The co-optimiser prices every task's min-cost-flow allocation at every
 candidate voltage.  Because only supply voltages change — the clock
-divisor of the *storage* stays 1 — each re-solve is a cost-only
+divisor of the *storage* stays 1 — each rung is a cost-only
 perturbation of an unchanged network topology, so the sweep builds each
-task's network once, re-costs it per point
-(:func:`~repro.core.network_builder.recost_network`) and warm-starts
-every solve after the first out of a shared
-:class:`~repro.flow.warm_start.WarmStartCache`, exactly like the
-design-space explorer (:mod:`repro.analysis.exploration`).
+task's network once, derives every other rung's network as a cost-only
+copy (:func:`~repro.core.network_builder.recost_network`), and solves
+all tasks × rungs in one :func:`~repro.core.solver.allocate_many` call:
+the whole ladder shares lockstep kernels and one multi-source search
+per round.  Each rung's energy is the one a cold
+:func:`~repro.core.solver.allocate` of that instance gives, which is
+what the dispatch re-solves and the report reconciles against.
 
 Selection is greedy but exact per step: partitions are visited in
 descending-work order and each takes the cheapest operating point whose
@@ -34,9 +36,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.network_builder import BuiltNetwork, build_network, recost_network
-from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
-from repro.core.solver import solve_built
+from repro.core.solver import allocate_many
 from repro.dag.partition import PartitionPlan
 from repro.energy.models import (
     EnergyModel,
@@ -49,8 +50,7 @@ from repro.energy.voltage import (
     cmos_delay_factor,
     max_divisor_supply,
 )
-from repro.exceptions import DagError, GraphError
-from repro.flow.warm_start import WarmStartCache
+from repro.exceptions import DagError
 from repro.obs import trace as obs
 
 __all__ = [
@@ -194,7 +194,7 @@ def task_problem(
     the same horizon; the memory config carries the point's supply with
     divisor 1 — the slowdown stretches wall-clock time, not the
     storage/datapath clock ratio, so the flow network topology is
-    voltage-invariant and re-solves warm-start.
+    voltage-invariant and every rung re-costs the first rung's network.
     """
     base = energy_model or StaticEnergyModel()
     return AllocationProblem.from_schedule(
@@ -238,16 +238,16 @@ def sweep_operating_points(
     ladder: Sequence[OperatingPoint] | None = None,
     energy_model: EnergyModel | None = None,
     handoff_energy: float = 0.0,
-    warm_start: bool = True,
 ) -> DvfsSelection:
     """Pick the cheapest feasible operating point per partition.
 
     Every task is allocated (min-cost flow) at every ladder voltage —
-    one network build per task, warm-started cost-only re-solves for the
-    rest.  Partitions then greedily take, in descending-work order, the
-    cheapest point that keeps the frame makespan within
-    ``plan.deadline``; the returned selection also carries the Pareto
-    frontier over all uniform ladder assignments plus the selected one.
+    one network build per task, a cost-only copy per further rung, and
+    one lockstep solve of them all.  Partitions then greedily take, in
+    descending-work order, the cheapest point that keeps the frame
+    makespan within ``plan.deadline``; the returned selection also
+    carries the Pareto frontier over all uniform ladder assignments plus
+    the selected one.
 
     Args:
         plan: The partitioned task graph.
@@ -260,8 +260,6 @@ def sweep_operating_points(
             into frontier/total energies (compute it with
             :func:`~repro.dag.partition.plan_handoffs`; voltage
             independent, so it is a constant offset).
-        warm_start: Set ``False`` to force independent cold solves
-            (results are identical; this only trades speed).
 
     Returns:
         A :class:`DvfsSelection`.
@@ -271,6 +269,8 @@ def sweep_operating_points(
             meets the deadline (cannot happen when the ladder contains a
             nominal point, since the plan's nominal makespan is already
             within its deadline).
+        Exception: The error of the first (task, rung) solve, in
+            topological task order and ladder order, that fails.
     """
     points = tuple(ladder) if ladder is not None else default_ladder()
     if not points:
@@ -285,34 +285,42 @@ def sweep_operating_points(
             )
     base = energy_model or StaticEnergyModel()
     with obs.span("dag.dvfs_sweep"):
-        # per-frame allocation energy of every task at every rung
-        cache = WarmStartCache() if warm_start else None
-        task_energy: dict[tuple[str, float], float] = {}
         order = plan.graph.topological_order()
         assert order is not None
+        # Every (task, rung) instance, in that order: one network build
+        # per task, a cost-only copy of it per further rung.
+        problems: list[AllocationProblem] = []
+        networks: list[BuiltNetwork] = []
         for task in order:
             built: BuiltNetwork | None = None
             for point in points:
                 problem = task_problem(
                     plan, task.name, point, register_count, base
                 )
-                if cache is None:
-                    built = build_network(problem)
-                else:
-                    if built is not None:
-                        try:
-                            built = recost_network(built, problem)
-                        except GraphError:
-                            built = None  # topology moved: rebuild below
-                    if built is None:
-                        built = build_network(problem)
-                allocation = solve_built(
-                    built, SolveOptions(warm_cache=cache)
+                built = (
+                    build_network(problem)
+                    if built is None
+                    else recost_network(built, problem)
                 )
-                task_energy[(task.name, point.voltage)] = (
-                    allocation.total_energy * task.rate
-                )
-                obs.count("dag.dvfs_sweep.solves")
+                problems.append(problem)
+                networks.append(built)
+        # One lockstep solve of the whole ladder; the first failure in
+        # (task, rung) order is the one raised.
+        energies: list[float | Exception] = [0.0] * len(problems)
+        for index, outcome in allocate_many(problems, networks=networks):
+            result = outcome.result
+            energies[index] = (
+                result if isinstance(result, Exception) else result.total_energy
+            )
+        task_energy: dict[tuple[str, float], float] = {}
+        for index, energy in enumerate(energies):
+            if isinstance(energy, Exception):
+                raise energy
+            task = order[index // len(points)]
+            point = points[index % len(points)]
+            # per-frame allocation energy of every task at every rung
+            task_energy[(task.name, point.voltage)] = energy * task.rate
+        obs.count("dag.dvfs_sweep.solves", len(problems))
         obs.count("dag.dvfs_sweep.points", len(points))
 
         def partition_energy(pid: str, point: OperatingPoint) -> float:

@@ -30,6 +30,7 @@ and core index, never on dict iteration order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -396,13 +397,17 @@ def partition_graph(
         A :class:`PartitionPlan`.
 
     Raises:
-        DagError: Non-positive core count, or a deadline below the
-            nominal makespan the heuristic achieved.
+        DagError: Non-positive core count, a slack below 1, a NaN slack
+            or deadline, or a deadline below the nominal makespan the
+            heuristic achieved.  An infinite deadline or slack is
+            accepted: it means no deadline.
     """
     if cores < 1:
         raise DagError(f"core count must be >= 1, got {cores}")
-    if slack < 1.0:
+    if math.isnan(slack) or slack < 1.0:
         raise DagError(f"deadline slack must be >= 1, got {slack}")
+    if deadline is not None and math.isnan(deadline):
+        raise DagError(f"deadline must be a number, got {deadline}")
     if len(graph) == 0:
         raise DagError(f"task graph {graph.name!r} has no tasks")
     with obs.span("dag.partition"):

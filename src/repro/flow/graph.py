@@ -261,25 +261,37 @@ class FlowNetwork:
                     self._in_ids[self._nodes[hi]].append(start + offset)
         return start
 
-    def set_costs(self, costs: np.ndarray) -> None:
-        """Replace every arc cost in place (topology untouched).
+    def with_costs(self, costs: np.ndarray) -> FlowNetwork:
+        """A copy of this network with every arc cost replaced.
 
-        This is the re-cost hook warm-started sweeps use: a cost-only
-        perturbation keeps node ids, arc ids, capacities and lower bounds
-        identical, so solvers may reuse structural caches while all
-        cost-derived caches (materialised :class:`Arc` objects, the numpy
-        cost column) are invalidated here.
+        This is the re-cost hook of cost-only sweeps: the copy keeps the
+        node ids, arc ids, capacities, lower bounds and payloads, so a
+        warm-start cache keys it to the same topology, and its
+        :meth:`arrays` view shares this network's topology columns
+        (read-only, like every array view).  This network is left
+        untouched, so whoever still holds it keeps its costs.
         """
-        costs = np.asarray(costs, dtype=np.float64)
+        costs = np.array(costs, dtype=np.float64)
         if costs.shape != (len(self._costs),):
             raise GraphError(
-                f"set_costs expects {len(self._costs)} costs, "
+                f"with_costs expects {len(self._costs)} costs, "
                 f"got shape {costs.shape}"
             )
-        self._costs = costs.tolist()
-        self._np = None
-        self._arc_tuple = None
-        self._arc_cache = []
+        copy = FlowNetwork()
+        copy._node_index = dict(self._node_index)
+        copy._nodes = list(self._nodes)
+        copy._tails = list(self._tails)
+        copy._heads = list(self._heads)
+        copy._caps = list(self._caps)
+        copy._lowers = list(self._lowers)
+        copy._costs = costs.tolist()
+        # Lazy payloads do not depend on costs, so the copy may build
+        # them from the same factories.
+        copy._data = list(self._data)
+        copy._data_factories = list(self._data_factories)
+        copy._has_lower = self._has_lower
+        copy._np = self.arrays()._replace(costs=costs)
+        return copy
 
     def _invalidate_appended(self, appended: int) -> None:
         """Refresh caches after *appended* arcs were added at the end.

@@ -1,10 +1,16 @@
 """Tests for the flow-network construction."""
 
+import numpy as np
 import pytest
 
-from repro.core.network_builder import SINK, SOURCE, build_network
+from repro.core.network_builder import (
+    SINK,
+    SOURCE,
+    build_network,
+    recost_network,
+)
 from repro.core.problem import AllocationProblem
-from repro.energy import MemoryConfig, StaticEnergyModel
+from repro.energy import ActivityEnergyModel, MemoryConfig, StaticEnergyModel
 from tests.conftest import make_lifetime
 
 
@@ -173,3 +179,41 @@ def test_spill_arcs_require_access_step():
 def test_flow_value_is_register_count():
     built = build_network(simple_problem(register_count=7))
     assert built.flow_value == 7
+
+
+@pytest.mark.parametrize("model", [StaticEnergyModel(), ActivityEnergyModel()])
+def test_recost_returns_a_copy_and_leaves_its_argument_untouched(model):
+    # Forced segments give the network lower bounds; the two models take
+    # the vectorized and the per-arc cost paths.
+    memory = MemoryConfig(divisor=3, voltage=5.0, offset=1)
+    problem = simple_problem(energy_model=model, memory=memory)
+    cheaper = simple_problem(
+        energy_model=model.with_voltages(2.4, 2.4),
+        memory=MemoryConfig(divisor=3, voltage=2.4, offset=1),
+    )
+    built = build_network(problem)
+    network = built.network
+    before = network.arrays()
+    costs = before.costs.copy()
+    arcs = network.arcs
+
+    recosted = recost_network(built, cheaper)
+
+    assert built.problem is problem
+    assert built.network is network
+    assert network.arrays() is before
+    assert np.array_equal(network.arrays().costs, costs)
+    assert network.arcs is arcs
+    assert recosted is not built
+    assert recosted.network is not network
+    assert recosted.problem is cheaper
+    fresh = build_network(cheaper).network.arrays()
+    after = recosted.network.arrays()
+    assert not np.array_equal(after.costs, costs)
+    assert np.array_equal(after.costs, fresh.costs)
+    for column in ("tails", "heads", "capacities", "lowers"):
+        assert np.array_equal(getattr(after, column), getattr(before, column))
+        assert np.array_equal(getattr(after, column), getattr(fresh, column))
+    assert recosted.network.has_lower_bounds() == network.has_lower_bounds()
+    assert recosted.network.nodes == network.nodes
+    assert [arc.cost for arc in recosted.network.arcs] == fresh.costs.tolist()

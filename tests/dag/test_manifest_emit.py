@@ -16,8 +16,8 @@ from repro.service.manifest import SCHEMA_V2, load_manifest
 from repro.workloads.registry import dag_workload
 
 
-def pipeline(name="diamond", cores=2, registers=4):
-    plan = partition_graph(dag_workload(name), cores=cores)
+def pipeline(name="diamond", cores=2, registers=4, slack=1.5):
+    plan = partition_graph(dag_workload(name), cores=cores, slack=slack)
     selection = sweep_operating_points(plan, register_count=registers)
     jobs = build_jobs(plan, selection, register_count=registers)
     return plan, selection, jobs
@@ -48,6 +48,19 @@ def test_dispatch_objectives_reconcile_with_the_sweep():
         assert result.objective * rate == pytest.approx(
             selection.block_energies[job.task]
         )
+
+
+def test_dispatch_objectives_equal_the_sweep_exactly():
+    # The sweep prices each rung as a cold solve of its instance, so the
+    # dispatch's independent cold re-solve of the chosen rung gives the
+    # same bits, not just the same value within a tolerance.
+    plan, selection, jobs = pipeline("diamond", cores=2, registers=4, slack=2.5)
+    results = dispatch_blocks(jobs, certify_fraction=1.0)
+    for job, result in zip(jobs, results):
+        assert result.status == "ok"
+        assert result.certified
+        rate = plan.graph.task(job.task).rate
+        assert result.objective * rate == selection.block_energies[job.task]
 
 
 def test_dispatch_reuses_a_caller_supplied_executor():

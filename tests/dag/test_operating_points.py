@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.solver import allocate
 from repro.dag import (
     DELAY_SLACK,
     OperatingPoint,
@@ -10,8 +11,10 @@ from repro.dag import (
     plan_handoffs,
     sweep_operating_points,
 )
+from repro.dag import operating_points
+from repro.dag.operating_points import task_problem
 from repro.energy.voltage import NOMINAL_VOLTAGE, cmos_delay_factor
-from repro.exceptions import DagError
+from repro.exceptions import DagError, InfeasibleFlowError
 from repro.ir.task_graph import Task, TaskGraph
 from repro.obs import trace as obs
 from repro.workloads import fir_filter
@@ -63,24 +66,78 @@ def test_empty_ladder_rejected():
         sweep_operating_points(single_task_plan(), ladder=())
 
 
-def test_sweep_warm_starts_after_one_cold_solve():
-    # Acceptance criterion: over a fixed single-task partition the sweep
-    # does exactly one cold solve; every other ladder rung re-solves
-    # incrementally (voltage is a cost-only perturbation).
-    plan = single_task_plan()
+@pytest.mark.parametrize(
+    "make_plan",
+    [
+        single_task_plan,
+        lambda: partition_graph(dag_workload("diamond"), cores=2, slack=2.5),
+    ],
+    ids=["single-task", "diamond"],
+)
+def test_sweep_prices_the_ladder_in_one_lockstep_solve(monkeypatch, make_plan):
+    # One network build per task, a cost-only copy per further rung, and
+    # one lockstep solve of every (task, rung): the kernel's searches are
+    # bounded by the flow value, not multiplied by the rung count.
+    plan = make_plan()
     ladder = default_ladder()
-    with obs.collect() as trace:
-        warm = sweep_operating_points(plan, ladder=ladder)
-    counters = trace.counters
-    assert counters["solver.warm_start.cold"] == 1
-    assert counters["solver.warm_start.incremental"] == len(ladder) - 1
-    assert counters["dag.dvfs_sweep.solves"] == len(ladder)
+    registers = 4
+    priced: dict[int, float] = {}
+    real_allocate_many = operating_points.allocate_many
 
-    cold = sweep_operating_points(plan, ladder=ladder, warm_start=False)
-    assert warm.total_energy == pytest.approx(cold.total_energy)
-    assert warm.block_energies == pytest.approx(cold.block_energies)
-    for point in zip(warm.frontier, cold.frontier):
-        assert point[0].energy == pytest.approx(point[1].energy)
+    def spy(*args, **kwargs):
+        for index, outcome in real_allocate_many(*args, **kwargs):
+            priced[index] = outcome.result.total_energy
+            yield index, outcome
+
+    monkeypatch.setattr(operating_points, "allocate_many", spy)
+    with obs.collect() as trace:
+        selection = sweep_operating_points(
+            plan, register_count=registers, ladder=ladder
+        )
+    counters = trace.counters
+    tasks = len(plan.graph)
+    assert counters["network.builds"] == tasks
+    assert counters["network.recosts"] == tasks * (len(ladder) - 1)
+    assert counters["ssp.solves"] == tasks * len(ladder)
+    assert counters["dag.dvfs_sweep.solves"] == tasks * len(ladder)
+    assert counters["ssp.searches"] <= registers
+    assert not [name for name in counters if name.startswith("solver.warm_start")]
+
+    order = plan.graph.topological_order()
+    assert sorted(priced) == list(range(tasks * len(ladder)))
+    for index, energy in priced.items():
+        task = order[index // len(ladder)]
+        point = ladder[index % len(ladder)]
+        alone = allocate(task_problem(plan, task.name, point, registers))
+        assert energy == alone.total_energy
+    for task in order:
+        point = selection.assignment[plan.partition_of(task.name).id]
+        alone = allocate(task_problem(plan, task.name, point, registers))
+        assert selection.block_energies[task.name] == (
+            alone.total_energy * task.rate
+        )
+
+
+def test_sweep_raises_the_first_failing_solve_in_task_rung_order(monkeypatch):
+    # Outcomes may settle out of order; the error raised is still the one
+    # of the first failing (task, rung), as when each was solved in turn.
+    plan = partition_graph(dag_workload("diamond"), cores=2, slack=2.5)
+    ladder = default_ladder()
+    first, later = 1 * len(ladder) + 3, 2 * len(ladder)
+    real_allocate_many = operating_points.allocate_many
+
+    def faulty(*args, **kwargs):
+        settled = list(real_allocate_many(*args, **kwargs))
+        for index, outcome in reversed(settled):
+            if index in (first, later):
+                outcome = outcome._replace(
+                    result=InfeasibleFlowError(f"solve {index}")
+                )
+            yield index, outcome
+
+    monkeypatch.setattr(operating_points, "allocate_many", faulty)
+    with pytest.raises(InfeasibleFlowError, match=f"^solve {first}$"):
+        sweep_operating_points(plan, register_count=4, ladder=ladder)
 
 
 def test_selection_meets_deadline_and_reconciles():

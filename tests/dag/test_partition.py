@@ -71,6 +71,24 @@ def test_bad_parameters_are_rejected():
         partition_graph(TaskGraph("empty"))
 
 
+@pytest.mark.parametrize(
+    "bound", [{"slack": float("nan")}, {"deadline": float("nan")}]
+)
+def test_nan_slack_or_deadline_is_rejected(bound):
+    # NaN compares false against every bound, so without its own check
+    # it would pass through and leave the selection a NaN deadline.
+    with pytest.raises(DagError, match="nan"):
+        partition_graph(dag_workload("diamond"), cores=2, **bound)
+
+
+@pytest.mark.parametrize(
+    "bound", [{"slack": float("inf")}, {"deadline": float("inf")}]
+)
+def test_infinite_slack_or_deadline_means_no_deadline(bound):
+    plan = partition_graph(dag_workload("diamond"), cores=2, **bound)
+    assert plan.deadline == float("inf")
+
+
 def test_parallelism_survives_refinement():
     # The diamond's two middle tasks are independent; with 2 cores the
     # refinement pass must not serialise them just to kill the handoffs

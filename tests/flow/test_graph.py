@@ -88,3 +88,29 @@ def test_iteration_yields_arcs_in_insertion_order():
     arcs = [net.add_arc("a", "b", capacity=1) for _ in range(3)]
     assert list(net) == arcs
     assert [a.index for a in net] == [0, 1, 2]
+
+
+def test_with_costs_copies_and_leaves_the_original_untouched():
+    net = FlowNetwork()
+    net.add_arc("s", "a", capacity=2, cost=1.0, data="first")
+    net.add_arc("a", "t", capacity=2, cost=3.0, lower=1)
+    original = net.arcs
+    copy = net.with_costs([5.0, -2.0])
+    assert [arc.cost for arc in net.arcs] == [1.0, 3.0]
+    assert net.arcs is original
+    assert [arc.cost for arc in copy.arcs] == [5.0, -2.0]
+    assert copy.arrays().costs.tolist() == [5.0, -2.0]
+    assert copy.nodes == net.nodes
+    assert copy.arc(0).data == "first"
+    assert copy.has_lower_bounds()
+    # The copy is a network of its own: growing it leaves the original be.
+    copy.add_arc("s", "t", capacity=1)
+    assert (net.num_arcs, copy.num_arcs) == (2, 3)
+    assert net.arcs_from("s") == (net.arc(0),)
+
+
+def test_with_costs_rejects_a_wrong_length():
+    net = FlowNetwork()
+    net.add_arc("s", "t", capacity=1)
+    with pytest.raises(GraphError, match="expects 1 costs"):
+        net.with_costs([1.0, 2.0])

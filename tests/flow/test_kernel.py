@@ -165,7 +165,7 @@ def test_reoptimize_matches_cold_solve_after_cost_perturbation(seed):
     new_costs = net.arrays().costs + rng.integers(
         -3, 4, size=net.num_arcs
     ).astype(float)
-    net.set_costs(new_costs)
+    net = net.with_costs(new_costs)
 
     warm = FlowKernel(net, csr=kernel.csr)
     warm.load_flows(flows)
@@ -215,7 +215,7 @@ def test_negative_cycle_detected():
 def test_csr_is_topology_only_and_reusable():
     net = random_network(7)
     kernel = FlowKernel(net)
-    net.set_costs(net.arrays().costs * 2.0)
+    net = net.with_costs(net.arrays().costs * 2.0)
     rebuilt = FlowKernel(net, csr=kernel.csr)
     fresh = FlowKernel(net)
     assert np.array_equal(rebuilt.csr.order, fresh.csr.order)

@@ -67,7 +67,7 @@ class TestSolveWarm:
         cache = WarmStartCache()
         solve_warm(net, "s", "t", 2, cache)
         # Make the a-route expensive: the optimum must reroute via b.
-        net.set_costs(np.array([9.0, 4.0, 9.0, 1.0]))
+        net = net.with_costs(np.array([9.0, 4.0, 9.0, 1.0]))
         with obs.collect() as trace:
             warm = solve_warm(net, "s", "t", 2, cache)
         cold = solve_warm(net, "s", "t", 2, WarmStartCache())
@@ -104,7 +104,7 @@ class TestSolveWarm:
     def test_cost_change_keeps_the_key(self):
         net = diamond_network()
         before = topology_key(net, "s", "t", 2)
-        net.set_costs(np.array([9.0, 9.0, 9.0, 9.0]))
+        net = net.with_costs(np.array([9.0, 9.0, 9.0, 9.0]))
         assert topology_key(net, "s", "t", 2) == before
 
     def test_eviction_keeps_cache_bounded(self):

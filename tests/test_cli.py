@@ -392,6 +392,23 @@ def test_dag_infeasible_deadline_is_a_clean_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--workers", "0"],
+        ["--registers", "-1"],
+        ["--slack", "nan"],
+        ["--deadline", "nan"],
+    ],
+    ids=["workers", "registers", "slack", "deadline"],
+)
+def test_dag_rejects_bad_inputs_cleanly(capsys, flag):
+    assert main(["dag", "diamond", *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_dag_rejects_unknown_workload():
     with pytest.raises(SystemExit):
         main(["dag", "moebius"])

@@ -220,7 +220,7 @@ def test_lowest_violating_arc_is_named():
         "reduced cost -2 < 0 (cheaper flow exists)"
     )
     # Arc 1 retractable at a positive reduced cost beats arc 3's room.
-    net.set_costs(np.array([0.0, 2.0, 0.0, -3.0]))
+    net = net.with_costs(np.array([0.0, 2.0, 0.0, -3.0]))
     with pytest.raises(CertificateError) as caught:
         check_certificate(net, [1, 1, 0, 0], zero)
     assert str(caught.value) == (
