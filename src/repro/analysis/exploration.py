@@ -148,7 +148,6 @@ def explore_design_space(
     register_counts: Iterable[int],
     memory_configs: Iterable[MemoryConfig],
     energy_model: EnergyModel | None = None,
-    warm_start: bool = True,
     **problem_options,
 ) -> ExplorationResult:
     """Evaluate every (register count x memory config) grid point.
@@ -156,20 +155,19 @@ def explore_design_space(
     The energy model's memory voltage is rescaled per point to the
     config's supply (register file stays at its own voltage).
 
-    With ``warm_start`` (the default) the sweep exploits that changing
-    the memory operating point is a *cost-only* perturbation: per
+    The sweep exploits that changing the memory operating point is a
+    *cost-only* perturbation when the access times stay put: per
     register count the flow network is built once and every further
     point solves a cost-only copy of it
-    (:func:`~repro.core.network_builder.recost_network`), and a shared
-    :class:`~repro.flow.warm_start.WarmStartCache` turns every re-solve
-    after the first into an incremental re-optimisation whose work is
-    proportional to the perturbation, not the instance (1 cold solve +
-    N deltas instead of N cold solves).  Results are identical either
-    way; set ``warm_start=False`` to force independent cold solves.
+    (:func:`~repro.core.network_builder.recost_network`), and the
+    sweep's :class:`~repro.flow.warm_start.WarmStartCache` turns such a
+    re-solve into an incremental re-optimisation whose work is
+    proportional to the perturbation, not the instance.  A point whose
+    topology moved is built and solved afresh.
     """
     base_model = energy_model or StaticEnergyModel()
     points: list[DesignPoint] = []
-    cache = WarmStartCache() if warm_start else None
+    options = SolveOptions(warm_cache=WarmStartCache())
     built_by_registers: dict[int, BuiltNetwork] = {}
     for memory in memory_configs:
         model = base_model.with_voltages(
@@ -185,23 +183,17 @@ def explore_design_space(
                 **problem_options,
             )
             try:
-                if cache is None:
-                    metrics = metrics_of(allocate(problem), name="flow")
-                else:
-                    built = built_by_registers.get(registers)
-                    if built is not None:
-                        try:
-                            built = recost_network(built, problem)
-                        except GraphError:
-                            built = None  # topology moved: rebuild below
-                    if built is None:
-                        with obs.span("solver.build_network"):
-                            built = build_network(problem)
-                    built_by_registers[registers] = built
-                    metrics = metrics_of(
-                        solve_built(built, SolveOptions(warm_cache=cache)),
-                        name="flow",
-                    )
+                built = built_by_registers.get(registers)
+                if built is not None:
+                    try:
+                        built = recost_network(built, problem)
+                    except GraphError:
+                        built = None  # topology moved: rebuild below
+                if built is None:
+                    with obs.span("solver.build_network"):
+                        built = build_network(problem)
+                built_by_registers[registers] = built
+                metrics = metrics_of(solve_built(built, options), name="flow")
             except InfeasibleFlowError:
                 metrics = None
             points.append(DesignPoint(registers, memory, metrics))
@@ -319,7 +311,6 @@ def explore_storage_space(
     register_counts: Iterable[int],
     storage_specs: Iterable[StorageSpec],
     energy_model: EnergyModel | None = None,
-    warm_start: bool = True,
     **problem_options,
 ) -> StorageExplorationResult:
     """Evaluate every (register count x storage hierarchy) grid point.
@@ -330,17 +321,15 @@ def explore_storage_space(
     plus bank deltas).  The energy model's memory voltage is rescaled
     per point to the spec's reference supply.
 
-    With ``warm_start`` (the default) one
-    :class:`~repro.flow.warm_start.WarmStartCache` is shared across the
-    whole grid — including the banking pass's pin-and-resolve rounds.
-    Specs that differ only in voltages, capacities or port widths build
-    identical-topology networks (see
-    :meth:`StorageSpec.access_topology`), so every re-solve after the
-    first per topology is an incremental re-optimisation.  Results are
-    identical either way.
+    One :class:`~repro.flow.warm_start.WarmStartCache` is shared across
+    the whole grid — including the banking pass's pin-and-resolve
+    rounds.  Specs that differ only in voltages, capacities or port
+    widths build identical-topology networks (see
+    :meth:`StorageSpec.access_topology`), so a re-solve after the first
+    per topology can re-optimise incrementally.
     """
     base_model = energy_model or StaticEnergyModel()
-    cache = WarmStartCache() if warm_start else None
+    options = SolveOptions(warm_cache=WarmStartCache())
     points: list[StoragePoint] = []
     for spec in storage_specs:
         model = base_model.with_voltages(
@@ -355,7 +344,6 @@ def explore_storage_space(
                 storage=spec,
                 **problem_options,
             )
-            options = SolveOptions(warm_cache=cache)
             try:
                 allocation = allocate(problem, options)
                 metrics = metrics_of(allocation, name="flow")

@@ -46,8 +46,8 @@ Subcommands:
   (provably-bad manifests rejected 422 with SARIF evidence before
   queueing), a bounded admission queue, per-client rate limiting,
   explicit 503 load shedding, a persistent result cache shared with
-  ``batch --cache-dir``, warm-started sweep re-solves, ``/healthz`` +
-  ``/metrics``, and graceful drain on SIGTERM (see
+  ``batch --cache-dir``, lockstep solves of each request's cache
+  misses, ``/healthz`` + ``/metrics``, and graceful drain on SIGTERM (see
   :mod:`repro.service.server`).
 
 Examples::
@@ -78,7 +78,6 @@ from repro.analysis import compare_allocators, format_table, improvement_factor
 from repro.baselines import two_phase_allocate
 from repro.core import (
     AllocationProblem,
-    SolveOptions,
     StorageSpec,
     allocate,
     allocate_block,
@@ -201,9 +200,7 @@ def _add_bank_flags(p: argparse.ArgumentParser) -> None:
 def _cmd_demo(args: argparse.Namespace) -> int:
     block = _kernel(args)
     result = allocate_block(
-        block,
-        register_count=args.registers,
-        options=SolveOptions(storage=_storage(args)),
+        block, register_count=args.registers, storage=_storage(args)
     )
     print(result.summary())
     return 0
@@ -822,14 +819,20 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             lint_gate=lint_gate,
             certify_fraction=args.certify_fraction,
             seed=args.seed,
-            storage=_storage(args),
         )
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    storage = _storage(args)
+    problems = [
+        w.problem
+        if storage is None or w.problem.storage is not None
+        else w.problem.with_options(storage=storage)
+        for w in workloads
+    ]
     start = time.perf_counter()
     results = executor.map_blocks(
-        [w.problem for w in workloads],
+        problems,
         ids=[w.label for w in workloads],
         schedules=[w.schedule for w in workloads],
     )
@@ -1287,9 +1290,9 @@ def main(argv: list[str] | None = None) -> int:
         "-j",
         type=int,
         default=1,
-        help="executor worker processes; 1 solves in-process and keeps "
-        "the warm-start cache hot; more fork one pool at the first "
-        "request that every later request reuses (default: 1)",
+        help="executor worker processes; 1 solves in-process; more fork "
+        "one pool at the first request that every later request reuses "
+        "(default: 1)",
     )
     serve_cmd.add_argument(
         "--cache-dir",

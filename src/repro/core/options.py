@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.storage import StorageSpec
 from repro.flow.warm_start import WarmStartCache
 
 __all__ = ["SolveOptions"]
@@ -36,18 +35,22 @@ class SolveOptions:
         warm_cache: Optional shared
             :class:`~repro.flow.warm_start.WarmStartCache`; cost-only
             perturbations of a previously solved topology re-solve
-            incrementally.  Results are identical with or without it.
-        storage: Optional :class:`~repro.core.storage.StorageSpec`
-            applied to problems that do not already carry one — the
-            switch that turns a classic two-level solve into a
-            multi-bank hierarchy solve.
+            incrementally, one problem at a time (no lockstep group in
+            :func:`~repro.core.solver.allocate_many`).  The answer is
+            optimal either way, but an incremental re-solve may land on
+            another optimal allocation, with the objective equal only up
+            to float rounding.  In-process sweeps over one topology use
+            it; the batch service and the server do not.
+
+    A storage hierarchy is part of the instance, not an option: attach
+    it with ``problem.with_options(storage=spec)``, or pass ``storage=``
+    to :func:`~repro.core.pipeline.allocate_block`.
     """
 
     validate: bool = True
     certify: bool = False
     lint: str | None = None
     warm_cache: WarmStartCache | None = None
-    storage: StorageSpec | None = None
 
     def replace(self, **changes) -> "SolveOptions":
         """A copy with the given fields replaced."""

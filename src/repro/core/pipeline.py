@@ -91,10 +91,9 @@ def allocate_schedule(
         memory: Memory operating point; defaults to full-speed memory.
         reallocate: Run the second (memory reallocation) flow pass.
         options: Solve-shaping switches (see
-            :class:`~repro.core.options.SolveOptions`); ``options.storage``
-            attaches a storage hierarchy to the constructed problem, and
-            the ``options.lint`` gate runs here rather than in the solver
-            so the RA1xx schedule rules see the schedule.
+            :class:`~repro.core.options.SolveOptions`); the
+            ``options.lint`` gate runs here rather than in the solver so
+            the RA1xx schedule rules see the schedule.
         **problem_options: Forwarded to :class:`AllocationProblem`
             (``graph_style``, ``split_at_reads``,
             ``allow_unused_registers``, ``storage``).
@@ -107,8 +106,6 @@ def allocate_schedule(
             finds defects at or above the requested severity.
     """
     options = options or SolveOptions()
-    if options.storage is not None and "storage" not in problem_options:
-        problem_options["storage"] = options.storage
     with obs.span("pipeline.build_problem"):
         problem = AllocationProblem.from_schedule(
             schedule,

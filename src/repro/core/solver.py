@@ -21,9 +21,9 @@ additionally run the bank-placement second pass
 populated.
 
 Solve-shaping switches (validation, certification, lint gating, warm
-starts, storage hierarchy) travel in one frozen
-:class:`~repro.core.options.SolveOptions` bundle shared by every
-``allocate*`` entry point.
+starts) travel in one frozen :class:`~repro.core.options.SolveOptions`
+bundle shared by every ``allocate*`` entry point; a storage hierarchy
+is part of the problem itself.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ def allocate(
         problem: The instance to solve.
         options: Solve-shaping switches (see
             :class:`~repro.core.options.SolveOptions`); ``None`` uses the
-            defaults.  ``options.storage`` applies a hierarchy to
-            problems that do not already carry one.
+            defaults.
         network: The flow network of *problem*, when the caller already
             built it (the admission lint gate does); it is solved
             instead of a fresh build.  Instances with a storage
@@ -202,10 +201,8 @@ def _admit(
     options: SolveOptions,
     network: BuiltNetwork | None,
 ) -> AllocationProblem:
-    """The problem to solve, after the storage switch, the network guard
-    and the lint gate."""
-    if options.storage is not None and problem.storage is None:
-        problem = problem.with_options(storage=options.storage)
+    """The problem to solve, after the network guard and the lint
+    gate."""
     if network is not None and network.problem is not problem:
         raise ValueError("network was built for a different problem")
     if options.lint is not None:

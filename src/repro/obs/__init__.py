@@ -27,7 +27,9 @@ Span / counter API
     Context manager installing a fresh :class:`TraceCollector` process-wide
     for the body and yielding it; the previous collector is restored on
     exit.  ``install(collector)`` / ``uninstall()`` are the non-scoped
-    variants, ``enabled()`` / ``current()`` inspect the registry.
+    variants, ``enabled()`` / ``current()`` inspect the registry.  A
+    :class:`CounterCollector` keeps counters and gauges but no spans —
+    what a long-lived process installs so nothing grows per request.
 
 Example::
 
@@ -79,6 +81,7 @@ from repro.obs.profile import (
     report_to_json,
 )
 from repro.obs.trace import (
+    CounterCollector,
     Span,
     TraceCollector,
     collect,
@@ -92,6 +95,7 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "CounterCollector",
     "SCHEMA",
     "Span",
     "TraceCollector",

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 __all__ = [
+    "CounterCollector",
     "Span",
     "TraceCollector",
     "collect",
@@ -197,6 +198,19 @@ class TraceCollector:
             if found is not None:
                 return found
         return None
+
+
+class CounterCollector(TraceCollector):
+    """A collector that keeps counters and gauges but no spans.
+
+    :meth:`span` returns the shared no-op span, so nothing accumulates
+    per traced region: a long-lived process (the allocation server)
+    can keep one installed for its whole life at constant size.
+    """
+
+    def span(self, name: str) -> _NoopSpan:  # type: ignore[override]
+        """The shared no-op span: span trees are not kept."""
+        return _NOOP_SPAN
 
 
 #: Process-global collector slot; ``None`` means tracing is disabled.

@@ -60,9 +60,7 @@ from repro.core.network_builder import BuiltNetwork
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import Outcome, allocate_many
-from repro.core.storage import StorageSpec
 from repro.exceptions import InfeasibleFlowError, ServiceError
-from repro.flow.warm_start import WarmStartCache
 from repro.obs import trace as obs
 from repro.service import pool
 from repro.service.cache import ResultCache, SolveSummary
@@ -171,11 +169,11 @@ def _execute_chunk(tasks: Sequence[tuple]) -> list[JobResult]:
     """Worker entry point: settle a chunk of pending jobs in one
     :func:`~repro.core.solver.allocate_many` call.
 
-    Each task is ``(job, problem, certify, warm_cache, network)``, where
-    *network* is the instance's already-built flow network (inline path
-    only).  Each outcome is reduced to its :class:`JobResult` as soon as
-    it settles, so only one lockstep group's networks and flows are
-    alive at a time.  Runs in the worker process (or inline for
+    Each task is ``(job, problem, certify, network)``, where *network*
+    is the instance's already-built flow network (inline path only).
+    Each outcome is reduced to its :class:`JobResult` as soon as it
+    settles, so only one lockstep group's networks and flows are alive
+    at a time.  Runs in the worker process (or inline for
     ``workers == 1``); the arguments and the returned results are
     picklable.
     """
@@ -185,14 +183,11 @@ def _execute_chunk(tasks: Sequence[tuple]) -> list[JobResult]:
     try:
         with obs.span("service.solve.ssp"):
             for index, outcome in allocate_many(
-                [problem for _, problem, *_ in tasks],
-                [
-                    SolveOptions(certify=certify, warm_cache=warm_cache)
-                    for _, _, certify, warm_cache, _ in tasks
-                ],
-                networks=[network for *_, network in tasks],
+                [problem for _, problem, _, _ in tasks],
+                [SolveOptions(certify=certify) for _, _, certify, _ in tasks],
+                networks=[network for _, _, _, network in tasks],
             ):
-                job, _, certify, *_ = tasks[index]
+                job, _, certify, _ = tasks[index]
                 settled[index] = _settle(job, outcome, certify, worker)
     except Exception as exc:  # noqa: BLE001 - worker boundary: failures
         # become job results, never batch-level crashes.
@@ -200,7 +195,7 @@ def _execute_chunk(tasks: Sequence[tuple]) -> list[JobResult]:
         left = [index for index, done in enumerate(settled) if done is None]
         share = (time.perf_counter() - start) / max(len(left), 1)
         for index in left:
-            job, _, certify, *_ = tasks[index]
+            job, _, certify, _ = tasks[index]
             settled[index] = _settle(job, Outcome(exc, share), certify, worker)
     return settled  # type: ignore[return-value]
 
@@ -261,15 +256,6 @@ class BatchExecutor:
         certify_fraction: Fraction of jobs (seeded sample) whose
             solutions get an optimality-certificate spot-check.
         seed: Seed of the certify sampler.
-        warm_cache: Optional
-            :class:`~repro.flow.warm_start.WarmStartCache` kept hot
-            across gathers.  Only the in-process path (``workers == 1``)
-            uses it — kernel state is not shipped to pool workers — so a
-            long-lived single-worker server re-solves cost-only sweeps
-            incrementally.  Results are identical with or without.
-        storage: Optional :class:`~repro.core.storage.StorageSpec`
-            attached to every submitted problem that does not already
-            carry a hierarchy.
     """
 
     def __init__(
@@ -280,8 +266,6 @@ class BatchExecutor:
         lint_gate: LintGate | None = None,
         certify_fraction: float = 0.0,
         seed: int = 0,
-        warm_cache: WarmStartCache | None = None,
-        storage: StorageSpec | None = None,
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
@@ -297,8 +281,6 @@ class BatchExecutor:
         self.lint_gate = lint_gate
         self.certify_fraction = certify_fraction
         self.seed = seed
-        self.warm_cache = warm_cache
-        self.storage = storage
         #: Verdicts of the last :meth:`gather`, in submission order
         #: (empty when no *lint_gate* is configured).
         self.lint_verdicts: list[LintVerdict] = []
@@ -330,11 +312,6 @@ class BatchExecutor:
         """
         if job_id is None:
             job_id = f"job-{self._submitted}"
-        if self.storage is not None and problem.storage is None:
-            # A different problem: what the caller derived no longer
-            # describes it.
-            problem = problem.with_options(storage=self.storage)
-            canonical = network = None
         self._pending.append(
             _Pending(
                 self._submitted, job_id, problem, schedule, canonical, network
@@ -404,11 +381,9 @@ class BatchExecutor:
                                 status="rejected",
                                 error=verdict.report.summary(),
                             )
-            # The warm-start kernel state and prebuilt networks are
-            # process-local (numpy arrays + CSR views); they ride along
-            # only on the inline path.
+            # Prebuilt networks are process-local (numpy arrays + CSR
+            # views); they ride along only on the inline path.
             inline = self.workers == 1
-            warm_cache = self.warm_cache if inline else None
             tasks = []
             renamings = {}
             for item, canonical in zip(pending, canonicals):
@@ -432,9 +407,7 @@ class BatchExecutor:
                 else:
                     certify = self._certify(item.job_id)
                     network = item.network if inline else None
-                    tasks.append(
-                        (job, item.problem, certify, warm_cache, network)
-                    )
+                    tasks.append((job, item.problem, certify, network))
                     renamings[item.index] = canonical.renaming
 
             run = self._run_inline if self.workers == 1 else self._run_pool

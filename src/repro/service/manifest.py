@@ -29,11 +29,10 @@ Job kinds:
 
 Per-job keys override ``defaults``; both recognise ``registers``,
 ``model`` (``static``/``activity``), ``divisor`` (restricted memory
-operating point — the supply voltage follows the divisor), ``voltage``
-(explicit memory supply override: a *cost-only* perturbation that keeps
-the flow-network topology intact, which is what lets the serving layer's
-:class:`~repro.flow.warm_start.WarmStartCache` re-solve sweep points
-incrementally), ``seed``, ``taps``, and for random jobs ``variables``,
+operating point, at least 1 — the supply voltage follows the divisor),
+``voltage`` (explicit memory supply override: a *cost-only*
+perturbation that keeps the flow-network topology intact), ``seed``,
+``taps``, and for random jobs ``variables``,
 ``horizon``, ``traced``.  When ``registers`` is omitted the instance's
 maximum lifetime density is used (every variable can be
 register-resident if the flow wants it).
@@ -138,6 +137,8 @@ class BuiltWorkload:
 def _operating_point(params: Mapping[str, Any]):
     """Energy model + memory config for a job's parameter set."""
     divisor = int(params.get("divisor", 1))
+    if divisor < 1:
+        raise ServiceError(f"divisor must be >= 1, got {divisor}")
     voltage = params.get("voltage")
     model_name = str(params.get("model", "static"))
     if model_name == "activity":
@@ -153,8 +154,7 @@ def _operating_point(params: Mapping[str, Any]):
         memory = MemoryConfig.scaled(divisor)
     if voltage is not None:
         # Explicit supply override: costs change, access times (and
-        # therefore the network topology) do not — the warm-startable
-        # sweep case.
+        # therefore the network topology) do not.
         memory = MemoryConfig(
             divisor=memory.divisor,
             voltage=float(voltage),
@@ -335,19 +335,26 @@ class Manifest:
 
         Replicated jobs (``count > 1``) expand in place, so the result
         order matches the manifest's job order.
+
+        Raises:
+            ServiceError: A job's parameters do not build, prefixed with
+                its position (``jobs[i]: ...``).
         """
         built: list[BuiltWorkload] = []
-        for spec in self.specs:
+        for position, spec in enumerate(self.specs):
             params = {**self.defaults, **spec.params}
-            for index in range(spec.count):
-                if spec.kind == "kernel":
-                    built.append(_build_kernel(spec, params, index))
-                elif spec.kind == "figure":
-                    built.append(_build_figure(spec, params))
-                elif spec.kind == "instance":
-                    built.append(_build_instance(spec, self.base))
-                else:
-                    built.append(_build_random(spec, params, index))
+            try:
+                for index in range(spec.count):
+                    if spec.kind == "kernel":
+                        built.append(_build_kernel(spec, params, index))
+                    elif spec.kind == "figure":
+                        built.append(_build_figure(spec, params))
+                    elif spec.kind == "instance":
+                        built.append(_build_instance(spec, self.base))
+                    else:
+                        built.append(_build_random(spec, params, index))
+            except (ReproError, ValueError, TypeError) as exc:
+                raise ServiceError(f"jobs[{position}]: {exc}") from None
         return built
 
 

@@ -10,25 +10,26 @@ running in a worker thread, so the loop stays responsive (``/healthz``
 answers mid-solve) while the solve itself may still fan out over worker
 processes.
 
-Why long-lived matters: the server keeps three caches and one pool
-across the whole request stream —
+Why long-lived matters: the server keeps its result cache, its
+counters and its pool across the whole request stream —
 
 * the result cache (:class:`~repro.service.cache.ResultCache`), on
   disk with ``--cache-dir`` in the same layout ``repro-alloc batch``
   uses: repeated or rename-isomorphic instances are answered without
   solving;
-* the :class:`~repro.flow.warm_start.WarmStartCache` (in-process
-  solving only): cost-only perturbations of a seen topology — e.g.
-  consecutive points of a voltage sweep — re-solve incrementally in
-  O(changed arcs);
-* a process-global :class:`~repro.obs.trace.TraceCollector`, exported
-  by ``/metrics``, so warm-start hits, solve and failure counts and
-  shed totals are observable without restarting anything;
+* a process-global :class:`~repro.obs.trace.CounterCollector`, exported
+  by ``/metrics``, so solve and failure counts and shed totals are
+  observable without restarting anything; it keeps counters and
+  gauges only, never span trees, so it does not grow with the stream;
 * with ``workers > 1``, the process's pool of forked workers
   (:mod:`repro.service.pool`): the first request forks it, every later
   one reuses it, a worker past its chunk's deadline is killed and
   replaced, and :meth:`AllocationServer.close` stops it after the
   drain.
+
+A request's cache misses are solved as ``repro-alloc batch`` solves
+them: in one :func:`~repro.core.solver.allocate_many` call, in process
+or one chunk per pool worker, sharing lockstep kernels.
 
 Protocol (HTTP/1.1, ``Connection: close``):
 
@@ -45,19 +46,21 @@ Protocol (HTTP/1.1, ``Connection: close``):
   and nothing is queued or solved.  The job bound below applies here
   too.
 
-Admission-time lint gating: unless ``ServerConfig.admission_lint`` is
-``None``, every ``/v1/batch`` manifest is built and linted *before*
-``admission.admit`` — a provably-bad manifest (an RA6xx infeasibility
-certificate, a schedule/lifetime disagreement, ...) is rejected with
-``422 Unprocessable Entity`` and a SARIF body carrying the
-machine-checkable evidence, without ever occupying a queue slot or a
-solver.  Verdicts are cached by canonical digest, schedule fingerprint
-and variable naming (:mod:`repro.service.lintgate`), so re-posting a
-manifest re-uses its verdicts (``service.lint.cache_hit``); rejections
+Every ``/v1/batch`` manifest is built and canonicalized *before*
+``admission.admit``, so a job with bad parameters is answered ``400``
+without occupying a queue slot.  Admission-time lint gating: unless
+``ServerConfig.admission_lint`` is ``None``, every job is also linted
+there — a provably-bad manifest (an RA6xx infeasibility certificate, a
+schedule/lifetime disagreement, ...) is rejected with ``422
+Unprocessable Entity`` and a SARIF body carrying the machine-checkable
+evidence, without ever occupying a queue slot or a solver.  Verdicts
+are cached by canonical digest, schedule fingerprint and variable
+naming (:mod:`repro.service.lintgate`), so re-posting a manifest
+re-uses its verdicts (``service.lint.cache_hit``); rejections
 accumulate on ``service.lint.rejected_requests``.  An admitted job is
-canonicalized once and its network built once: the gate and the
-executor share the canonical form, and the in-process solve runs on the
-network the gate's analysis built.
+canonicalized once and its network built once: the executor reuses the
+canonical form, and the in-process solve runs on the network the gate's
+analysis built.
 
 Backpressure is explicit, never silent: a request carrying more jobs
 than the whole admission queue holds can never be admitted and is
@@ -85,7 +88,6 @@ from typing import TYPE_CHECKING, Any, Mapping
 from urllib.parse import parse_qs
 
 from repro.exceptions import ServiceError
-from repro.flow.warm_start import WarmStartCache
 from repro.obs import trace as obs
 from repro.lint.sarif import merge_sarif
 from repro.obs.export import counter_group, metrics_text
@@ -123,11 +125,9 @@ class ServerConfig:
         rate: Per-client sustained admission rate in jobs/second
             (``None`` disables rate limiting).
         burst: Per-client burst allowance (defaults to ``max(rate, 1)``).
-        workers: Executor worker processes; 1 solves in-process, which
-            is also the only mode that can share the warm-start cache
-            across requests.  More run every request on one pool of
-            forked workers that the server owns for its lifetime
-            (:mod:`repro.service.pool`).
+        workers: Executor worker processes; 1 solves in-process.  More
+            run every request on one pool of forked workers that the
+            server owns for its lifetime (:mod:`repro.service.pool`).
         cache_dir: Directory of the on-disk result store, shared with
             ``repro-alloc batch --cache-dir`` (``None`` = in-memory
             result cache only).
@@ -176,25 +176,24 @@ class _Ticket:
     """An admitted batch request waiting for the dispatcher."""
 
     client: str
-    manifest: Manifest
     jobs: int
     future: "asyncio.Future[tuple[int, dict]]"
-    #: Jobs already built and linted at admission time, so the
-    #: dispatcher neither rebuilds the manifest nor canonicalizes or
-    #: builds a network again; ``None`` when the admission lint gate is
-    #: off.
-    gated: "list[_GatedJob] | None" = None
+    #: Jobs already built, canonicalized and gated at admission time,
+    #: so the dispatcher neither rebuilds the manifest nor
+    #: canonicalizes or builds a network again.
+    gated: "list[_GatedJob]"
 
 
 @dataclass
 class _GatedJob:
-    """One workload as the admission gate left it, ready to solve."""
+    """One workload as admission left it, ready to solve."""
 
     workload: BuiltWorkload
     canonical: CanonicalInstance
-    verdict: LintVerdict
-    #: The network the gate's analysis built (``None`` on a verdict
-    #: cache hit); it lives only as long as the request.
+    #: The gate's verdict; ``None`` when there is no gate.
+    verdict: LintVerdict | None
+    #: The network the gate's analysis built (``None`` without a gate
+    #: or on a verdict cache hit); it lives only as long as the request.
     network: "BuiltNetwork | None"
 
 
@@ -235,20 +234,9 @@ class AllocationServer:
 
     Args:
         config: Tunables (defaults are sensible for local use).
-        cache: Result-cache override; by default a
-            :class:`~repro.service.cache.ResultCache` over
-            ``config.cache_dir``.
-        warm_cache: Warm-start cache override; by default one shared
-            :class:`~repro.flow.warm_start.WarmStartCache` when
-            ``config.workers == 1``.
     """
 
-    def __init__(
-        self,
-        config: ServerConfig | None = None,
-        cache: ResultCache | None = None,
-        warm_cache: WarmStartCache | None = None,
-    ) -> None:
+    def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
         cfg = self.config
         if cfg.workers < 1:
@@ -256,14 +244,9 @@ class AllocationServer:
         self.admission = AdmissionController(
             capacity=cfg.queue_capacity, rate=cfg.rate, burst=cfg.burst
         )
-        if cache is None:
-            cache = ResultCache(
-                capacity=cfg.cache_capacity, directory=cfg.cache_dir
-            )
-        self.cache = cache
-        if warm_cache is None and cfg.workers == 1:
-            warm_cache = WarmStartCache()
-        self.warm_cache = warm_cache
+        self.cache = ResultCache(
+            capacity=cfg.cache_capacity, directory=cfg.cache_dir
+        )
         #: Admission-time lint gate; ``None`` when disabled by config.
         self.lint_gate: LintGate | None = (
             LintGate(cache=self.cache, fail_on=cfg.admission_lint)
@@ -291,8 +274,9 @@ class AllocationServer:
         if obs.current() is None:
             # The server owns a process-global collector so /metrics has
             # something to export; an externally installed collector
-            # (tests, profiling) takes precedence.
-            self._own_collector = obs.TraceCollector()
+            # (tests, profiling) takes precedence.  /metrics reads
+            # counters and gauges only, so it keeps no span trees.
+            self._own_collector = obs.CounterCollector()
             obs.install(self._own_collector)
         self._wakeup = asyncio.Event()
         self._drained = asyncio.Event()
@@ -393,28 +377,17 @@ class AllocationServer:
         cfg = self.config
         start = time.perf_counter()
         executor = BatchExecutor(
-            workers=cfg.workers,
-            cache=self.cache,
-            timeout=cfg.timeout,
-            warm_cache=self.warm_cache,
+            workers=cfg.workers, cache=self.cache, timeout=cfg.timeout
         )
-        if ticket.gated is None:
-            try:
-                workloads = ticket.manifest.build()
-            except ServiceError as exc:
-                return 400, {"error": str(exc)}
-            for w in workloads:
-                executor.submit(w.problem, w.label, schedule=w.schedule)
-        else:
-            for job in ticket.gated:
-                w = job.workload
-                executor.submit(
-                    w.problem,
-                    w.label,
-                    schedule=w.schedule,
-                    canonical=job.canonical,
-                    network=job.network,
-                )
+        for job in ticket.gated:
+            w = job.workload
+            executor.submit(
+                w.problem,
+                w.label,
+                schedule=w.schedule,
+                canonical=job.canonical,
+                network=job.network,
+            )
         results = executor.gather()
         wall = time.perf_counter() - start
         self.admission.observe_service_time(wall, max(1, len(results)))
@@ -536,10 +509,11 @@ class AllocationServer:
         except ServiceError as exc:
             raise _HttpError(400, str(exc))
 
-    def _lint_workloads(
-        self, manifest: Manifest, gate: LintGate
+    def _build_workloads(
+        self, manifest: Manifest, gate: LintGate | None
     ) -> "list[_GatedJob]":
-        """Build a manifest and gate every workload (blocking call).
+        """Build a manifest, canonicalize every workload and gate it
+        when there is a *gate* (blocking call).
 
         Each workload is canonicalized once; the gate and, for an
         admitted request, the executor share that form and the network
@@ -554,12 +528,14 @@ class AllocationServer:
         gated = []
         for workload in workloads:
             canonical = canonicalize(workload.problem)
-            verdict, network = gate.check(
-                workload.problem,
-                schedule=workload.schedule,
-                label=workload.label,
-                canonical=canonical,
-            )
+            verdict = network = None
+            if gate is not None:
+                verdict, network = gate.check(
+                    workload.problem,
+                    schedule=workload.schedule,
+                    label=workload.label,
+                    canonical=canonical,
+                )
             gated.append(_GatedJob(workload, canonical, verdict, network))
         return gated
 
@@ -578,33 +554,34 @@ class AllocationServer:
         obs.count("service.server.requests")
         manifest = self._parse_body_manifest(request)
         jobs = self._bounded_job_count(manifest)
-        gated: "list[_GatedJob] | None" = None
-        if self.lint_gate is not None:
-            # Lint BEFORE admission: a provably-bad manifest must never
-            # occupy a queue slot, let alone a solver.
-            gated = await asyncio.to_thread(
-                self._lint_workloads, manifest, self.lint_gate
+        # Build and lint BEFORE admission: a malformed or provably-bad
+        # manifest must never occupy a queue slot, let alone a solver.
+        gated = await asyncio.to_thread(
+            self._build_workloads, manifest, self.lint_gate
+        )
+        blocking = [
+            job.verdict
+            for job in gated
+            if job.verdict is not None and job.verdict.blocking
+        ]
+        if blocking:
+            obs.count("service.lint.rejected_requests")
+            body = _json_bytes(
+                {
+                    "error": (
+                        f"manifest rejected by the admission lint "
+                        f"gate: {len(blocking)} of "
+                        f"{len(gated)} job(s) provably bad"
+                    ),
+                    "rejected_jobs": [v.label for v in blocking],
+                    "sarif": self._sarif_body(gated),
+                }
             )
-            blocking = [job.verdict for job in gated if job.verdict.blocking]
-            if blocking:
-                obs.count("service.lint.rejected_requests")
-                body = _json_bytes(
-                    {
-                        "error": (
-                            f"manifest rejected by the admission lint "
-                            f"gate: {len(blocking)} of "
-                            f"{len(gated)} job(s) provably bad"
-                        ),
-                        "rejected_jobs": [v.label for v in blocking],
-                        "sarif": self._sarif_body(gated),
-                    }
-                )
-                return 422, body, {}
+            return 422, body, {}
         client = request.headers.get("x-client-id") or request.peer
         loop = asyncio.get_running_loop()
         ticket = _Ticket(
             client=client,
-            manifest=manifest,
             jobs=jobs,
             future=loop.create_future(),
             gated=gated,
@@ -658,7 +635,7 @@ class AllocationServer:
         # A lint-only request must report, never reject; reuse the
         # admission gate (shared verdict cache) when it exists.
         gate = self.lint_gate or LintGate(cache=self.cache, fail_on="never")
-        gated = await asyncio.to_thread(self._lint_workloads, manifest, gate)
+        gated = await asyncio.to_thread(self._build_workloads, manifest, gate)
         return 200, _json_bytes(self._sarif_body(gated)), {}
 
     def _write_response(
@@ -697,9 +674,9 @@ class AllocationServer:
         """The ``/metrics`` JSON document (``repro.service/metrics/v1``).
 
         Exports every :mod:`repro.obs` counter and gauge accumulated
-        since the server started — warm-start hit kinds
-        (``solver.warm_start.cold/replay/incremental``), flow solves
-        (``solver.flow_solve.calls``), job, failure and solver-error
+        since the server started — flow solves
+        (``solver.flow_solve.calls``), lockstep searches and augmenting
+        paths (``ssp.*``), job, failure and solver-error
         totals (``service.jobs``, ``service.failures``,
         ``service.solver_error``), shed totals
         (``service.shed*``), task-graph pipeline counters (``dag.*``,
@@ -716,7 +693,7 @@ class AllocationServer:
             if collector
             else {},
             "admission": self.admission.stats(),
-            "cache": self.cache.stats() if self.cache else {},
+            "cache": self.cache.stats(),
             "lint": (
                 counter_group(collector, "service.lint")
                 if collector

@@ -10,6 +10,8 @@ from repro.analysis.exploration import (
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.core.storage import StorageSpec
+from repro.energy import StaticEnergyModel
+from repro.energy.models import reference_reg_voltage
 from repro.exceptions import InfeasibleFlowError
 from repro.workloads.registry import figure_example
 
@@ -42,18 +44,32 @@ def test_explore_storage_space_covers_grid():
 
 def test_warm_start_matches_cold_exactly():
     lifetimes, horizon = fig3()
+    registers = (1, 2, 3)
     specs = banked_grid([1, 2, 3], [2], port_widths=(None, 1))
-    warm = explore_storage_space(
-        lifetimes, horizon, [1, 2, 3], specs, warm_start=True
-    )
-    cold = explore_storage_space(
-        lifetimes, horizon, [1, 2, 3], specs, warm_start=False
-    )
-    assert len(warm.points) == len(cold.points)
-    for w, c in zip(warm.points, cold.points):
-        assert w.feasible == c.feasible
+    warm = explore_storage_space(lifetimes, horizon, registers, specs)
+    model = StaticEnergyModel()
+
+    def cold(spec: StorageSpec, register_count: int) -> float | None:
+        problem = AllocationProblem(
+            lifetimes,
+            register_count=register_count,
+            horizon=horizon,
+            energy_model=model.with_voltages(
+                spec.reference.voltage, reference_reg_voltage(model)
+            ),
+            storage=spec,
+        )
+        try:
+            return allocate(problem).total_energy
+        except InfeasibleFlowError:
+            return None
+
+    colds = [cold(spec, r) for spec in specs for r in registers]
+    assert len(warm.points) == len(colds)
+    for w, c in zip(warm.points, colds):
+        assert w.feasible == (c is not None)
         if w.feasible:
-            assert w.energy == c.energy  # exact, not approx
+            assert w.energy == c  # exact, not approx
 
 
 def test_points_match_direct_allocate():
@@ -63,8 +79,6 @@ def test_points_match_direct_allocate():
     [point] = result.points
     # The sweep rescales the model to the reference supply; rebuild the
     # same operating point for the direct solve.
-    from repro.energy import StaticEnergyModel
-
     model = StaticEnergyModel().with_voltages(spec.reference.voltage, 5.0)
     problem = AllocationProblem(
         lifetimes,

@@ -11,7 +11,6 @@ import pytest
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.core.storage import StorageSpec
-from repro.core.options import SolveOptions
 from repro.core.pipeline import allocate_block
 from repro.energy import MemoryConfig
 from repro.exceptions import InfeasibleFlowError
@@ -43,7 +42,7 @@ def test_degenerate_spec_matches_classic_on_figures(name, divisor):
     plain = figure_problem(name, registers=2, divisor=divisor)
     spec = StorageSpec.canonical(plain.memory)
     classic = allocate(plain)
-    banked = allocate(plain, SolveOptions(storage=spec))
+    banked = allocate(plain.with_options(storage=spec))
     assert banked.objective == classic.objective  # exact, not approx
     assert banked.total_energy == classic.total_energy
     assert banked.residency == classic.residency
@@ -57,9 +56,7 @@ def test_degenerate_spec_matches_classic_on_kernels(name):
     block = kernel_block(name, taps=4)
     classic = allocate_block(block, register_count=4)
     banked = allocate_block(
-        block,
-        register_count=4,
-        options=SolveOptions(storage=StorageSpec.canonical()),
+        block, register_count=4, storage=StorageSpec.canonical()
     )
     assert banked.allocation.objective == classic.allocation.objective
     assert banked.allocation.total_energy == classic.allocation.total_energy
@@ -69,7 +66,7 @@ def test_degenerate_spec_matches_classic_on_kernels(name):
 def test_degenerate_banking_attaches_zero_delta_assignment():
     problem = figure_problem("fig3", registers=2, divisor=2)
     allocation = allocate(
-        problem, SolveOptions(storage=StorageSpec.canonical(problem.memory))
+        problem.with_options(storage=StorageSpec.canonical(problem.memory))
     )
     banking = allocation.banking
     assert banking is not None
@@ -114,16 +111,6 @@ def test_multibank_capacity_overflow_is_infeasible():
     spec = StorageSpec.banked(2, 2, capacity=0)
     with pytest.raises(InfeasibleFlowError):
         allocate(problem.with_options(storage=spec))
-
-
-def test_options_storage_does_not_override_problem_storage():
-    problem = figure_problem("fig3", registers=2).with_options(
-        storage=StorageSpec.banked(2, 2)
-    )
-    via_options = allocate(
-        problem, SolveOptions(storage=StorageSpec.banked(3, 3))
-    )
-    assert len(via_options.problem.storage.banks) == 2
 
 
 def test_multibank_solution_passes_oracles():

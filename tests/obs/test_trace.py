@@ -164,3 +164,25 @@ class TestCountersAndGauges:
         assert trace.counter("shared") == threads * increments
         # Each thread's top-level span lands as its own root.
         assert sum(r.name == "worker" for r in trace.roots) == threads
+
+
+class TestCounterCollector:
+    def test_counts_and_gauges_but_keeps_no_roots(self):
+        collector = obs.CounterCollector()
+        obs.install(collector)
+        try:
+            with obs.span("outer"):
+                with obs.span("inner"):
+                    obs.count("hits", 2)
+                obs.gauge("depth", 3)
+            obs.count("hits")
+        finally:
+            obs.uninstall()
+        assert collector.counters == {"hits": 3}
+        assert collector.gauges == {"depth": 3}
+        assert collector.roots == ()
+        assert collector.find("outer") is None
+
+    def test_its_span_is_the_shared_noop(self):
+        collector = obs.CounterCollector()
+        assert collector.span("a") is obs.span("b")  # tracing disabled

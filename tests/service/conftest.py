@@ -40,11 +40,11 @@ class ServerHarness:
     server, so a failing test cannot leak a listener into the next one.
     """
 
-    def __init__(self, config: ServerConfig | None = None, **server_kwargs):
+    def __init__(self, config: ServerConfig | None = None):
         config = config or ServerConfig()
         config.port = 0
         self.config = config
-        self.server = AllocationServer(config, **server_kwargs)
+        self.server = AllocationServer(config)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever,

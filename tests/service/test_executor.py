@@ -323,63 +323,6 @@ def test_job_result_to_dict_is_json_ready():
     assert data["objective"] == pytest.approx(result.objective)
 
 
-def test_warm_cache_rides_the_inline_path_with_identical_results():
-    from repro import obs
-    from repro.flow.warm_start import WarmStartCache
-    from repro.service.manifest import parse_manifest
-
-    def sweep_manifest(voltage: float) -> dict:
-        return {
-            "schema": "repro.service/manifest/v1",
-            "jobs": [
-                {
-                    "kind": "kernel",
-                    "name": "fir",
-                    "taps": 8,
-                    "registers": 4,
-                    "voltage": voltage,
-                }
-            ],
-        }
-
-    voltages = (5.0, 4.0, 3.0)
-    warm_cache = WarmStartCache()
-    executor = BatchExecutor(workers=1, cache=None, warm_cache=warm_cache)
-    with obs.collect() as trace:
-        warm = [
-            executor.map_blocks(
-                [w.problem for w in parse_manifest(sweep_manifest(v)).build()]
-            )[0]
-            for v in voltages
-        ]
-    assert trace.counters["solver.warm_start.cold"] == 1
-    assert trace.counters["solver.warm_start.incremental"] == len(voltages) - 1
-
-    # Identical energies to cold solves (fresh executor, no warm cache).
-    for voltage, warmed in zip(voltages, warm):
-        cold_executor = BatchExecutor(workers=1, cache=None)
-        cold = cold_executor.map_blocks(
-            [
-                w.problem
-                for w in parse_manifest(sweep_manifest(voltage)).build()
-            ]
-        )[0]
-        assert warmed.ok and cold.ok
-        # Byte-identical energies; the allocation itself may be a
-        # different vertex of the same optimal face (degenerate optima).
-        assert warmed.objective == cold.objective
-        assert warmed.summary.mem_accesses == cold.summary.mem_accesses
-        assert warmed.summary.reg_accesses == cold.summary.reg_accesses
-
-
-def test_warm_cache_is_not_shipped_to_pool_workers():
-    from repro.flow.warm_start import WarmStartCache
-
-    executor = BatchExecutor(workers=2, cache=None, warm_cache=WarmStartCache())
-    results = executor.map_blocks(random_batch(4))
-    assert all(result.ok for result in results)
-
-
 def _summaries(results):
     return [r.summary.to_dict() if r.ok else (r.status, r.error) for r in results]
 

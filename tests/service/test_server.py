@@ -7,8 +7,10 @@ blocking clients).  The acceptance bars of the serving PR live here:
 
 * the paper manifest served twice is >= 90% cache-hit the second time,
   with energies identical to the ``repro-alloc batch`` CLI;
-* a cold/warm voltage sweep hits the warm-start cache on points 2..N
-  with energies identical to cold solves, visible on ``/metrics``;
+* a voltage sweep served by one server gives every point the answer a
+  lone in-process ``allocate`` gives it, whatever the server solved
+  before, and a request's cache misses are solved in lockstep (fewer
+  searches than augmenting paths on ``/metrics``);
 * a burst of 4x queue capacity sheds with explicit 503 + Retry-After
   (zero silent drops — every request is answered and the shed counter
   reconciles) while ``/healthz`` stays responsive;
@@ -23,7 +25,12 @@ import os
 import threading
 import time
 
+from repro import obs
 from repro.cli import main
+from repro.core.solver import allocate
+from repro.service.cache import SolveSummary
+from repro.service.canonical import canonicalize
+from repro.service.manifest import parse_manifest
 from repro.service.server import ServerConfig
 
 from .conftest import PAPER_MANIFEST, ServerHarness, running, tiny_manifest
@@ -54,7 +61,8 @@ def test_healthz_and_metrics_endpoints():
         assert status == 200
         assert metrics["schema"] == "repro.service/metrics/v1"
         assert metrics["admission"]["capacity"] == harness.config.queue_capacity
-        assert "counters" in metrics and "cache" in metrics
+        assert "counters" in metrics
+        assert metrics["cache"]["entries"] == 0  # stats even when empty
         assert "dag" in metrics  # task-graph counters get their own section
 
         status, _, body = harness.request("GET", "/metrics?format=text")
@@ -242,9 +250,43 @@ def test_a_pooled_server_reuses_its_workers_and_stops_them(paper_manifest):
     assert not [pid for pid in first_pids if running(pid)]
 
 
+def test_the_servers_collector_keeps_counters_not_spans():
+    requests = 5
+    with ServerHarness(ServerConfig()) as harness:
+        for seed in range(requests):
+            status, _, _ = harness.post_json(
+                "/v1/batch",
+                tiny_manifest(
+                    jobs=[
+                        {"kind": "random", "variables": 6, "horizon": 8,
+                         "seed": seed, "count": 2}
+                    ]
+                ),
+            )
+            assert status == 200
+        collector = harness.server._own_collector
+        assert collector is not None and collector is obs.current()
+        _, metrics = harness.get_json("/metrics")
+        assert collector.roots == ()
+    assert metrics["counters"]["service.jobs"] == 2 * requests
+
+
 # ---------------------------------------------------------------------------
-# cold/warm voltage sweep: the warm-start acceptance bar
+# one solve path: lockstep misses, same answers as a lone solve
 # ---------------------------------------------------------------------------
+
+
+def test_a_requests_misses_are_solved_in_lockstep(paper_manifest):
+    with ServerHarness(ServerConfig()) as harness:
+        status, _, report = harness.post_json("/v1/batch", paper_manifest)
+        assert status == 200
+        assert report["totals"]["ok"] == 16
+        _, metrics = harness.get_json("/metrics")
+    counters = metrics["counters"]
+    # One multi-source search per lockstep round serves every job still
+    # augmenting; solved one at a time, each path would need its own.
+    assert counters["ssp.searches"] < counters["ssp.augmenting_paths"]
+    assert counters["network.builds"] == 16
 
 
 def _sweep_point(voltage: float) -> dict:
@@ -262,7 +304,7 @@ def _sweep_point(voltage: float) -> dict:
     )
 
 
-def test_voltage_sweep_is_warm_started_with_identical_energies(tmp_path):
+def test_voltage_sweep_energies_match_fresh_servers_and_allocate():
     voltages = (5.0, 4.0, 3.3, 2.5, 2.0)
     served: dict[str, float] = {}
     with ServerHarness(ServerConfig(workers=1)) as harness:
@@ -274,15 +316,13 @@ def test_voltage_sweep_is_warm_started_with_identical_energies(tmp_path):
             assert report["totals"]["cached"] == 0  # distinct keys
             served.update(_job_energies(report))
         status, metrics = harness.get_json("/metrics")
-        counters = metrics["counters"]
-        # Point 1 is a cold factorisation; points 2..5 re-solve
-        # incrementally off the same network topology.
-        assert counters.get("solver.warm_start.cold") == 1
-        assert counters.get("solver.warm_start.incremental") == len(voltages) - 1
-        status, _, text = harness.request("GET", "/metrics?format=text")
-        assert b"solver_warm_start_incremental_total 4" in text
+    assert not [
+        name
+        for name in metrics["counters"]
+        if name.startswith("solver.warm_start")
+    ]
 
-    # Cold reference: a fresh server (empty warm cache) per point.
+    # References: a fresh server per point, and the library alone.
     for voltage in voltages:
         with ServerHarness(ServerConfig(workers=1)) as cold_harness:
             status, _, report = cold_harness.post_json(
@@ -291,8 +331,35 @@ def test_voltage_sweep_is_warm_started_with_identical_energies(tmp_path):
             assert status == 200
             cold = _job_energies(report)
         label = f"fir@{voltage}"
+        [workload] = parse_manifest(_sweep_point(voltage)).build()
         assert served[label] == cold[label]
+        assert served[label] == allocate(workload.problem).total_energy
     assert len(served) == len(voltages)
+
+
+def test_a_served_answer_does_not_depend_on_earlier_requests():
+    # Points of an ewf sweep share one network topology: a server that
+    # re-solved each from the previous point's flow could answer with
+    # another optimal allocation than a lone solve gives.
+    with ServerHarness(ServerConfig()) as harness:
+        for point in range(10):
+            document = tiny_manifest(
+                jobs=[
+                    {"kind": "kernel", "name": "ewf", "registers": 8,
+                     "voltage": round(3.0 + 0.001 * point, 4)}
+                ]
+            )
+            status, _, report = harness.post_json("/v1/batch", document)
+            assert status == 200
+            [job] = report["jobs"]
+            [workload] = parse_manifest(document).build()
+            canonical = canonicalize(workload.problem)
+            alone = SolveSummary.from_allocation(
+                allocate(workload.problem), canonical.key
+            )
+            assert job["objective"] == alone.objective
+            stored = harness.server.cache.get(canonical.key)
+            assert stored == alone.remap(canonical.renaming)
 
 
 # ---------------------------------------------------------------------------
