@@ -16,13 +16,15 @@ Turns a solved flow into the artefacts a downstream code generator needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import compress
+from typing import TYPE_CHECKING, Container
+
+import numpy as np
 
 from repro.core.network_builder import BuiltNetwork
 from repro.core.problem import AllocationProblem
 from repro.energy.report import EnergyReport
-from repro.exceptions import AllocationError, GraphError
-from repro.flow.decompose import decompose_into_paths
+from repro.exceptions import AllocationError
 from repro.flow.graph import FlowResult
 from repro.lifetimes.intervals import Segment
 
@@ -32,9 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
 __all__ = [
     "Allocation",
     "AllocationResult",
+    "chain_positions",
     "decompose_chains",
     "compute_report",
     "assign_addresses",
+    "flat_segments",
+    "memory_hulls",
     "memory_intervals",
 ]
 
@@ -156,25 +161,104 @@ def decompose_chains(
 
     Every flow unit follows a simple ``s -> t`` path (the network is acyclic
     and interior arcs have capacity 1); the segments visited along one path
-    are the variables one register holds over time.
+    are the variables one register holds over time.  See
+    :func:`chain_positions` for the walk and the malformed flows it
+    rejects.
     """
-    try:
-        paths = decompose_into_paths(flow, built.source, built.sink)
-    except GraphError as exc:
-        raise AllocationError(f"invalid allocation flow: {exc}") from exc
-    chains: list[list[Segment]] = []
+    positions, bypass_units = chain_positions(built, flow)
+    flat = flat_segments(built.problem)
+    return [[flat[i] for i in chain] for chain in positions], bypass_units
+
+
+def flat_segments(problem: AllocationProblem) -> list[Segment]:
+    """*problem*'s segments in flattened position order — the order the
+    network builder numbers them in."""
+    return [seg for segs in problem.segments.values() for seg in segs]
+
+
+def chain_positions(
+    built: BuiltNetwork, flow: FlowResult
+) -> tuple[list[list[int]], int]:
+    """Register chains as flattened segment positions, plus bypass units.
+
+    Walks a successor array over the flow-carrying arcs under the node
+    numbering :func:`~repro.core.network_builder.build_network` fixes
+    (``s = 0, t = 1, w_i = 2 + 2i, r_i = 3 + 2i``).  A ``w_i`` node's one
+    out-arc is segment ``i``'s arc and an interior arc has capacity 1,
+    so each interior node passes at most one unit on: its successor is
+    the head of its one flow-carrying out-arc.  Chains start at the
+    source's flow-carrying out-arcs in arc-id order, the order a greedy
+    path decomposition takes them in, so the chains are the same.
+    Bypass units are the flow on the bypass arc.
+
+    Raises:
+        AllocationError: ``invalid allocation flow: ...`` when the flow
+            cannot be one unit per register: two flow-carrying out-arcs
+            at an interior node, more than one unit on an arc other than
+            the bypass, a walk that stalls, or units no walk reaches.
+    """
+    network = built.network
+    flows = flow.flows
+    m = network.num_arcs
+    if len(flows) != m:
+        raise _invalid_flow(f"{len(flows)} flow entries for {m} arcs")
+    bypass = built.roles.bypass_arc
+    carrying = list(compress(range(m), flows))
+    for arc in carrying:
+        if flows[arc] != 1 and (arc != bypass or flows[arc] < 0):
+            raise _invalid_flow(
+                f"{flows[arc]} units on {network.arc(arc)}; an arc other "
+                "than the bypass carries 0 or 1"
+            )
     bypass_units = 0
-    for path in paths:
-        chain = [
-            arc.data[1]
-            for arc in path
-            if arc.data and arc.data[0] == "segment"
-        ]
-        if chain:
-            chains.append(chain)
-        else:
-            bypass_units += 1
+    if carrying and carrying[-1] == bypass:
+        # The builder adds the bypass last, so it closes the list.
+        bypass_units = int(flows[carrying.pop()])
+    arrays = network.arrays()
+    ids = np.array(carrying, dtype=np.int64)
+    tails = arrays.tails[ids]
+    heads = arrays.heads[ids]
+    from_source = tails == 0
+    interior = tails[~from_source]
+    if interior.size:
+        fan_out = np.bincount(interior)
+        if fan_out.max() > 1:
+            raise _invalid_flow(
+                f"{network.nodes[int(fan_out.argmax())]!r} has "
+                f"{fan_out.max()} flow-carrying out-arcs"
+            )
+    following = [-1] * network.num_nodes
+    for tail, head in zip(interior.tolist(), heads[~from_source].tolist()):
+        following[tail] = head
+    # Each hop consumes its node's successor, so no walk revisits a
+    # node and the walks take at most the 2k interior hops between them.
+    chains: list[list[int]] = []
+    hops = 0
+    for node in heads[from_source].tolist():
+        chain: list[int] = []
+        while node != 1:
+            after = following[node]
+            if after < 0:
+                raise _invalid_flow(
+                    f"a register chain stalls at {network.nodes[node]!r}; "
+                    "the flow violates conservation"
+                )
+            following[node] = -1
+            hops += 1
+            if not node & 1:  # w_i: the hop is segment i's arc
+                chain.append((node - 2) >> 1)
+            node = after
+        chains.append(chain)
+    if hops != interior.size:
+        raise _invalid_flow(
+            f"flow on {interior.size - hops} arc(s) lies on no "
+            "source-sink chain"
+        )
     return chains, bypass_units
+
+
+def _invalid_flow(detail: str) -> AllocationError:
+    return AllocationError(f"invalid allocation flow: {detail}")
 
 
 def compute_report(
@@ -195,40 +279,38 @@ def compute_report(
         if segments[0].key not in registered:
             report.add_mem_write(model.mem_write(variable))
         for seg in segments:
-            if not seg.read_count:
+            count = len(seg.reads)
+            if not count:
                 continue
-            if seg.key in registered:
-                report.add_reg_read(
-                    seg.read_count * model.reg_read(variable), seg.read_count
-                )
+            if (name, seg.index) in registered:
+                report.add_reg_read(count * model.reg_read(variable), count)
             else:
-                report.add_mem_read(
-                    seg.read_count * model.mem_read(variable), seg.read_count
-                )
+                report.add_mem_read(count * model.mem_read(variable), count)
 
     for chain in chains:
-        prev_variable = None
-        for position, seg in enumerate(chain):
-            previous = chain[position - 1] if position else None
-            intra = (
-                previous is not None
-                and previous.name == seg.name
-                and previous.index + 1 == seg.index
-            )
-            if not intra:
+        previous: Segment | None = None
+        for seg in chain:
+            if (
+                previous is None
+                or previous.name != seg.name
+                or previous.index + 1 != seg.index
+            ):
+                # A new value enters the register: the one it held
+                # before spills if it is still live, and a segment
+                # starting at an access cut reloads from memory.
+                if previous is not None and not previous.is_last:
+                    report.add_mem_write(model.mem_write(previous.variable))
                 report.add_reg_write(
-                    model.reg_write(seg.variable, prev_variable)
+                    model.reg_write(
+                        seg.variable,
+                        previous.variable if previous is not None else None,
+                    )
                 )
                 if not seg.is_first and seg.starts_at_access_cut:
                     report.add_mem_read(model.mem_read(seg.variable))
-            prev_variable = seg.variable
-            is_exit_to_other = (
-                position + 1 == len(chain)
-                or chain[position + 1].name != seg.name
-                or chain[position + 1].index != seg.index + 1
-            )
-            if is_exit_to_other and not seg.is_last:
-                report.add_mem_write(model.mem_write(seg.variable))
+            previous = seg
+        if previous is not None and not previous.is_last:
+            report.add_mem_write(model.mem_write(previous.variable))
     return report
 
 
@@ -237,14 +319,33 @@ def memory_intervals(
     residency: dict[tuple[str, int], int],
 ) -> dict[str, tuple[int, int]]:
     """Memory occupancy window (hull) per memory-resident variable."""
+    held = {
+        position
+        for position, seg in enumerate(flat_segments(problem))
+        if seg.key in residency
+    }
+    return memory_hulls(problem, held)
+
+
+def memory_hulls(
+    problem: AllocationProblem, held: Container[int]
+) -> dict[str, tuple[int, int]]:
+    """:func:`memory_intervals` with the register-resident segments given
+    as the flattened positions in *held*."""
     intervals: dict[str, tuple[int, int]] = {}
+    position = 0
     for name, segments in problem.segments.items():
-        outside = [seg for seg in segments if seg.key not in residency]
-        if outside:
-            intervals[name] = (
-                min(seg.start for seg in outside),
-                max(seg.end for seg in outside),
-            )
+        # A variable's segments are time-ordered, so the hull runs from
+        # the first outside segment's start to the last one's end.
+        first: Segment | None = None
+        for seg in segments:
+            if position not in held:
+                if first is None:
+                    first = seg
+                last = seg
+            position += 1
+        if first is not None:
+            intervals[name] = (first.start, last.end)
     return intervals
 
 

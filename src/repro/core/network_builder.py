@@ -139,7 +139,7 @@ class BuiltNetwork:
             ``s``/``t``, and ``("bypass",)``).
         source / sink: Flow terminals.
         roles: Arc-id role arrays used by :func:`recost_network`, the
-            network lint rules and the prover.
+            chain extraction, the network lint rules and the prover.
         banks: Per-bank era chains when the instance carries a
             multi-bank :class:`~repro.core.storage.StorageSpec` — the
             parallel per-level handoff structure (one era-chain per
@@ -152,7 +152,7 @@ class BuiltNetwork:
     network: FlowNetwork
     source: Hashable
     sink: Hashable
-    roles: ArcRoles | None = None
+    roles: ArcRoles
     banks: tuple[BankStructure, ...] | None = None
 
     @property
@@ -425,8 +425,6 @@ def recost_network(built: BuiltNetwork, problem: AllocationProblem) -> BuiltNetw
     style, access times or forced set) — callers should rebuild instead.
     """
     roles = built.roles
-    if roles is None:
-        raise GraphError("recost_network requires a network built with roles")
     old = built.problem
     segments = [seg for segs in problem.segments.values() for seg in segs]
     old_segments = [seg for segs in old.segments.values() for seg in segs]

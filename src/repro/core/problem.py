@@ -34,6 +34,10 @@ __all__ = ["AllocationProblem", "GraphStyle"]
 #: graph ablation).
 GraphStyle = Literal["adjacent", "all_pairs"]
 
+#: Fields a :meth:`AllocationProblem.with_options` copy may replace and
+#: still share the derived segments (when the access times stay equal).
+_COST_FIELDS = frozenset({"energy_model", "memory"})
+
 
 @dataclass(frozen=True)
 class AllocationProblem:
@@ -184,8 +188,22 @@ class AllocationProblem:
         )
 
     def with_options(self, **changes) -> "AllocationProblem":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
+        """A copy with the given fields replaced.
+
+        A copy that replaces nothing but :attr:`energy_model` and/or
+        :attr:`memory`, and keeps the :attr:`access_times`, shares this
+        instance's cached :attr:`segments` and :attr:`density`: both
+        depend only on the lifetimes, the horizon, the access times and
+        the split switch.  Any other change derives them again.
+        """
+        copy = replace(self, **changes)
+        if changes.keys() <= _COST_FIELDS and (
+            copy.access_times == self.access_times
+        ):
+            for name in ("segments", "density"):
+                if name in self.__dict__:
+                    copy.__dict__[name] = self.__dict__[name]
+        return copy
 
     # ------------------------------------------------------------------
     # constructors

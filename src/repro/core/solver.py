@@ -35,9 +35,10 @@ from typing import Iterator, NamedTuple, Sequence
 from repro.core.allocation import (
     Allocation,
     assign_addresses,
+    chain_positions,
     compute_report,
-    decompose_chains,
-    memory_intervals,
+    flat_segments,
+    memory_hulls,
 )
 from repro.core.network_builder import BuiltNetwork, build_network
 from repro.core.options import SolveOptions
@@ -362,15 +363,17 @@ def extract_allocation(
     """
     problem = built.problem
     with obs.span("solver.extract"):
-        chains, bypass_units = decompose_chains(built, flow)
-        residency: dict[tuple[str, int], int] = {}
-        for register, chain in enumerate(chains):
-            for seg in chain:
-                residency[seg.key] = register
-
+        positions, bypass_units = chain_positions(built, flow)
+        flat = flat_segments(problem)
+        chains = [[flat[i] for i in chain] for chain in positions]
+        residency = {
+            seg.key: register
+            for register, chain in enumerate(chains)
+            for seg in chain
+        }
         report = compute_report(problem, chains)
-        intervals = memory_intervals(problem, residency)
-        addresses = assign_addresses(intervals)
+        held = {position for chain in positions for position in chain}
+        addresses = assign_addresses(memory_hulls(problem, held))
         objective = problem.constant_energy() + flow.cost
 
     if validate:

@@ -13,14 +13,22 @@ constant by the test battery, so the two cannot drift apart).
 The co-optimiser prices every task's min-cost-flow allocation at every
 candidate voltage.  Because only supply voltages change — the clock
 divisor of the *storage* stays 1 — each rung is a cost-only
-perturbation of an unchanged network topology, so the sweep builds each
-task's network once, derives every other rung's network as a cost-only
-copy (:func:`~repro.core.network_builder.recost_network`), and solves
-all tasks × rungs in one :func:`~repro.core.solver.allocate_many` call:
+perturbation of an unchanged network topology, so the sweep builds
+each task's problem and network once, at the first rung.  Every other
+rung is that problem with only the energy model and the memory
+replaced (:meth:`~repro.core.problem.AllocationProblem.with_options`
+keeps the first rung's lifetimes and split segments, which do not
+depend on the voltage) and a cost-only copy of its network
+(:func:`~repro.core.network_builder.recost_network`).  All tasks ×
+rungs are solved in one :func:`~repro.core.solver.allocate_many` call:
 the whole ladder shares lockstep kernels and one multi-source search
-per round.  Each rung's energy is the one a cold
+per round.  Every rung is still extracted and its recomputed energy
+checked against its flow objective; pricing a rung from its flow cost
+alone would drop that check.  Each rung's problem equals
+:func:`task_problem`'s, so its energy is the one a cold
 :func:`~repro.core.solver.allocate` of that instance gives, which is
-what the dispatch re-solves and the report reconciles against.
+what the dispatch re-solves (from the schedule, through
+:func:`task_problem`) and the report reconciles against.
 
 Selection is greedy but exact per step: partitions are visited in
 descending-work order and each takes the cheapest operating point whose
@@ -193,16 +201,24 @@ def task_problem(
     Built from the plan's own list schedule so timing and allocation see
     the same horizon; the memory config carries the point's supply with
     divisor 1 — the slowdown stretches wall-clock time, not the
-    storage/datapath clock ratio, so the flow network topology is
-    voltage-invariant and every rung re-costs the first rung's network.
+    storage/datapath clock ratio, so the lifetimes, segments and flow
+    network topology are voltage-invariant and the sweep derives every
+    further rung from the first rung's problem.
     """
-    base = energy_model or StaticEnergyModel()
     return AllocationProblem.from_schedule(
         plan.schedules[task_name],
         register_count,
-        energy_model=_point_model(base, point.voltage),
-        memory=MemoryConfig(voltage=point.voltage),
+        **_point_fields(energy_model or StaticEnergyModel(), point),
     )
+
+
+def _point_fields(base: EnergyModel, point: OperatingPoint) -> dict:
+    """The problem fields *point* sets: the rescaled energy model and a
+    memory at the point's supply, divisor 1."""
+    return {
+        "energy_model": _point_model(base, point.voltage),
+        "memory": MemoryConfig(voltage=point.voltage),
+    }
 
 
 def _non_dominated(points: list[FrontierPoint]) -> tuple[FrontierPoint, ...]:
@@ -242,12 +258,12 @@ def sweep_operating_points(
     """Pick the cheapest feasible operating point per partition.
 
     Every task is allocated (min-cost flow) at every ladder voltage —
-    one network build per task, a cost-only copy per further rung, and
-    one lockstep solve of them all.  Partitions then greedily take, in
-    descending-work order, the cheapest point that keeps the frame
-    makespan within ``plan.deadline``; the returned selection also
-    carries the Pareto frontier over all uniform ladder assignments plus
-    the selected one.
+    one problem and network build per task, a derived problem and a
+    cost-only network copy per further rung, and one lockstep solve of
+    them all.  Partitions then greedily take, in descending-work order,
+    the cheapest point that keeps the frame makespan within
+    ``plan.deadline``; the returned selection also carries the Pareto
+    frontier over all uniform ladder assignments plus the selected one.
 
     Args:
         plan: The partitioned task graph.
@@ -287,23 +303,21 @@ def sweep_operating_points(
     with obs.span("dag.dvfs_sweep"):
         order = plan.graph.topological_order()
         assert order is not None
-        # Every (task, rung) instance, in that order: one network build
-        # per task, a cost-only copy of it per further rung.
+        # Every (task, rung) instance, in that order.  Each task's first
+        # rung is built from its schedule; every further rung is that
+        # problem at another point, sharing its lifetimes and segments,
+        # with a cost-only copy of its network.
         problems: list[AllocationProblem] = []
         networks: list[BuiltNetwork] = []
         for task in order:
-            built: BuiltNetwork | None = None
-            for point in points:
-                problem = task_problem(
-                    plan, task.name, point, register_count, base
-                )
-                built = (
-                    build_network(problem)
-                    if built is None
-                    else recost_network(built, problem)
-                )
+            first = task_problem(plan, task.name, points[0], register_count, base)
+            built = build_network(first)
+            problems.append(first)
+            networks.append(built)
+            for point in points[1:]:
+                problem = first.with_options(**_point_fields(base, point))
                 problems.append(problem)
-                networks.append(built)
+                networks.append(recost_network(built, problem))
         # One lockstep solve of the whole ladder; the first failure in
         # (task, rung) order is the one raised.
         energies: list[float | Exception] = [0.0] * len(problems)

@@ -1,9 +1,14 @@
 """Path decomposition of acyclic flows.
 
 Any feasible ``s -> t`` flow on a DAG decomposes into ``value`` simple
-paths; for the allocation networks each path is one physical register (or
-one memory location in the reallocation pass).  The decomposition walks
+paths; in the interval-chaining flows of :mod:`repro.core.chain_flow`
+(memory reallocation, bank placement, the hierarchy split and the
+Chang-Pedram baseline) each path is one chain.  The decomposition walks
 greedily in arc-construction order, which makes results deterministic.
+The
+allocator walks its own networks' register chains over the flow arrays
+instead (:func:`repro.core.allocation.chain_positions`), and the tests
+check that walk against this one.
 """
 
 from __future__ import annotations

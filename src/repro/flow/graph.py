@@ -17,15 +17,18 @@ Storage layout (see DESIGN.md, "Performance model"):
 * the classic object API (:attr:`FlowNetwork.arcs`,
   :meth:`FlowNetwork.arcs_from`, ...) is a thin compatibility facade:
   :class:`Arc` dataclasses are materialised lazily and cached.  Its
-  users are off the solve path or touch few arcs: the path decomposition
-  (positive-flow arcs only), the prover's independent re-check of a
-  proof it found, the dot export, the LP cross-check, the verify oracles
-  and :func:`~repro.flow.validate.flow_cost`.  Everything a solve or an
-  admission lint runs on the whole network — the kernel, validation,
-  the lower-bound reduction, the optimality certificate, the network
-  lint rules and the prover's discovery path — reads
-  :meth:`FlowNetwork.arrays` and builds an :class:`Arc` only to word an
-  error or a finding.
+  users are off the plain solve path or touch few arcs: the generic
+  path decomposition (positive-flow arcs only; the interval-chaining
+  flows of :mod:`repro.core.chain_flow` and the tests call it), the prover's
+  independent re-check of a proof it found, the dot export, the LP
+  cross-check, the verify oracles and
+  :func:`~repro.flow.validate.flow_cost`.  Everything a solve or an
+  admission lint runs on the whole network or flow — the kernel,
+  validation, the lower-bound reduction, the optimality certificate,
+  the register-chain extraction, the network lint rules and the
+  prover's discovery path — reads :meth:`FlowNetwork.arrays` and builds
+  an :class:`Arc` only to word an error or a finding, so a plain solve
+  builds none.
 
 Nodes are arbitrary hashable identifiers supplied by the caller; internally
 each node receives a dense integer index (``node_index``) and the arrays

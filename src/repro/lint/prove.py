@@ -128,15 +128,12 @@ def node_times(built: "BuiltNetwork") -> np.ndarray | None:
     Indexed by dense node id under the fixed numbering ``s=0, t=1,
     w_i=2+2i, r_i=3+2i``: the source sits at time ``0``, the sink at
     ``horizon + 1``, a write node at its segment's start and a read node
-    at its segment's end.  Returns ``None`` when the network was not
-    built with role bookkeeping (nothing to anchor the numbering to).
+    at its segment's end.  Returns ``None`` when the network does not
+    follow that numbering for the problem's segments.
     """
-    roles = built.roles
-    if roles is None:
-        return None
     problem = built.problem
     segments = [seg for segs in problem.segments.values() for seg in segs]
-    k = roles.num_segments
+    k = built.roles.num_segments
     if len(segments) != k or built.network.num_nodes != 2 + 2 * k:
         return None
     times = np.empty(2 + 2 * k, dtype=np.int64)
@@ -293,8 +290,6 @@ def _reachability_certificates(
 ) -> list[InfeasibilityCertificate]:
     """Forced segments disconnected from a terminal (array BFS)."""
     roles = built.roles
-    if roles is None:
-        return []
     network = built.network
     arrays = network.arrays()
     positive = arrays.capacities > 0

@@ -233,7 +233,7 @@ def check_bank_capacity_proofs(ctx: LintContext) -> Iterator[Finding]:
 def check_cost_intervals(ctx: LintContext) -> Iterator[Finding]:
     """RA604: sign/interval analysis of the composed arc costs."""
     built = ctx.built
-    if built is None or built.roles is None:
+    if built is None:
         return
     arrays = built.network.arrays()
     costs = arrays.costs

@@ -132,7 +132,7 @@ def check_adjacent_handoffs(ctx: LintContext) -> Iterator[Finding]:
     if problem.graph_style != "adjacent" or built is None:
         return
     density = ctx.density
-    if density is None or built.roles is None:
+    if density is None:
         return
     era = np.asarray(_era_index(density, problem.horizon), dtype=np.int64)
     boundary = problem.horizon + 1

@@ -1,8 +1,13 @@
 """Tests for the per-partition DVFS co-optimiser."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import problem as problem_module
+from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
+from repro.core.storage import StorageSpec
 from repro.dag import (
     DELAY_SLACK,
     OperatingPoint,
@@ -13,10 +18,12 @@ from repro.dag import (
 )
 from repro.dag import operating_points
 from repro.dag.operating_points import task_problem
-from repro.energy.voltage import NOMINAL_VOLTAGE, cmos_delay_factor
+from repro.energy.models import ActivityEnergyModel, StaticEnergyModel
+from repro.energy.voltage import NOMINAL_VOLTAGE, MemoryConfig, cmos_delay_factor
 from repro.exceptions import DagError, InfeasibleFlowError
 from repro.ir.task_graph import Task, TaskGraph
 from repro.obs import trace as obs
+from repro.scheduling.list_scheduler import list_schedule
 from repro.workloads import fir_filter
 from repro.workloads.registry import dag_workload
 
@@ -66,18 +73,28 @@ def test_empty_ladder_rejected():
         sweep_operating_points(single_task_plan(), ladder=())
 
 
+def diamond_plan():
+    return partition_graph(dag_workload("diamond"), cores=2, slack=2.5)
+
+
 @pytest.mark.parametrize(
-    "make_plan",
+    "make_plan, model",
     [
-        single_task_plan,
-        lambda: partition_graph(dag_workload("diamond"), cores=2, slack=2.5),
+        (single_task_plan, None),
+        (diamond_plan, None),
+        (single_task_plan, ActivityEnergyModel()),
+        (diamond_plan, ActivityEnergyModel()),
     ],
-    ids=["single-task", "diamond"],
+    ids=["single-task", "diamond", "single-task-activity", "diamond-activity"],
 )
-def test_sweep_prices_the_ladder_in_one_lockstep_solve(monkeypatch, make_plan):
+def test_sweep_prices_the_ladder_in_one_lockstep_solve(
+    monkeypatch, make_plan, model
+):
     # One network build per task, a cost-only copy per further rung, and
     # one lockstep solve of every (task, rung): the kernel's searches are
-    # bounded by the flow value, not multiplied by the rung count.
+    # bounded by the flow value, not multiplied by the rung count.  The
+    # activity model is not separable, so its rungs take
+    # recost_network's per-arc cost path.
     plan = make_plan()
     ladder = default_ladder()
     registers = 4
@@ -92,7 +109,7 @@ def test_sweep_prices_the_ladder_in_one_lockstep_solve(monkeypatch, make_plan):
     monkeypatch.setattr(operating_points, "allocate_many", spy)
     with obs.collect() as trace:
         selection = sweep_operating_points(
-            plan, register_count=registers, ladder=ladder
+            plan, register_count=registers, ladder=ladder, energy_model=model
         )
     counters = trace.counters
     tasks = len(plan.graph)
@@ -102,20 +119,95 @@ def test_sweep_prices_the_ladder_in_one_lockstep_solve(monkeypatch, make_plan):
     assert counters["dag.dvfs_sweep.solves"] == tasks * len(ladder)
     assert counters["ssp.searches"] <= registers
     assert not [name for name in counters if name.startswith("solver.warm_start")]
+    if model is not None:
+        assert "network.fallback_cost_arcs" in counters
+        assert "network.vectorized_cost_arcs" not in counters
 
     order = plan.graph.topological_order()
     assert sorted(priced) == list(range(tasks * len(ladder)))
     for index, energy in priced.items():
         task = order[index // len(ladder)]
         point = ladder[index % len(ladder)]
-        alone = allocate(task_problem(plan, task.name, point, registers))
+        alone = allocate(task_problem(plan, task.name, point, registers, model))
         assert energy == alone.total_energy
     for task in order:
         point = selection.assignment[plan.partition_of(task.name).id]
-        alone = allocate(task_problem(plan, task.name, point, registers))
+        alone = allocate(task_problem(plan, task.name, point, registers, model))
         assert selection.block_energies[task.name] == (
             alone.total_energy * task.rate
         )
+
+
+def test_sweep_derives_each_later_rung_from_the_first(monkeypatch):
+    # Lifetimes and splits are voltage-invariant: each task's are
+    # derived once, at its first rung, and every later rung shares them.
+    plan = partition_graph(dag_workload("fanin"), cores=2, slack=2.0)
+    ladder = default_ladder()
+    calls = {"extract_lifetimes": 0, "split_all": 0}
+    for name in calls:
+        real = getattr(problem_module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(problem_module, name, counting)
+    priced: list = []
+    real_allocate_many = operating_points.allocate_many
+
+    def spy(problems, *args, **kwargs):
+        priced.extend(problems)
+        return real_allocate_many(problems, *args, **kwargs)
+
+    monkeypatch.setattr(operating_points, "allocate_many", spy)
+    sweep_operating_points(plan, register_count=3, ladder=ladder)
+    tasks = len(plan.graph)
+    assert calls == {"extract_lifetimes": tasks, "split_all": tasks}
+
+    monkeypatch.undo()
+    order = plan.graph.topological_order()
+    assert len(priced) == tasks * len(ladder)
+    for index, problem in enumerate(priced):
+        task = order[index // len(ladder)]
+        rung = index % len(ladder)
+        assert problem == task_problem(plan, task.name, ladder[rung], 3)
+        first = priced[index - rung]
+        if rung:
+            assert problem.lifetimes is first.lifetimes
+            assert problem.segments is first.segments
+
+
+def test_with_options_shares_segments_only_for_cost_changes():
+    # The ladder's derivation rule: a copy that only re-prices (energy
+    # model, memory at the same access times) shares the derived
+    # segments and density; any other change derives them again.
+    schedule = list_schedule(fir_filter(4))
+    base = AllocationProblem.from_schedule(
+        schedule, 3, memory=MemoryConfig(divisor=2)
+    )
+    segments, density = base.segments, base.density
+    repriced = base.with_options(
+        energy_model=StaticEnergyModel().with_voltages(3.3, 3.3),
+        memory=MemoryConfig(divisor=2, voltage=3.3),
+    )
+    assert repriced.segments is segments
+    assert repriced.density is density
+    lower = base.with_options(memory=MemoryConfig(divisor=2, voltage=2.5))
+    assert lower.segments is segments
+
+    unrestricted = AllocationProblem.from_schedule(schedule, 3)
+    assert unrestricted.segments
+    changes = [
+        (base, {"memory": MemoryConfig(divisor=3)}),
+        (base, {"split_at_reads": False}),
+        (base, {"storage": StorageSpec.banked(2, 2)}),
+        (base, {"energy_model": StaticEnergyModel(), "register_count": 4}),
+        (unrestricted, {"horizon": unrestricted.horizon + 2}),
+    ]
+    for problem, change in changes:
+        copy = problem.with_options(**change)
+        assert copy.segments is not problem.segments, change
+        assert copy.segments == dataclasses.replace(problem, **change).segments
 
 
 def test_sweep_raises_the_first_failing_solve_in_task_rung_order(monkeypatch):

@@ -166,7 +166,7 @@ def _hull(values: list[float]) -> list[float] | None:
 def check_cost_intervals(ctx: LintContext) -> Iterator[Finding]:
     """RA604 over facade costs, with a Python topological relaxation."""
     built = ctx.built
-    if built is None or built.roles is None:
+    if built is None:
         return
     arcs = built.network.arcs
     k = built.roles.num_segments
