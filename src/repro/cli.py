@@ -71,6 +71,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -905,8 +906,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point of the ``repro-alloc`` console script."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``repro-alloc`` argument parser, built once per process.
+
+    Closed loops that call :func:`main` in process (the benchmarks, the
+    tests) parse with the same tree instead of rebuilding every
+    subcommand on each call.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-alloc",
         description="Low energy memory and register allocation "
@@ -1325,8 +1332,12 @@ def main(argv: list[str] | None = None) -> int:
         "(default: 60)",
     )
     serve_cmd.set_defaults(func=_cmd_serve)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Entry point of the ``repro-alloc`` console script."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # e.g. piping into `head`

@@ -16,7 +16,6 @@ Turns a solved flow into the artefacts a downstream code generator needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import TYPE_CHECKING, Container
 
 import numpy as np
@@ -198,33 +197,35 @@ def chain_positions(
             the bypass, a walk that stalls, or units no walk reaches.
     """
     network = built.network
-    flows = flow.flows
+    flows = flow.vector
     m = network.num_arcs
     if len(flows) != m:
         raise _invalid_flow(f"{len(flows)} flow entries for {m} arcs")
     bypass = built.roles.bypass_arc
-    carrying = list(compress(range(m), flows))
-    for arc in carrying:
-        if flows[arc] != 1 and (arc != bypass or flows[arc] < 0):
-            raise _invalid_flow(
-                f"{flows[arc]} units on {network.arc(arc)}; an arc other "
-                "than the bypass carries 0 or 1"
-            )
+    carrying = np.flatnonzero(flows)
+    units = flows[carrying]
+    wrong = (units != 1) & ((carrying != bypass) | (units < 0))
+    if wrong.any():
+        arc = int(carrying[np.argmax(wrong)])
+        raise _invalid_flow(
+            f"{flow.flows[arc]} units on {network.arc(arc)}; an arc other "
+            "than the bypass carries 0 or 1"
+        )
     bypass_units = 0
-    if carrying and carrying[-1] == bypass:
+    if carrying.size and carrying[-1] == bypass:
         # The builder adds the bypass last, so it closes the list.
-        bypass_units = int(flows[carrying.pop()])
+        bypass_units = int(units[-1])
+        carrying = carrying[:-1]
     arrays = network.arrays()
-    ids = np.array(carrying, dtype=np.int64)
-    tails = arrays.tails[ids]
-    heads = arrays.heads[ids]
+    tails = arrays.tails[carrying]
+    heads = arrays.heads[carrying]
     from_source = tails == 0
     interior = tails[~from_source]
     if interior.size:
         fan_out = np.bincount(interior)
         if fan_out.max() > 1:
             raise _invalid_flow(
-                f"{network.nodes[int(fan_out.argmax())]!r} has "
+                f"{network.node(int(fan_out.argmax()))!r} has "
                 f"{fan_out.max()} flow-carrying out-arcs"
             )
     following = [-1] * network.num_nodes
@@ -240,7 +241,7 @@ def chain_positions(
             after = following[node]
             if after < 0:
                 raise _invalid_flow(
-                    f"a register chain stalls at {network.nodes[node]!r}; "
+                    f"a register chain stalls at {network.node(node)!r}; "
                     "the flow violates conservation"
                 )
             following[node] = -1

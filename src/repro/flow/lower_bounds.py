@@ -31,16 +31,19 @@ A cold :func:`solve` is its one-instance case; only a solve with a
 warm-start cache takes its own path.
 
 Both directions run on the networks' arrays
-(:meth:`~repro.flow.graph.FlowNetwork.arrays`): the original arcs enter
-the transformed network in one bulk append, keeping ids ``0..m-1``;
-excess is summed over the lower-bounded arcs only; and recovery is
-``inner.flows[:m] + lowers``, checked against the source and sink
-entries of :func:`~repro.flow.validate.node_balances`.
+(:meth:`~repro.flow.graph.FlowNetwork.arrays`) and flow vectors: the
+original nodes enter the transformed network as one block named by
+:meth:`~repro.flow.graph.FlowNetwork.node` (so nothing is named unless
+someone asks) and the original arcs in one bulk append, keeping ids
+``0..m-1``; excess is summed over the lower-bounded arcs only; and
+recovery is ``inner.vector[:m] + lowers``, checked against the source
+and sink entries of :func:`~repro.flow.validate.net_inflow`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -48,7 +51,7 @@ import numpy as np
 from repro.exceptions import InfeasibleFlowError
 from repro.flow.graph import FlowNetwork, FlowResult
 from repro.flow.ssp import Instance, solve_min_cost_flows
-from repro.flow.validate import node_balances
+from repro.flow.validate import net_inflow
 from repro.flow.warm_start import WarmStartCache, solve_warm
 
 __all__ = [
@@ -104,10 +107,10 @@ class LowerBoundTransform:
         """
         original = self.original
         flows = (
-            np.asarray(inner.flows[: original.num_arcs], dtype=np.int64)
+            np.asarray(inner.vector[: original.num_arcs], dtype=np.int64)
             + original.arrays().lowers
         )
-        result = FlowResult(original, flows.tolist(), self.flow_value)
+        result = FlowResult(original, flows, self.flow_value)
         _check_value(result, self.source, self.sink, self.flow_value)
         return result
 
@@ -131,51 +134,60 @@ def transform_lower_bounds(
         plain minimum-cost flow problem.
     """
     arrays = network.arrays()
-    nodes = network.nodes
+    n = network.num_nodes
+    m = network.num_arcs
+    index_of = partial(_index_in, network)
     transformed = FlowNetwork()
-    for node in nodes:
-        transformed.add_node(node)
-    # The original arcs keep their ids 0..m-1 and carry them as payload.
-    transformed.add_arcs_indexed(
-        arrays.tails,
-        arrays.heads,
-        arrays.capacities - arrays.lowers,
-        arrays.costs,
-        data=range(network.num_arcs),
-    )
-    excess: dict[Hashable, int] = {}
-    bounded = np.flatnonzero(arrays.lowers)
-    for tail, head, lower in zip(
-        arrays.tails[bounded].tolist(),
-        arrays.heads[bounded].tolist(),
-        arrays.lowers[bounded].tolist(),
-    ):
-        excess[nodes[head]] = excess.get(nodes[head], 0) + lower
-        excess[nodes[tail]] = excess.get(nodes[tail], 0) - lower
-    # Virtual t -> s arc carrying exactly flow_value units.
-    excess[source] = excess.get(source, 0) + flow_value
-    excess[sink] = excess.get(sink, 0) - flow_value
-
+    transformed.add_node_block(n, network.node, index_of)
     transformed.add_node(_SUPER_SOURCE)
     transformed.add_node(_SUPER_SINK)
     super_source = transformed.node_index(_SUPER_SOURCE)
     super_sink = transformed.node_index(_SUPER_SINK)
+
+    bounded = np.flatnonzero(arrays.lowers)
+    heads = arrays.heads[bounded]
+    tails = arrays.tails[bounded]
+    lowers = arrays.lowers[bounded]
+    balance = np.zeros(n, dtype=np.int64)
+    np.add.at(balance, heads, lowers)
+    np.subtract.at(balance, tails, lowers)
+    # Nodes in the order the bounded arcs first touch them (each arc's
+    # head before its tail); the super arcs follow this order, which
+    # feeds the kernel's tie-breaking.
+    touched = np.column_stack([heads, tails]).ravel()
+    touched = touched[np.sort(np.unique(touched, return_index=True)[1])]
+    excess: dict[int | tuple[Hashable], int] = dict(
+        zip(touched.tolist(), balance[touched].tolist())
+    )
+    # Virtual t -> s arc carrying exactly flow_value units.  A terminal
+    # absent from *network* is keyed by its name, boxed in a 1-tuple.
+    for terminal, units in ((source, flow_value), (sink, -flow_value)):
+        index = index_of(terminal)
+        key = (terminal,) if index is None else index
+        excess[key] = excess.get(key, 0) + units
+
     super_arcs: list[tuple[int, int, int]] = []  # (tail, head, capacity)
-    for node, value in excess.items():
+    for key, value in excess.items():
         if not value:
             continue
-        # A terminal absent from *network* is registered here, as the
-        # first arc touching it would have done.
-        index = transformed.node_index(transformed.add_node(node))
+        if isinstance(key, tuple):
+            # Registered here, as the first arc touching it would have.
+            index = transformed.node_index(transformed.add_node(key[0]))
+        else:
+            index = key
         if value > 0:
             super_arcs.append((super_source, index, value))
         else:
             super_arcs.append((index, super_sink, -value))
-    tails, heads, capacities = (
-        np.array(super_arcs, dtype=np.int64).reshape(-1, 3).T
-    )
+    extra = np.array(super_arcs, dtype=np.int64).reshape(-1, 3)
+    # One append: the original arcs keep their ids 0..m-1 and carry
+    # them as payload, and the super arcs follow.
     transformed.add_arcs_indexed(
-        tails, heads, capacities, np.zeros(len(super_arcs))
+        np.concatenate([arrays.tails, extra[:, 0]]),
+        np.concatenate([arrays.heads, extra[:, 1]]),
+        np.concatenate([arrays.capacities - arrays.lowers, extra[:, 2]]),
+        np.concatenate([arrays.costs, np.zeros(len(extra))]),
+        data_factory=partial(_original_id, m),
     )
     return LowerBoundTransform(
         original=network,
@@ -235,12 +247,24 @@ def solve_with_lower_bounds(
     return transform.recover(inner)
 
 
+def _original_id(m: int, offset: int) -> int | None:
+    """Payload of transformed arc *offset*: its original id, if any."""
+    return offset if offset < m else None
+
+
+def _index_in(network: FlowNetwork, node: Hashable) -> int | None:
+    """*network*'s dense index of *node*, ``None`` for an absent one."""
+    return network.node_index(node) if network.has_node(node) else None
+
+
 def _check_value(
     result: FlowResult, source: Hashable, sink: Hashable, flow_value: int
 ) -> None:
     """Sanity-check the recovered flow actually ships *flow_value* units."""
-    balances = node_balances(result)
-    net_out, net_in = -balances[source], balances[sink]
+    network = result.network
+    balance = net_inflow(network, result.vector)
+    net_out = -int(balance[network.node_index(source)])
+    net_in = int(balance[network.node_index(sink)])
     if net_out != flow_value or net_in != flow_value:
         raise InfeasibleFlowError(
             f"recovered flow ships {net_out}/{net_in} units, "

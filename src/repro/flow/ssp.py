@@ -23,8 +23,9 @@ Array invariants: the solver reads the network through
 :meth:`~repro.flow.graph.FlowNetwork.arrays` (``int64`` endpoint/bound
 columns, ``float64`` costs, indexed by arc id) and the kernel's residual
 layout (``rid 2i`` forward / ``2i + 1`` backward, ``rid ^ 1`` partner,
-CSR adjacency sorted by tail).  No :class:`~repro.flow.graph.Arc` object
-is materialised on this path.
+CSR adjacency sorted by tail), and each result carries the kernel's
+``int64`` flow vector as it is.  No :class:`~repro.flow.graph.Arc`
+object or node name is materialised on this path.
 
 With integer capacities the algorithm returns an integral flow, matching
 the integrality guarantee the paper relies on (section 4).  Costs may be
@@ -40,6 +41,8 @@ with the optimality certificate and its objective with the section-4 LP.
 from __future__ import annotations
 
 from typing import Hashable, Sequence
+
+import numpy as np
 
 from repro.exceptions import GraphError, InfeasibleFlowError
 from repro.flow.graph import FlowNetwork, FlowResult
@@ -117,7 +120,9 @@ def solve_min_cost_flows(
                 "network has lower-bounded arcs; use solve_with_lower_bounds()"
             )
         if flow_value == 0 or source == sink:
-            results[position] = FlowResult(network, [0] * network.num_arcs, 0)
+            results[position] = FlowResult(
+                network, np.zeros(network.num_arcs, dtype=np.int64), 0
+            )
         else:
             todo.append(position)
     if todo:
@@ -138,7 +143,7 @@ def solve_min_cost_flows(
             flows, _, stats = outcome
             count_kernel_work(stats)
             network, _, _, flow_value = instances[position]
-            results[position] = FlowResult(network, flows.tolist(), flow_value)
+            results[position] = FlowResult(network, flows, flow_value)
     return results  # type: ignore[return-value]
 
 

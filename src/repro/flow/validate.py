@@ -7,23 +7,31 @@ checks on every solve by default and the test suite applies them to every
 solution it produces.
 
 The checks read the network's struct-of-arrays view
-(:meth:`~repro.flow.graph.FlowNetwork.arrays`): integrality comes from the
-flow vector's dtype, the bounds are two vector compares, and conservation
-is one node-balance vector.  An :class:`~repro.flow.graph.Arc` is built
-only to word the error for the first violation found, which is the same
-violation, with the same message, an arc-by-arc walk would report.
+(:meth:`~repro.flow.graph.FlowNetwork.arrays`) and the result's flow
+vector (:attr:`~repro.flow.graph.FlowResult.vector`): integrality comes
+from the vector's dtype, the bounds are two vector compares, and
+conservation is one node-balance vector.  An
+:class:`~repro.flow.graph.Arc` or a node name is built only to word the
+error for the first violation found, which is the same violation, with
+the same message, an arc-by-arc walk would report.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, NoReturn, Sequence
+from typing import Hashable, NoReturn
 
 import numpy as np
 
 from repro.exceptions import ReproError
 from repro.flow.graph import FlowNetwork, FlowResult
 
-__all__ = ["FlowValidationError", "check_flow", "flow_cost", "node_balances"]
+__all__ = [
+    "FlowValidationError",
+    "check_flow",
+    "flow_cost",
+    "net_inflow",
+    "node_balances",
+]
 
 
 class FlowValidationError(ReproError):
@@ -34,17 +42,17 @@ def node_balances(result: FlowResult) -> dict[Hashable, int]:
     """Net flow into each node of *result* (negative = net shipper).
 
     The single place the conservation arithmetic lives: :func:`check_flow`
-    reads the same vector (:func:`_net_inflow`), and the lower-bound
-    reduction's value check and the :mod:`repro.verify` oracles (via
-    ``check_flow``) consume it, so the sign convention cannot drift
-    between the solver-side validator and the independent verifier.
+    and the lower-bound reduction's value check read the same vector
+    (:func:`net_inflow`), and the :mod:`repro.verify` oracles consume it
+    via ``check_flow``, so the sign convention cannot drift between the
+    solver-side validator and the independent verifier.
     """
     network = result.network
-    balance = _net_inflow(network, np.asarray(result.flows))
+    balance = net_inflow(network, result.vector)
     return dict(zip(network.nodes, balance.tolist()))
 
 
-def _net_inflow(network: FlowNetwork, flows: np.ndarray) -> np.ndarray:
+def net_inflow(network: FlowNetwork, flows: np.ndarray) -> np.ndarray:
     """:func:`node_balances` as a vector indexed by dense node index."""
     if flows.dtype.kind in "biu":
         flows = flows.astype(np.int64, copy=False)
@@ -79,52 +87,59 @@ def check_flow(
     """
     network = result.network
     expected = result.value if flow_value is None else flow_value
-    if len(result.flows) != network.num_arcs:
+    vector = result.vector
+    if len(vector) != network.num_arcs:
         raise FlowValidationError(
-            f"flow vector has {len(result.flows)} entries for "
+            f"flow vector has {len(vector)} entries for "
             f"{network.num_arcs} arcs"
         )
-    flows = _bounded_flow_vector(network, result.flows)
-    balance = _net_inflow(network, flows)
+    flows = _bounded_flow_vector(network, result)
+    balance = net_inflow(network, flows)
     suspects = set(np.flatnonzero(balance).tolist())
-    for terminal in (source, sink):
-        if network.has_node(terminal):
-            suspects.add(network.node_index(terminal))
-    nodes = network.nodes
+    terminals = [
+        network.node_index(terminal) if network.has_node(terminal) else -1
+        for terminal in (source, sink)
+    ]
+    suspects.update(terminals)
+    suspects.discard(-1)
+    source_index, sink_index = terminals
     for index in sorted(suspects):
-        node, net = nodes[index], int(balance[index])
-        if node == source:
+        net = int(balance[index])
+        if index == source_index:
             if net != -expected:
                 raise FlowValidationError(
                     f"source ships {-net} units, expected {expected}"
                 )
-        elif node == sink:
+        elif index == sink_index:
             if net != expected:
                 raise FlowValidationError(
                     f"sink receives {net} units, expected {expected}"
                 )
         elif net != 0:
             raise FlowValidationError(
-                f"conservation violated at {node!r}: imbalance {net}"
+                f"conservation violated at {network.node(index)!r}: "
+                f"imbalance {net}"
             )
 
 
 def _bounded_flow_vector(
-    network: FlowNetwork, flows: Sequence[int]
+    network: FlowNetwork, result: FlowResult
 ) -> np.ndarray:
-    """*flows* as an ``int64`` vector, once every entry is an integer
-    within its arc's bounds; raises on the lowest arc id that is not."""
+    """*result*'s flows as an ``int64`` vector, once every entry is an
+    integer within its arc's bounds; raises on the lowest arc id that is
+    not."""
     arrays = network.arrays()
-    vector = np.asarray(flows)
+    vector = result.vector
     if vector.dtype.kind in "biu":
         outside = (vector < arrays.lowers) | (vector > arrays.capacities)
         if outside.any():
             index = int(np.argmax(outside))
-            _raise_out_of_bounds(network, index, flows[index])
+            _raise_out_of_bounds(network, index, result.flows[index])
         return vector.astype(np.int64, copy=False)
     # Some entry is not an integer (or does not fit int64): walk the
     # arcs in id order so integrality and bounds interleave exactly as
     # an arc-by-arc check would.
+    flows = result.flows
     lowers = arrays.lowers.tolist()
     capacities = arrays.capacities.tolist()
     for index, f in enumerate(flows):

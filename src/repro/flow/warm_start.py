@@ -163,7 +163,7 @@ def solve_warm(
     s = network.node_index(source)
     t = network.node_index(sink)
     if flow_value == 0 or s == t:
-        return FlowResult(network, [0] * network.num_arcs, 0)
+        return FlowResult(network, np.zeros(network.num_arcs, np.int64), 0)
 
     key = topology_key(network, source, sink, flow_value)
     entry = cache.get(key)
@@ -182,7 +182,7 @@ def solve_warm(
             <= COST_MATCH_TOLERANCE
         ):
             obs.count("solver.warm_start.replay")
-            return FlowResult(network, entry.flows.tolist(), flow_value)
+            return FlowResult(network, entry.flows.copy(), flow_value)
         else:
             kernel = FlowKernel(network, csr=entry.csr)
             kernel.load_flows(entry.flows)
@@ -199,4 +199,4 @@ def solve_warm(
                 costs=costs.copy(),
             ),
         )
-    return FlowResult(network, flows.tolist(), flow_value)
+    return FlowResult(network, flows, flow_value)

@@ -22,11 +22,12 @@ construction.  Together they let any caller (tests, the fuzz harness,
 the ``certify`` switch of :func:`repro.core.solver.allocate`) turn "the
 solver said so" into a machine-checked proof of optimality.
 
-Both read the network's arrays (:meth:`FlowNetwork.arrays`): the
-residual-arc list is built from their columns in arc-id order, each
-arc's forward image before its backward one, and the Bellman-Ford
-relaxation over it stays a plain Python loop — it is the independent
-check, not a kernel.  An :class:`Arc` is built only to word an error.
+Both read the network's arrays (:meth:`FlowNetwork.arrays`) and the
+flow vector: the residual-arc list is built from their columns in
+arc-id order, each arc's forward image before its backward one, and the
+Bellman-Ford relaxation over it stays a plain Python loop — it is the
+independent check, not a kernel.  Node names are built for the
+potentials mapping, and an :class:`Arc` only to word an error.
 
 Everything here depends only on :mod:`repro.flow`, so the solver core
 can import it lazily without cycles.
@@ -72,22 +73,25 @@ def _residual_arcs(
     order, each arc's forward image before its backward one.
     """
     arrays = network.arrays()
-    residual: list[tuple[int, int, float, int, bool]] = []
-    for arc_id, (tail, head, cost, capacity, lower) in enumerate(
+    f = np.asarray(flows)
+    # Slot 2a is arc a's forward image, slot 2a + 1 its backward one.
+    slots = np.flatnonzero(
+        np.column_stack([f < arrays.capacities, f > arrays.lowers])
+    )
+    ids = slots >> 1
+    forward = (slots & 1) == 0
+    tails = arrays.tails[ids]
+    heads = arrays.heads[ids]
+    costs = arrays.costs[ids]
+    return list(
         zip(
-            arrays.tails.tolist(),
-            arrays.heads.tolist(),
-            arrays.costs.tolist(),
-            arrays.capacities.tolist(),
-            arrays.lowers.tolist(),
+            np.where(forward, tails, heads).tolist(),
+            np.where(forward, heads, tails).tolist(),
+            np.where(forward, costs, -costs).tolist(),
+            ids.tolist(),
+            forward.tolist(),
         )
-    ):
-        f = flows[arc_id]
-        if f < capacity:
-            residual.append((tail, head, cost, arc_id, True))
-        if f > lower:
-            residual.append((head, tail, -cost, arc_id, False))
-    return residual
+    )
 
 
 def compute_potentials(
@@ -115,8 +119,7 @@ def compute_potentials(
             for its value.  The message names the cycle's arcs and its
             total cost.
     """
-    nodes = network.nodes
-    n = len(nodes)
+    n = network.num_nodes
     residual = _residual_arcs(network, flows)
     dist = [0.0] * n
     pred: list[tuple[int, int, bool] | None] = [None] * n
@@ -129,7 +132,7 @@ def compute_potentials(
                 pred[v] = (u, arc_id, forward)
                 last_relaxed = v
         if last_relaxed == -1:
-            return dict(zip(nodes, dist))
+            return dict(zip(network.nodes, dist))
     # A relaxation on the n-th pass: walk predecessors into the cycle.
     node = last_relaxed
     for _ in range(n):
@@ -239,4 +242,4 @@ def certify_flow(
     result: FlowResult, tolerance: float = DEFAULT_TOLERANCE
 ) -> dict[Hashable, float]:
     """Convenience wrapper: certify a solver's :class:`FlowResult`."""
-    return certify_optimal(result.network, result.flows, tolerance)
+    return certify_optimal(result.network, result.vector, tolerance)

@@ -101,7 +101,7 @@ def oracle_flow_conservation(allocation: Allocation) -> None:
     """Flow bounds, conservation and terminal balance (section 4).
 
     Delegates to :func:`repro.flow.validate.check_flow` (which itself
-    sits on the shared :func:`~repro.flow.validate.node_balances`
+    sits on the shared :func:`~repro.flow.validate.net_inflow`
     arithmetic) rather than re-implementing conservation here — one
     balance computation, two consumers.
     """

@@ -1,5 +1,7 @@
 """Tests for the flow-network construction."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from repro.core.network_builder import (
 )
 from repro.core.problem import AllocationProblem
 from repro.energy import ActivityEnergyModel, MemoryConfig, StaticEnergyModel
+from repro.flow.graph import FlowNetwork
+from repro.scheduling.list_scheduler import list_schedule
+from repro.workloads.registry import kernel_block
 from tests.conftest import make_lifetime
 
 
@@ -217,3 +222,83 @@ def test_recost_returns_a_copy_and_leaves_its_argument_untouched(model):
     assert recosted.network.has_lower_bounds() == network.has_lower_bounds()
     assert recosted.network.nodes == network.nodes
     assert [arc.cost for arc in recosted.network.arcs] == fresh.costs.tolist()
+
+
+def named_one_by_one(network):
+    """*network* rebuilt with every node registered by name, in index
+    order, and the same arcs and payloads."""
+    names = network.nodes
+    reference = FlowNetwork()
+    for name in names:
+        reference.add_node(name)
+    arrays = network.arrays()
+    reference.add_arcs_indexed(
+        arrays.tails,
+        arrays.heads,
+        arrays.capacities,
+        arrays.costs,
+        lowers=arrays.lowers,
+        data_factory=[
+            network.arc_data(i) for i in range(network.num_arcs)
+        ].__getitem__,
+    )
+    return reference
+
+
+def facade(arcs):
+    return [
+        (a.index, a.tail, a.head, a.capacity, a.lower, a.cost, a.data)
+        for a in arcs
+    ]
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        simple_problem(),
+        simple_problem(
+            memory=MemoryConfig(divisor=3, voltage=5.0, offset=1),
+            allow_unused_registers=False,
+        ),
+        AllocationProblem.from_schedule(
+            list_schedule(kernel_block("ewf")),
+            register_count=6,
+            memory=MemoryConfig.scaled(2),
+        ),
+    ],
+    ids=["simple", "forced-no-bypass", "ewf-divisor-2"],
+)
+def test_block_named_nodes_match_nodes_added_one_by_one(problem):
+    built = build_network(problem)
+    # Ask for the names in a scrambled order first: each is derived on
+    # its own, not by position in a walk.
+    network = built.network
+    n = network.num_nodes
+    scrambled = [network.node(i) for i in reversed(range(n))]
+    fresh = build_network(problem).network
+    reference = named_one_by_one(fresh)
+    assert fresh.nodes == reference.nodes == tuple(reversed(scrambled))
+    assert fresh.nodes[:2] == (SOURCE, SINK)
+    segments = [seg for segs in problem.segments.values() for seg in segs]
+    assert n == 2 + 2 * len(segments)
+    for i, seg in enumerate(segments):
+        write = ("w", seg.name, seg.index)
+        read = ("r", seg.name, seg.index)
+        assert network.node(2 + 2 * i) == write
+        assert network.node(3 + 2 * i) == read
+        for key in (write, read):
+            assert fresh.has_node(key)
+            assert fresh.node_index(key) == reference.node_index(key)
+        assert facade(fresh.arcs_from(read)) == facade(
+            reference.arcs_from(read)
+        )
+        assert facade(fresh.arcs_into(write)) == facade(
+            reference.arcs_into(write)
+        )
+    for absent in (("w", "nope", 0), ("r", segments[0].name, 99), ("x", 1)):
+        assert not fresh.has_node(absent)
+    assert facade(fresh.arcs) == facade(reference.arcs)
+    # A pickled network names its block the same way on the other side.
+    copied = pickle.loads(pickle.dumps(build_network(problem).network))
+    assert copied.nodes == reference.nodes
+    assert facade(copied.arcs) == facade(reference.arcs)

@@ -4,8 +4,11 @@ Validation, the lower-bound reduction, the optimality certificate and
 the chain extraction all walk whole networks or flows on every solve.
 They must do so on ``FlowNetwork.arrays()`` and the flow vector:
 reading ``FlowNetwork.arcs`` materialises an ``Arc`` (and its payload)
-for every arc.  A plain solve builds no ``Arc`` at all; one is built
-only to word an error.  The bank-placement pass still walks its
+for every arc.  A plain solve builds no ``Arc`` at all, and no name of
+a ``w``/``r`` node (the builder registers those as one block named on
+demand); an ``Arc`` is built only to word an error, and names only for
+an error or a certificate's potentials.  The bank-placement pass still
+walks its
 interval-chaining flow (:mod:`repro.core.chain_flow`) over the facade,
 so a banked solve stays within a budget of (positive-flow arcs +
 segment arcs).
@@ -17,7 +20,7 @@ import random
 
 import pytest
 
-from repro.core.network_builder import build_network
+from repro.core.network_builder import _SegmentNodes, build_network
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
@@ -33,16 +36,23 @@ from repro.workloads.registry import kernel_block
 
 
 class FacadeProbe:
-    """Forbids ``FlowNetwork.arcs`` and counts ``FlowNetwork.arc`` calls."""
+    """Forbids ``FlowNetwork.arcs`` and counts ``FlowNetwork.arc`` calls
+    and the network builder's node-name derivations."""
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
         self.arcs_reads = 0
         self.arc_calls = 0
+        self.names = 0
         original_arc = FlowNetwork.arc
+        original_name = _SegmentNodes.name
 
         def counting_arc(network: FlowNetwork, index: int):
             self.arc_calls += 1
             return original_arc(network, index)
+
+        def counting_name(nodes: _SegmentNodes, offset: int):
+            self.names += 1
+            return original_name(nodes, offset)
 
         def forbidden_arcs(network: FlowNetwork):
             # Counted as well as raised: the batch executor turns a solver
@@ -52,13 +62,18 @@ class FacadeProbe:
 
         monkeypatch.setattr(FlowNetwork, "arc", counting_arc)
         monkeypatch.setattr(FlowNetwork, "arcs", property(forbidden_arcs))
+        monkeypatch.setattr(_SegmentNodes, "name", counting_name)
 
     def solve(self, problem: AllocationProblem, options: SolveOptions):
-        """One ``allocate`` call; asserts that it built no ``Arc``."""
-        before = self.arc_calls
+        """One ``allocate`` call; asserts that it built no ``Arc``, and
+        no ``w``/``r`` node name unless it certified the flow (the
+        certificate's potentials are keyed by node name)."""
+        arcs_before, names_before = self.arc_calls, self.names
         allocation = allocate(problem, options)
         assert self.arcs_reads == 0
-        assert self.arc_calls == before
+        assert self.arc_calls == arcs_before
+        if not options.certify:
+            assert self.names == names_before
         return allocation
 
 
@@ -102,6 +117,23 @@ def test_lower_bounded_kernel_never_walks_the_facade(monkeypatch):
     problem = kernel_problem(divisor=2)
     assert build_network(problem).network.has_lower_bounds()
     FacadeProbe(monkeypatch).solve(problem, SolveOptions(certify=True))
+
+
+def test_plain_solves_name_no_node(monkeypatch):
+    # The transform, the kernel, validation and extraction run on node
+    # indices; a certified solve names each node once, for its
+    # potentials.
+    problems = [random_problem(), kernel_problem(divisor=2)]
+    probe = FacadeProbe(monkeypatch)
+    for problem in problems:
+        probe.solve(problem, SolveOptions())
+    results = BatchExecutor(workers=1).map_blocks(problems)
+    assert [r.status for r in results] == ["ok"] * len(problems)
+    assert probe.names == 0
+    for problem in problems:
+        probe.solve(problem, SolveOptions(certify=True))
+    nodes = sum(build_network(p).network.num_nodes - 2 for p in problems)
+    assert probe.names == nodes
 
 
 def test_warm_voltage_sweep_never_walks_the_facade(monkeypatch):

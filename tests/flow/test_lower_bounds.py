@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import chain_flow
+from repro.core.network_builder import build_network
+from repro.core.problem import AllocationProblem
+from repro.energy import MemoryConfig
 from repro.exceptions import InfeasibleFlowError
 from repro.flow import (
     FlowNetwork,
@@ -17,9 +21,12 @@ from repro.flow.graph import ArcArrays, FlowResult
 from repro.flow.lower_bounds import (
     _SUPER_SINK as SUPER_SINK,
     _SUPER_SOURCE as SUPER_SOURCE,
+    solve as flow_solve,
     transform_lower_bounds,
 )
+from repro.scheduling.list_scheduler import list_schedule
 from repro.verify.differential import cross_check
+from repro.workloads.registry import KERNEL_NAMES, kernel_block
 
 
 def test_dispatch_without_lower_bounds():
@@ -245,12 +252,6 @@ def test_transform_matches_the_arc_by_arc_reduction(case, data):
 
 
 def test_transform_keeps_original_ids_on_a_bounded_kernel():
-    from repro.core.network_builder import build_network
-    from repro.core.problem import AllocationProblem
-    from repro.energy import MemoryConfig
-    from repro.scheduling.list_scheduler import list_schedule
-    from repro.workloads.registry import kernel_block
-
     problem = AllocationProblem.from_schedule(
         list_schedule(kernel_block("fir", taps=8)),
         register_count=4,
@@ -287,3 +288,69 @@ def test_cross_check_agrees_on_lower_bounded_instances(case):
     net, flow_value = case
     outcome = cross_check(net, "s", "t", flow_value)
     assert outcome.agreed, outcome.message
+
+
+def super_arcs(network, first):
+    """``(tail, head, capacity)`` of arcs ``first..`` as node names."""
+    arrays = network.arrays()
+    return [
+        (
+            network.node(int(arrays.tails[i])),
+            network.node(int(arrays.heads[i])),
+            int(arrays.capacities[i]),
+        )
+        for i in range(first, network.num_arcs)
+    ]
+
+
+def assert_same_super_arcs(network, source, sink, flow_value):
+    transform = transform_lower_bounds(network, source, sink, flow_value)
+    expected, demand = reference_transform(network, source, sink, flow_value)
+    m = network.num_arcs
+    assert transform.demand == demand
+    assert super_arcs(transform.network, m) == super_arcs(expected, m)
+    assert transform.network.nodes == expected.nodes
+
+
+@pytest.mark.parametrize("divisor", [2, 3])
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_super_arcs_follow_first_touch_order_on_registry_kernels(
+    name, divisor
+):
+    problem = AllocationProblem.from_schedule(
+        list_schedule(kernel_block(name)),
+        register_count=4,
+        memory=MemoryConfig.scaled(divisor),
+    )
+    built = build_network(problem)
+    assert built.network.has_lower_bounds()
+    assert_same_super_arcs(
+        built.network, built.source, built.sink, built.flow_value
+    )
+
+
+@pytest.mark.parametrize("style", ["adjacent", "all_pairs"])
+@pytest.mark.parametrize("name", ["fir", "ewf", "dct"])
+def test_super_arcs_follow_first_touch_order_on_chain_flows(
+    monkeypatch, name, style
+):
+    # The interval-chaining flows pin every interval with a lower bound.
+    captured = []
+
+    def capture(network, source, sink, flow_value):
+        captured.append((network, source, sink, flow_value))
+        return flow_solve(network, source, sink, flow_value)
+
+    monkeypatch.setattr(chain_flow, "flow_solve", capture)
+    problem = AllocationProblem.from_schedule(
+        list_schedule(kernel_block(name)), register_count=4
+    )
+    chain_flow.optimal_interval_chains(
+        problem.lifetimes.values(),
+        problem.horizon,
+        pair_cost=lambda previous, item: 0.0 if previous else 1.0,
+        style=style,
+    )
+    ((network, source, sink, flow_value),) = captured
+    assert network.has_lower_bounds()
+    assert_same_super_arcs(network, source, sink, flow_value)

@@ -35,22 +35,26 @@ __all__ = [
 def plant(network, index: int, **columns) -> None:
     """Overwrite arc *index*'s ``tail``/``head``/``lower``/``capacity``.
 
-    Endpoints are node keys (they must already be registered).  Every
-    cached view — arrays, facades, adjacency — is invalidated, so no
-    reader can see the arc as it was.
+    Endpoints are node keys (they must already be registered).  Each
+    edited column is replaced by an edited copy, so no other network
+    sharing it (a cost-only copy) sees the defect, and every cached
+    view — arrays, facades, adjacency — is dropped, so no reader can
+    see the arc as it was.
     """
-    lists = {
-        "tail": network._tails,
-        "head": network._heads,
-        "lower": network._lowers,
-        "capacity": network._caps,
+    attributes = {
+        "tail": "_tails",
+        "head": "_heads",
+        "lower": "_lowers",
+        "capacity": "_caps",
     }
     for name, value in columns.items():
         if name in ("tail", "head"):
             value = network.node_index(value)
-        lists[name][index] = value
+        column = getattr(network, attributes[name]).copy()
+        column[index] = value
+        setattr(network, attributes[name], column)
     network._np = None
-    network._arc_cache = []
+    network._arc_cache = {}
     network._arc_tuple = None
     network._out_ids = None
     network._in_ids = None

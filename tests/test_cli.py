@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -438,3 +441,51 @@ def test_fuzz_dag_family(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["family"] == "dag"
     assert report["statuses"]["violation"] == 0
+
+
+def _untimed(text: str) -> str:
+    """*text* with its wall times masked: the only part of a report
+    that differs between two identical calls."""
+    text = re.sub(r'("\w*_s": )[0-9.e-]+', r"\1#", text)
+    return re.sub(r"in [0-9.]+s\b", "in #s", text)
+
+
+def _call(capsys, argv: list[str]) -> tuple[int, str, str]:
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, _untimed(captured.out), _untimed(captured.err)
+
+
+def test_reused_parser_answers_the_same_in_either_order(tmp_path, capsys):
+    runs = {
+        "dag": ["dag", "diamond", "--format", "json"],
+        "batch": ["batch", _batch_manifest(tmp_path)],
+        "bad-dag": ["dag", "diamond", "--workers", "0"],
+    }
+    forward = {name: _call(capsys, argv) for name, argv in runs.items()}
+    backward = {
+        name: _call(capsys, argv)
+        for name, argv in reversed(list(runs.items()))
+    }
+    assert forward == backward
+    assert forward["dag"][0] == forward["batch"][0] == 0
+    code, out, err = forward["bad-dag"]
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    assert main(["dag", "diamond", "--workers", "0"]) == 2
+    added: list[tuple] = []
+    original = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    assert main(["dag", "diamond", "--workers", "0"]) == 2
+    assert main(["figures"]) == 0
+    assert added == []
+    assert cli._parser() is cli._parser()
+    capsys.readouterr()
