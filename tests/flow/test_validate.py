@@ -73,6 +73,18 @@ def test_wrong_vector_length_detected():
         check_flow(result, "s", "t", 2)
 
 
+@pytest.mark.parametrize("kind", ["list", "int64 array"])
+def test_in_place_edit_of_the_flow_list_is_checked(kind):
+    net, _ = net_and_flow()
+    flows = [2, 2] if kind == "list" else np.array([2, 2], dtype=np.int64)
+    result = FlowResult(net, flows, 2)
+    check_flow(result, "s", "t", 2)  # reads the vector before the edit
+    result.flows[1] = 1
+    assert result.vector.tolist() == [2, 1]
+    with pytest.raises(FlowValidationError, match="conservation"):
+        check_flow(result, "s", "t", 2)
+
+
 # ---------------------------------------------------------------------------
 # Lower-bounded and degenerate networks.
 # ---------------------------------------------------------------------------
