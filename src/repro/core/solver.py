@@ -378,7 +378,8 @@ def extract_allocation(
 
     if validate:
         recomputed = report.total_energy
-        if abs(recomputed - objective) > _ENERGY_TOLERANCE * (
+        # Written so that a NaN or infinite objective fails it too.
+        if not abs(recomputed - objective) <= _ENERGY_TOLERANCE * (
             1.0 + abs(objective)
         ):
             raise AllocationError(

@@ -105,9 +105,11 @@ class StorageLevel:
             raise AllocationError(
                 f"level {self.name!r}: negative offset {self.offset}"
             )
-        if self.voltage <= 0:
+        # NaN fails every comparison, so it is rejected with inf.
+        if not 0 < self.voltage < float("inf"):
             raise AllocationError(
-                f"level {self.name!r}: non-positive voltage {self.voltage}"
+                f"level {self.name!r}: voltage must be positive and finite, "
+                f"got {self.voltage}"
             )
         if self.capacity is not None and self.capacity < 0:
             raise AllocationError(

@@ -107,8 +107,11 @@ class MemoryConfig:
             raise EnergyModelError(
                 f"frequency divisor must be >= 1, got {self.divisor}"
             )
-        if self.voltage <= 0:
-            raise EnergyModelError(f"non-positive voltage {self.voltage}")
+        # NaN fails every comparison, so it is rejected with inf.
+        if not 0 < self.voltage < float("inf"):
+            raise EnergyModelError(
+                f"voltage must be positive and finite, got {self.voltage}"
+            )
         if self.offset < 0:
             raise EnergyModelError(f"negative offset {self.offset}")
 

@@ -44,6 +44,24 @@ single solves, which start from zeros).  Each round then
 * pushes each instance's bottleneck and folds its distances, capped at
   its own ``dist[sink]``, into its potentials (THEORY.md §7).
 
+The unfinished instances of a round form a cohort that keeps its
+instance selector (a slice for one contiguous run), its runs' column
+views and its sources and sinks until an instance leaves.  The first
+round scans each instance's staged weights once; an instance whose
+potentials are finite and leave no negative reduced cost is *vetted*,
+and capped folds keep it so.  Once every member is vetted, a round is
+the common case and costs a fixed handful of array calls: per run,
+the staging passes with the clamp at zero fused in; the Dijkstra call;
+the hop lookup, which takes the one arc into each hop's head when no
+parallel arc competes for it; one push; and, since every member
+reached its sink, ``pot += min(dist, cap)`` over every node, which is
+the masked fold bit for bit.  The counters such rounds raise alike for
+every member are added once, when the cohort ends.  Every other round
+(an unvetted, non-finite or label-correcting member, or a sink out of
+reach) takes the masked fold.  Both follow the same trajectory:
+the same staged weights in the same float order, the same CSR order,
+the same scipy call and sources, the same first-active-tight-arc rule.
+
 An instance whose sink becomes unreachable leaves the lockstep with its
 own :class:`~repro.exceptions.InfeasibleFlowError`; the others carry on.
 No instance's flow, potentials, counters or error depend on which
@@ -145,17 +163,37 @@ def dag_distances(
     indeg = np.bincount(heads, minlength=n)
     dist = np.full(n, _INF)
     dist[source] = 0.0
-    frontier = np.nonzero(indeg == 0)[0]
+    # Without a NaN or -inf cost, and with no path able to sum to -inf,
+    # every relaxed sum is finite or +inf, and +inf never lowers a
+    # distance; only other costs (say, RA604's NaN models) need each
+    # layer's non-finite sums screened out.
+    screen = not costs.min(initial=0.0) * n > -1e300
+    degree = np.diff(indptr)
+    count = np.arange(heads.size)
+    # One slot per node, to keep a single copy of each ready node.
+    slot = np.empty(n, dtype=np.intp)
+    frontier = (indeg == 0).nonzero()[0]
     while frontier.size:
-        pos, degs = csr_slices(indptr, frontier)
-        if not pos.size:
+        degs = degree[frontier]
+        ends = np.add.accumulate(degs)
+        total = int(ends[-1])
+        if not total:
             break
+        pos = (indptr[frontier] - ends + degs).repeat(degs) + count[:total]
         vv = heads[pos]
-        nd = dist[np.repeat(frontier, degs)] + costs[pos]
-        reached = np.isfinite(nd)
-        np.minimum.at(dist, vv[reached], nd[reached])
+        nd = dist[frontier].repeat(degs) + costs[pos]
+        if screen:
+            reached = np.isfinite(nd)
+            np.minimum.at(dist, vv[reached], nd[reached])
+        else:
+            np.minimum.at(dist, vv, nd)
         np.subtract.at(indeg, vv, 1)
-        frontier = np.unique(vv[indeg[vv] == 0])
+        ready = vv[indeg[vv] == 0]
+        # Arcs of one layer may share a head; the minimum is exact, so
+        # the frontier's order is free and one copy of each is kept.
+        rank = count[:ready.size]
+        slot[ready] = rank
+        frontier = ready[slot[ready] == rank]
     if (indeg > 0).any():
         return None
     return dist
@@ -170,6 +208,9 @@ def _segment_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def _runs(members: np.ndarray) -> list[tuple[int, int]]:
     """Maximal ``[first, stop)`` ranges of consecutive sorted *members*."""
+    first, last = int(members[0]), int(members[-1])
+    if last - first + 1 == members.size:
+        return [(first, last + 1)]
     cuts = np.flatnonzero(np.diff(members) != 1) + 1
     firsts = members[np.concatenate(([0], cuts))]
     lasts = members[np.concatenate((cuts - 1, [members.size - 1]))]
@@ -250,12 +291,11 @@ class FlowKernel:
         self, networks: tuple[FlowNetwork, ...], csr: ResidualCSR | None
     ) -> None:
         k = len(networks)
-        node_counts = [network.num_nodes for network in networks]
-        arc_counts = [network.num_arcs for network in networks]
+        columns = [network.arrays() for network in networks]
         noff = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(node_counts, out=noff[1:])
+        np.cumsum([network.num_nodes for network in networks], out=noff[1:])
         aoff = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(arc_counts, out=aoff[1:])
+        np.cumsum([a.tails.size for a in columns], out=aoff[1:])
         n, m = int(noff[-1]), int(aoff[-1])
         self.networks = networks
         self.noff = noff
@@ -264,55 +304,52 @@ class FlowKernel:
         self.num_arcs = m
         self.searches = 0
         idx = np.int32 if max(n, 2 * m) < 2**31 - 1 else np.int64
-        blocks = [
-            (network.arrays(), int(noff[i]), 2 * int(aoff[i]), 2 * int(aoff[i + 1]))
-            for i, network in enumerate(networks)
-        ]
-
-        def by_arc_id(forward, backward, dtype) -> np.ndarray:
-            """One residual column in arc-id order: the forward image of
-            arc ``a`` at ``2a``, the backward one at ``2a + 1``."""
-            column = np.empty(2 * m, dtype=dtype)
-            for arrays, shift, lo, hi in blocks:
-                column[lo:hi:2] = forward(arrays, shift)
-                column[lo + 1:hi:2] = backward(arrays, shift)
-            return column
-
-        # Each column is built in arc-id order, gathered once into CSR
-        # order and dropped, so construction holds one temporary at a time.
-        rid_tail = by_arc_id(
-            lambda a, shift: a.tails + shift,
-            lambda a, shift: a.heads + shift,
-            idx,
-        )
+        # Residual columns in rid order (the forward image of arc ``a``
+        # at ``2a``, the backward one at ``2a + 1``): each concatenates
+        # the blocks' arc columns straight into its strided halves, is
+        # gathered once into CSR order and dropped.
+        rid_tail = np.empty(2 * m, dtype=idx)
+        np.concatenate([a.tails for a in columns], out=rid_tail[0::2])
+        np.concatenate([a.heads for a in columns], out=rid_tail[1::2])
+        if k > 1:
+            # Every block's endpoints move by its node offset.
+            shift = np.repeat(noff[:-1], 2 * np.diff(aoff))
+            np.add(rid_tail, shift, out=rid_tail, casting="unsafe")
+            del shift
         if csr is None:
             # Narrow keys let numpy's stable sort pick radix, which is
             # several times faster than comparison sorting here.
             keys = rid_tail.astype(np.int16) if n < 2**15 else rid_tail
+            order = np.argsort(keys, kind="stable")
+            del keys
             csr = ResidualCSR(
-                order=np.argsort(keys, kind="stable").astype(idx),
+                order=order.astype(idx),
                 indptr=csr_indptr(n, rid_tail).astype(idx),
             )
-            del keys
+        else:
+            order = csr.order.astype(np.intp)
         self.csr = csr
-        order = csr.order
-        self.res_tail = rid_tail[order]
-        del rid_tail
-        self.res_head = by_arc_id(
-            lambda a, shift: a.heads + shift,
-            lambda a, shift: a.tails + shift,
-            idx,
-        )[order]
-        self.res_cost = by_arc_id(
-            lambda a, shift: a.costs, lambda a, shift: -a.costs, np.float64
-        )[order]
-        self.res_cap = by_arc_id(
-            lambda a, shift: a.capacities, lambda a, shift: 0, np.int64
-        )[order]
+        # The gathers index with native-width positions, twice as fast
+        # as ``int32`` ones.
+        self.res_tail = np.arange(n, dtype=idx).repeat(np.diff(csr.indptr))
+        rid_cost = np.empty(2 * m)
+        np.concatenate([a.costs for a in columns], out=rid_cost[0::2])
+        np.negative(rid_cost[0::2], out=rid_cost[1::2])
+        self.res_cost = rid_cost.take(order)
+        del rid_cost
+        rid_cap = np.zeros(2 * m, dtype=np.int64)
+        np.concatenate([a.capacities for a in columns], out=rid_cap[0::2])
+        self.res_cap = rid_cap.take(order)
+        del rid_cap
         rank = np.empty(2 * m, dtype=idx)
         rank[order] = np.arange(2 * m, dtype=idx)
-        self._partner = rank[order ^ 1]
-        del rank
+        # A residual arc's partner is ``rid ^ 1``, and its head is the
+        # partner's tail.
+        flip = np.bitwise_xor(order, 1, out=order)
+        self.res_head = rid_tail.take(flip)
+        del rid_tail
+        self._partner = rank.take(flip)
+        del rank, flip, order
         # Additive blocker: 0.0 on active arcs, inf on saturated ones.
         # Adding it to a weight vector masks inactive arcs in one pass.
         self._block = np.where(self.res_cap > 0, 0.0, _INF)
@@ -354,23 +391,29 @@ class FlowKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Push *amount* units through the arcs at positions *pos*.
 
-        *amount* is one value or one per position.  Keeps the blocker in
-        sync and returns, per position, whether its partner arc was
-        activated and whether the arc itself saturated.
+        *amount* is one value or one per position.  The positions are
+        distinct active arcs (a simple path or cycle), so their blocker
+        is zero.  Keeps the blocker in sync and returns, per position,
+        whether its partner arc was activated and whether the arc itself
+        saturated.
         """
-        partners = self._partner[pos]
-        activated = self.res_cap[partners] == 0
-        self.res_cap[pos] -= amount
-        self.res_cap[partners] += amount
-        saturated = self.res_cap[pos] == 0
-        self._block[pos] = np.where(saturated, _INF, 0.0)
+        res_cap = self.res_cap
+        partners = self._partner[pos].astype(np.intp)
+        before = res_cap[partners]
+        activated = np.logical_not(before)
+        res_cap[partners] = before + amount
+        after = res_cap[pos] - amount
+        res_cap[pos] = after
+        saturated = np.logical_not(after)
+        self._block[pos[saturated]] = _INF
         self._block[partners] = 0.0
         return activated, saturated
 
     def flows(self) -> np.ndarray:
         """Current per-arc flow (the backward residual capacities)."""
         rid_cap = np.empty(2 * self.num_arcs, dtype=np.int64)
-        rid_cap[self.csr.order] = self.res_cap
+        # Native-width positions scatter faster than ``int32`` ones.
+        rid_cap[self.csr.order.astype(np.intp)] = self.res_cap
         return rid_cap[1::2].copy()
 
     # ------------------------------------------------------------------
@@ -438,13 +481,13 @@ class FlowKernel:
         if labels is None:
             labels = list(zip(sources, sinks))
         noff = self.noff
-        live = self.res_cap > 0
+        live = (self.res_cap > 0).nonzero()[0]
         src = noff[:-1] + np.asarray(sources, dtype=np.int64)
         potential = dag_distances(
             self.num_nodes,
-            self.res_tail[live],
-            self.res_head[live],
-            self.res_cost[live],
+            self.res_tail.take(live),
+            self.res_head.take(live),
+            self.res_cost.take(live),
             src,
         )
         if potential is None:
@@ -460,7 +503,7 @@ class FlowKernel:
             noff[:-1] + np.asarray(sinks, dtype=np.int64),
             np.asarray(flow_values, dtype=np.int64),
             potential,
-            _segment_sum(live, 2 * self.aoff),
+            np.diff(live.searchsorted(2 * self.aoff)),
         )
         run.ship()
         flows = self.flows()
@@ -677,6 +720,72 @@ def _shortfall(
     )
 
 
+class _Cohort:
+    """The unfinished members of one lockstep and what their rounds reuse.
+
+    Built again only when a member leaves.  ``sel`` indexes the
+    per-instance arrays: a slice when the members form one contiguous
+    run (the common case), their array otherwise.  Each run keeps views
+    of its residual columns, for staging, and of its node range, for
+    folding, so a round slices nothing itself.  Members stay vetted, so
+    once all of a cohort's members are, its rounds skip the scan until
+    one leaves; the counters such rounds raise alike for every member
+    are credited when the cohort ends (:meth:`_Lockstep._credit`).
+    """
+
+    def __init__(self, lockstep: "_Lockstep", members: np.ndarray) -> None:
+        kernel = lockstep.kernel
+        self.members = members
+        self.runs = _runs(members)
+        self.sel: slice | np.ndarray = (
+            slice(*self.runs[0]) if len(self.runs) == 1 else members
+        )
+        self.sources = lockstep.sources[members]
+        self.sinks = lockstep.sinks[members]
+        self.want = lockstep.want[members]
+        self.ends = list(zip(self.sources.tolist(), self.sinks.tolist()))
+        self.vetted = bool(lockstep.vetted[members].all())
+        # Vetted searches (one round each) and capped folds (one path
+        # and one update per node each) not yet credited.
+        self.searches = 0
+        self.folds = 0
+        aoff, noff = kernel.aoff.tolist(), kernel.noff.tolist()
+        self.staging: list[tuple[Any, ...]] = []
+        self.folding: list[tuple[Any, ...]] = []
+        first = 0
+        for i0, i1 in self.runs:
+            if _scipy_dijkstra is not None:
+                lo, hi = 2 * aoff[i0], 2 * aoff[i1]
+                self.staging.append(
+                    (
+                        i0,
+                        i1,
+                        kernel._weights[lo:hi],
+                        kernel._scratch[lo:hi],
+                        # The run's arcs are its nodes' CSR slices, so
+                        # ``pot[tail]`` is each node's potential repeated
+                        # over its out-degree.
+                        lockstep.potential[noff[i0]:noff[i1]],
+                        np.diff(kernel.csr.indptr[noff[i0]:noff[i1] + 1]),
+                        kernel.res_head[lo:hi],
+                        kernel.res_cost[lo:hi],
+                        kernel._block[lo:hi],
+                    )
+                )
+            last = first + i1 - i0
+            self.folding.append(
+                (
+                    slice(i0, i1),
+                    slice(first, last),
+                    slice(noff[i0], noff[i1]),
+                    lockstep.node_counts[i0:i1],
+                    kernel.noff[i0:i1] - noff[i0],
+                    lockstep.potential[noff[i0]:noff[i1]],
+                )
+            )
+            first = last
+
+
 class _Lockstep:
     """The per-round state of one :meth:`FlowKernel.solve_many` call.
 
@@ -705,7 +814,8 @@ class _Lockstep:
         # Potentials free of ``inf`` (known-unreachable) entries, and
         # potentials proven to leave every reduced cost non-negative
         # (folding capped Dijkstra distances preserves this, THEORY.md
-        # §7, so the scan is skipped from then on).
+        # §7, so the scan is skipped from then on).  Vetted potentials
+        # are finite: losing an entry clears both flags.
         self.finite = _segment_sum(~np.isfinite(potential), kernel.noff) == 0
         self.vetted = np.zeros(k, dtype=bool)
         self.pops = np.zeros(k, dtype=np.int64)
@@ -727,36 +837,76 @@ class _Lockstep:
     def ship(self) -> None:
         """Augment every instance until it ships its value or runs dry."""
         members = np.flatnonzero(self.want > 0)
-        runs = _runs(members) if members.size else []
         while members.size:
-            dist, labelled, pred_node, pred_arc = self._search(members, runs)
-            sink_dist = dist[self.sinks[members]]
-            # A sink out of reach ends that instance (shortfall).
-            reached = np.isfinite(sink_dist)
-            augment = members[reached]
-            if augment.size:
-                on_tree = augment[~labelled[augment]]
-                by_label = augment[labelled[augment]]
-                arcs, counts = self._tree_arcs(on_tree, pred_node, dist)
-                walked = [self._walk(i, pred_arc) for i in by_label.tolist()]
-                self._augment(
-                    np.concatenate((on_tree, by_label)),
-                    np.concatenate(
-                        [arcs] + [np.asarray(p, dtype=np.int64) for p in walked]
-                    ),
-                    np.asarray(counts + [len(p) for p in walked]),
-                )
-                cap = np.full(len(self.kernel.networks), _INF)
-                tree = reached & ~labelled[members]
-                cap[members[tree]] = sink_dist[tree]
-                self._fold(runs, dist, cap, ~labelled)
-            done = ~reached | (self.shipped[members] >= self.want[members])
-            if done.any():
-                members = members[~done]
-                runs = _runs(members) if members.size else []
+            cohort = _Cohort(self, members)
+            done = self._round(cohort)
+            while not done.any():
+                done = self._round(cohort)
+            self._credit(cohort)
+            members = members[~done]
+
+    def _round(self, cohort: _Cohort) -> np.ndarray:
+        """Search, augment and fold once; returns the members done."""
+        sel = cohort.sel
+        dist, labelled, pred_node, pred_arc = self._search(cohort)
+        sink_dist = dist[cohort.sinks]
+        # A sink out of reach ends that instance (shortfall).
+        reached = np.isfinite(sink_dist)
+        if labelled is None and reached.all():
+            # Every member is vetted, was searched by Dijkstra and
+            # reached its sink: the capped fold touches every node.
+            arcs, counts = self._tree_arcs(cohort.ends, pred_node, dist)
+            self._augment(sel, arcs, counts)
+            self._fold_capped(cohort, dist, sink_dist)
+            cohort.folds += 1
+            return self.shipped[sel] >= cohort.want
+        self._settle(cohort, dist, sink_dist, reached, labelled, pred_node, pred_arc)
+        return ~reached | (self.shipped[sel] >= cohort.want)
+
+    def _credit(self, cohort: _Cohort) -> None:
+        """Add a cohort's uncredited rounds, paths and updates."""
+        sel = cohort.sel
+        if cohort.searches:
+            self.rounds[sel] += cohort.searches
+        if cohort.folds:
+            self.paths[sel] += cohort.folds
+            self.potential_updates[sel] += cohort.folds * self.node_counts[sel]
+
+    def _settle(
+        self, cohort, dist, sink_dist, reached, labelled, pred_node, pred_arc
+    ) -> None:
+        """Augment and fold a round in which some member was not vetted,
+        was searched by the label-correcting pass or missed its sink."""
+        members = cohort.members
+        if labelled is None:
+            labelled = np.zeros(len(self.kernel.networks), dtype=bool)
+        augment = members[reached]
+        if not augment.size:
+            return
+        on_tree = augment[~labelled[augment]]
+        by_label = augment[labelled[augment]]
+        arcs, counts = self._tree_arcs(
+            list(zip(self.sources[on_tree].tolist(), self.sinks[on_tree].tolist())),
+            pred_node,
+            dist,
+        )
+        walked = [self._walk(i, pred_arc) for i in by_label.tolist()]
+        augment = np.concatenate((on_tree, by_label))
+        self._augment(
+            augment,
+            np.concatenate(
+                [arcs] + [np.asarray(p, dtype=np.int64) for p in walked]
+            ),
+            counts + [len(p) for p in walked],
+        )
+        self.paths[augment] += 1
+        cap = np.full(len(self.kernel.networks), _INF)
+        tree = reached & ~labelled[members]
+        cap[members[tree]] = sink_dist[tree]
+        self._fold(cohort.runs, dist, cap, ~labelled)
 
     # -- one round ------------------------------------------------------
-    def _search(self, members, runs):
+    def _search(self, cohort):
         """Shortest distances from every member's source, one search per
         method: ``(dist, labelled, pred_node, pred_arc)``.
 
@@ -764,69 +914,81 @@ class _Lockstep:
         multi-source Dijkstra (``pred_node`` holds tree parents); the
         rest (``labelled``, a per-instance mask) to one label-correcting
         pass (``pred_arc`` holds CSR positions).  Both fill ``dist`` on
-        their own blocks only.
+        their own blocks only.  ``labelled`` is ``None`` when every
+        member is vetted after the vetting scan, so all of them went to
+        Dijkstra with finite potentials.
         """
         kernel = self.kernel
-        k = len(kernel.networks)
-        labelled = np.zeros(k, dtype=bool)
+        members, sel = cohort.members, cohort.sel
+        labelled = None
         if _scipy_dijkstra is None:
+            labelled = np.zeros(len(kernel.networks), dtype=bool)
             labelled[members] = True
+            dijkstra, spfa = members[:0], members
+        elif cohort.vetted:
+            self._stage(cohort, clamp=True)
+            self.relaxations[sel] += self.active_arcs[sel]
+            cohort.searches += 1
+            dijkstra, spfa = members, members[:0]
         else:
-            self._stage(runs)
-            check = members[~(self.vetted[members] & self.finite[members])]
-            if check.size:
-                low = self._weight_mins(runs)[check] < -EPS
-                labelled[check[low]] = True
-                passed = check[~low]
-                self.vetted[passed[self.finite[passed]]] = True
-        dijkstra = members[~labelled[members]]
-        spfa = members[labelled[members]]
+            self._stage(cohort, clamp=False)
+            labelled = np.zeros(len(kernel.networks), dtype=bool)
+            check = members[~self.vetted[members]]
+            low = self._weight_mins(cohort.runs)[check] < -EPS
+            labelled[check[low]] = True
+            passed = check[~low]
+            self.vetted[passed[self.finite[passed]]] = True
+            dijkstra = members[~labelled[members]]
+            spfa = members[labelled[members]]
+            if dijkstra.size:
+                for _, _, w, *_ in cohort.staging:
+                    np.maximum(w, 0.0, out=w)
+                self._count_staged(dijkstra)
+                self.rounds[dijkstra] += 1
         dist = pred_node = pred_arc = None
         if dijkstra.size:
-            weights = kernel._weights
-            for i0, i1 in runs:
-                lo, hi = 2 * kernel.aoff[i0], 2 * kernel.aoff[i1]
-                np.maximum(weights[lo:hi], 0.0, out=weights[lo:hi])
-            self._count_staged(dijkstra)
             dist, pred_node, _ = _scipy_dijkstra(
                 kernel._graph,
-                indices=self.sources[dijkstra],
+                indices=(
+                    cohort.sources if labelled is None else self.sources[dijkstra]
+                ),
                 min_only=True,
                 return_predecessors=True,
             )
             kernel.searches += 1
-            self.rounds[dijkstra] += 1
         if spfa.size:
             spfa_dist, pred_arc = self._label_correcting(spfa)
             kernel.searches += 1
             dist = (
                 spfa_dist if dist is None else np.minimum(dist, spfa_dist)
             )
+        elif labelled is not None and self.vetted[members].all():
+            labelled = None
+            cohort.vetted = True
         return dist, labelled, pred_node, pred_arc
 
-    def _stage(self, runs) -> None:
-        """Write the reduced costs of the *runs*' arcs into the graph.
+    def _stage(self, cohort: _Cohort, clamp: bool) -> None:
+        """Write the reduced costs of the members' arcs into the graph.
 
         ``cost + pot[tail] - pot[head] + blocker``; an arc touching a
         known-unreachable (``inf``) node is masked with ``inf`` too.
+        With *clamp* (every member vetted, so finite) each run's weights
+        are also clamped at zero for Dijkstra, in the same pass.
         """
-        kernel = self.kernel
         pot = self.potential
-        for i0, i1 in runs:
-            lo, hi = 2 * kernel.aoff[i0], 2 * kernel.aoff[i1]
-            w = kernel._weights[lo:hi]
-            pot_head = kernel._scratch[lo:hi]
-            np.take(pot, kernel.res_tail[lo:hi], out=w, mode="clip")
-            np.take(pot, kernel.res_head[lo:hi], out=pot_head, mode="clip")
-            if self.finite[i0:i1].all():
-                np.add(kernel.res_cost[lo:hi], w, out=w)
+        for i0, i1, w, pot_head, nodes, degree, head, cost, block in cohort.staging:
+            pot.take(head, out=pot_head, mode="clip")
+            if clamp or self.finite[i0:i1].all():
+                np.add(cost, nodes.repeat(degree), out=w)
                 np.subtract(w, pot_head, out=w)
-                np.add(w, kernel._block[lo:hi], out=w)
+                np.add(w, block, out=w)
+                if clamp:
+                    np.maximum(w, 0.0, out=w)
                 continue
             with np.errstate(invalid="ignore"):
-                np.add(kernel.res_cost[lo:hi], w, out=w)
+                np.add(cost, nodes.repeat(degree), out=w)
                 np.subtract(w, pot_head, out=w)
-                np.add(w, kernel._block[lo:hi], out=w)
+                np.add(w, block, out=w)
             w[~np.isfinite(w)] = _INF
 
     def _weight_mins(self, runs) -> np.ndarray:
@@ -853,6 +1015,7 @@ class _Lockstep:
             self.relaxations[i] += int(
                 np.count_nonzero(np.isfinite(kernel._weights[lo:hi]))
             )
+
 
     def _label_correcting(
         self, members: np.ndarray
@@ -922,54 +1085,63 @@ class _Lockstep:
             frontier = np.unique(winners)
         return dist, pred
 
+
     def _tree_arcs(
-        self, members: np.ndarray, pred_node: np.ndarray, dist: np.ndarray
+        self, ends: list[tuple[int, int]], pred_node: np.ndarray, dist: np.ndarray
     ) -> tuple[np.ndarray, list[int]]:
         """CSR positions of each member's sink path in the Dijkstra tree.
 
-        The tree gives nodes; the arc into each path node is the first
-        active arc of its parent's CSR slice whose reduced cost is tight,
-        picked for every hop of every member in one vector step.
-        Returns the positions (member-major, sink first) and the hop
-        count per member.
+        *ends* holds the members' ``(source, sink)`` nodes.  The tree
+        gives nodes; the arc into each path node is the first active arc
+        of its parent's CSR slice whose reduced cost is tight, picked for
+        every hop of every member in one vector step.  A staged weight
+        is ``inf`` (or NaN) on an inactive arc, so a tight arc is active,
+        and a hop with one arc into its head needs no search for the
+        first.  Returns the positions (member-major, sink first) and the
+        hop count per member.
 
         Raises:
             GraphError: If some hop has no such arc.
         """
-        if not members.size:
+        if not ends:
             return np.zeros(0, dtype=np.int64), []
         kernel = self.kernel
-        parent = pred_node.item
+        parent = memoryview(pred_node)
         tails: list[int] = []
         heads: list[int] = []
         counts: list[int] = []
-        for source, sink in zip(
-            self.sources[members].tolist(), self.sinks[members].tolist()
-        ):
+        for source, sink in ends:
+            path = [sink]
             v = sink
-            start = len(tails)
             while v != source:
-                u = parent(v)
-                tails.append(u)
-                heads.append(v)
-                v = u
-            counts.append(len(tails) - start)
-        tail = np.asarray(tails, dtype=np.int64)
-        head = np.asarray(heads, dtype=np.int64)
-        pos, degs = csr_slices(kernel.csr.indptr, tail)
-        hop = np.repeat(np.arange(tail.size), degs)
-        gap = (dist[head] - dist[tail])[hop]
-        tight = np.flatnonzero(
-            (kernel.res_head[pos] == head[hop])
-            & (kernel.res_cap[pos] > 0)
-            & (np.abs(kernel._weights[pos] - gap) <= EPS)
-        )
-        first = np.ones(tight.size, dtype=bool)
-        first[1:] = hop[tight[1:]] != hop[tight[:-1]]
-        chosen = tight[first]
-        if chosen.size != tail.size:
+                v = parent[v]
+                path.append(v)
+            tails += path[1:]
+            heads += path[:-1]
+            counts.append(len(path) - 1)
+        tail, head = np.array((tails, heads), dtype=np.intp)
+        indptr = kernel.csr.indptr
+        # Every out-arc position of every hop's tail, hop after hop.
+        starts = indptr[tail]
+        degs = indptr[tail + 1] - starts
+        stops = np.add.accumulate(degs)
+        pos = (starts - stops + degs).repeat(degs) + np.arange(int(stops[-1]))
+        into = (kernel.res_head[pos] == head.repeat(degs)).nonzero()[0]
+        gap = dist[head] - dist[tail]
+        if into.size == tail.size:
+            # One arc into each hop's head (no parallel arcs on the path).
+            chosen = pos[into]
+            if not (np.abs(kernel._weights[chosen] - gap) <= EPS).all():
+                raise GraphError("Dijkstra predecessor arc lost")
+            return chosen, counts
+        hop = np.arange(tail.size).repeat(degs)[into]
+        tight = np.abs(kernel._weights[pos[into]] - gap[hop]) <= EPS
+        into, hop = into[tight], hop[tight]
+        first = np.ones(into.size, dtype=bool)
+        first[1:] = hop[1:] != hop[:-1]
+        if np.count_nonzero(first) != tail.size:
             raise GraphError("Dijkstra predecessor arc lost")
-        return pos[chosen], counts
+        return pos[into[first]], counts
 
     def _walk(self, i: int, pred_arc: np.ndarray) -> list[int]:
         """CSR positions of member *i*'s sink path (label-correcting)."""
@@ -985,26 +1157,42 @@ class _Lockstep:
         return path
 
     def _augment(
-        self, members: np.ndarray, arcs: np.ndarray, counts: np.ndarray
+        self, sel: slice | np.ndarray, arcs: np.ndarray, counts: list[int]
     ) -> None:
         """Push each member's bottleneck along its path.
 
-        *arcs* holds the members' paths back to back (CSR positions),
-        *counts* their lengths (each at least one arc).
+        *sel* indexes the members, *arcs* holds their paths back to back
+        (CSR positions) and *counts* their lengths (each at least one
+        arc).
         """
-        starts = np.cumsum(counts) - counts
-        bottleneck = np.minimum(
-            np.minimum.reduceat(self.kernel.res_cap[arcs], starts),
-            self.want[members] - self.shipped[members],
+        kernel = self.kernel
+        starts = np.add.accumulate([0, *counts[:-1]])
+        bottleneck = np.minimum.reduceat(kernel.res_cap[arcs], starts)
+        np.minimum(bottleneck, self.want[sel] - self.shipped[sel], out=bottleneck)
+        activated, saturated = kernel._push(arcs, bottleneck.repeat(counts))
+        self.active_arcs[sel] += np.add.reduceat(
+            np.subtract(activated, saturated, dtype=np.int64), starts
         )
-        activated, saturated = self.kernel._push(
-            arcs, np.repeat(bottleneck, counts)
-        )
-        self.active_arcs[members] += np.add.reduceat(
-            activated.astype(np.int64) - saturated, starts
-        )
-        self.shipped[members] += bottleneck
-        self.paths[members] += 1
+        self.shipped[sel] += bottleneck
+
+    def _fold_capped(
+        self, cohort: _Cohort, dist: np.ndarray, sink_dist: np.ndarray
+    ) -> None:
+        """:meth:`_fold` when every member is finite, was searched by
+        Dijkstra and reached its sink.
+
+        Each capped distance is then finite and every potential known,
+        so every node is updated: ``pot += min(dist, cap)`` is the masked
+        update, bit for bit.  The updates (every node) are credited with
+        the cohort's paths.
+        """
+        for members, sinks, nodes, counts, starts, pot in cohort.folding:
+            raw = dist[nodes]
+            self.pops[members] += np.add.reduceat(
+                np.isfinite(raw), starts, dtype=np.int64
+            )
+            np.minimum(raw, sink_dist[sinks].repeat(counts), out=raw)
+            np.add(pot, raw, out=pot)
 
     def _fold(
         self, runs, dist: np.ndarray, cap: np.ndarray, tree: np.ndarray
@@ -1036,3 +1224,4 @@ class _Lockstep:
             if lost.any():
                 pot[lost] = _INF
                 self.finite[i0:i1] &= _segment_sum(lost, bounds) == 0
+                self.vetted[i0:i1] &= self.finite[i0:i1]

@@ -7,7 +7,7 @@ from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
 from repro.energy import ActivityEnergyModel, MemoryConfig, StaticEnergyModel
-from repro.exceptions import InfeasibleFlowError
+from repro.exceptions import AllocationError, InfeasibleFlowError
 from tests.conftest import make_lifetime
 
 
@@ -91,6 +91,18 @@ def test_energy_identity_flow_vs_accounting():
             assert allocation.report.total_energy == pytest.approx(
                 allocation.objective
             )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("voltage", [float("nan"), float("inf")])
+def test_energy_check_fails_a_non_finite_objective(voltage):
+    # NaN compares false with everything, so the cross-check must be
+    # phrased to fail on it rather than to pass it.
+    problem = five_var_problem(
+        2, energy_model=StaticEnergyModel(mem_voltage=voltage)
+    )
+    with pytest.raises(AllocationError, match="energy accounting mismatch"):
+        allocate(problem, SolveOptions(validate=True))
 
 
 def test_infeasible_forced_density_raises():

@@ -36,6 +36,14 @@ def test_level_validation():
         StorageLevel(name="x", access_scale=0.0)
 
 
+@pytest.mark.parametrize("voltage", [float("nan"), float("inf")])
+def test_level_rejects_a_non_finite_voltage(voltage):
+    with pytest.raises(AllocationError, match="positive and finite"):
+        StorageLevel(name="x", voltage=voltage)
+    with pytest.raises(AllocationError, match="positive and finite"):
+        StorageSpec.banked(2, 1, voltages=[voltage, 3.0])
+
+
 def test_level_access_times_and_config():
     free = StorageLevel(name="m")
     assert not free.restricted

@@ -77,3 +77,9 @@ def test_memory_config_validation():
         MemoryConfig(voltage=0.0)
     with pytest.raises(EnergyModelError):
         MemoryConfig(offset=-1)
+
+
+@pytest.mark.parametrize("voltage", [float("nan"), float("inf"), -float("inf")])
+def test_memory_config_rejects_a_non_finite_voltage(voltage):
+    with pytest.raises(EnergyModelError, match="positive and finite"):
+        MemoryConfig(voltage=voltage)

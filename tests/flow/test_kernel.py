@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.network_builder import build_network
 from repro.core.options import SolveOptions
 from repro.core.problem import AllocationProblem
 from repro.core.solver import allocate
@@ -89,6 +90,79 @@ def test_dag_distances_return_none_on_a_cycle():
     tails = np.array([0, 1, 2], dtype=np.int64)
     heads = np.array([1, 2, 1], dtype=np.int64)
     assert dag_distances(3, tails, heads, np.zeros(3), 0) is None
+
+
+def _small_dag(arcs, costs):
+    net = FlowNetwork()
+    for (tail, head), cost in zip(arcs, costs):
+        net.add_arc(tail, head, capacity=1, cost=cost)
+    return net
+
+
+def _sweep_blocks():
+    """``(network, source)`` blocks for the many-source sweep: registry
+    kernel networks, random DAGs and hand-made corner cases."""
+    blocks = []
+    for name in ("fir", "iir", "dct"):
+        problem = AllocationProblem.from_schedule(
+            list_schedule(kernel_block(name)),
+            register_count=4,
+            memory=MemoryConfig(divisor=2),
+        )
+        built = build_network(problem)
+        blocks.append((built.network, built.network.node_index(built.source)))
+    for seed in range(4):
+        blocks.append((random_network(seed), seed % 3))
+    # Three arcs of one layer (two of them parallel) share the head c.
+    shared = _small_dag(
+        [("s", "a"), ("s", "b"), ("a", "c"), ("b", "c"), ("a", "c"), ("c", "d")],
+        [1.0, -2.0, 0.5, 3.0, 0.25, -1.0],
+    )
+    blocks.append((shared, shared.node_index("s")))
+    # Nothing is reachable from the isolated source x.
+    isolated = _small_dag([("y", "z"), ("z", "w")], [2.0, -4.0])
+    isolated.add_node("x")
+    blocks.append((isolated, isolated.node_index("x")))
+    # NaN and -inf costs are never relaxed; their presence makes the
+    # union screen every layer, which must not change any other block.
+    poisoned = _small_dag(
+        [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")],
+        [float("nan"), 1.0, -float("inf"), 2.0],
+    )
+    blocks.append((poisoned, poisoned.node_index("s")))
+    return blocks
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_dag_distances_from_many_sources_match_each_block_alone():
+    blocks = _sweep_blocks()
+    offsets = np.cumsum([0] + [net.num_nodes for net, _ in blocks])
+    tails, heads, costs = [], [], []
+    alone = []
+    for (net, source), offset in zip(blocks, offsets):
+        t, h, c = _tail_grouped(net)
+        tails.append(t + offset)
+        heads.append(h + offset)
+        costs.append(c)
+        alone.append(dag_distances(net.num_nodes, t, h, c, source))
+    tails, heads, costs = map(np.concatenate, (tails, heads, costs))
+    grouped = np.argsort(tails, kind="stable")
+    sources = offsets[:-1] + np.array([source for _, source in blocks])
+    union = dag_distances(
+        int(offsets[-1]),
+        tails[grouped],
+        heads[grouped],
+        costs[grouped],
+        sources,
+    )
+    for (net, _), lo, hi, dist in zip(blocks, offsets, offsets[1:], alone):
+        assert dist is not None
+        assert union[lo:hi].tobytes() == dist.tobytes()
+    isolated = alone[-2]
+    assert np.isinf(isolated[isolated != 0.0]).all()
+    shared, source = blocks[-3]
+    assert alone[-3][shared.node_index("c")] == -2.0 + 3.0
+    assert alone[-3][shared.node_index("d")] == 0.0
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -5,7 +5,10 @@ serves them all with one multi-source search per round.  Every test here
 solves each instance alone (``FlowKernel(network)``) and inside shuffled
 groups (``FlowKernel.stacked``) and requires identical flows, potentials,
 work counters and error messages — with scipy's Dijkstra and with the
-label-correcting search that runs without scipy.
+label-correcting search that runs without scipy.  The corpus includes the
+shapes that mostly run one-member rounds: the interval-chaining flows of
+:mod:`repro.core.chain_flow` (every interval forced) and the first-pass
+union network of a 2-bank storage job with its bank-placement flows.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import chain_flow
 from repro.core.network_builder import build_network
 from repro.core.problem import AllocationProblem
+from repro.core.solver import allocate
 from repro.energy import MemoryConfig
 from repro.exceptions import InfeasibleFlowError
 from repro.flow import kernel as kernel_module
@@ -24,6 +29,7 @@ from repro.flow.graph import FlowNetwork
 from repro.flow.kernel import FlowKernel
 from repro.flow.lower_bounds import transform_lower_bounds
 from repro.scheduling.list_scheduler import list_schedule
+from repro.service.manifest import parse_manifest
 from repro.workloads.registry import (
     FIGURE_NAMES,
     KERNEL_NAMES,
@@ -37,12 +43,48 @@ from tests.flow.test_kernel import random_network
 def _instance(problem: AllocationProblem):
     """``(network, source, sink, value)`` the kernel solves for *problem*."""
     built = build_network(problem)
-    if built.network.has_lower_bounds():
-        t = transform_lower_bounds(
-            built.network, built.source, built.sink, built.flow_value
-        )
+    return _plain(built.network, built.source, built.sink, built.flow_value)
+
+
+def _plain(network, source, sink, value):
+    """The kernel's instance: lower bounds transformed away."""
+    if network.has_lower_bounds():
+        t = transform_lower_bounds(network, source, sink, value)
         return t.network, t.super_source, t.super_sink, t.demand
-    return built.network, built.source, built.sink, built.flow_value
+    return network, source, sink, value
+
+
+def _chain_flows(solve):
+    """The interval-chaining flows :func:`chain_flow.optimal_interval_chains`
+    solves while *solve* runs, as kernel instances."""
+    captured = []
+    original = chain_flow.flow_solve
+
+    def capture(network, source, sink, flow_value):
+        captured.append(_plain(network, source, sink, flow_value))
+        return original(network, source, sink, flow_value)
+
+    chain_flow.flow_solve = capture
+    try:
+        solve()
+    finally:
+        chain_flow.flow_solve = original
+    return captured
+
+
+def _banked_problem(seed: int) -> AllocationProblem:
+    """A small 2-bank storage job, as the batch benchmark draws them."""
+    job = {
+        "kind": "random",
+        "variables": 12,
+        "horizon": 12,
+        "registers": 3,
+        "seed": seed,
+        "storage": {"banks": 2, "period": 1},
+    }
+    manifest = {"schema": "repro.service/manifest/v2", "jobs": [job]}
+    (workload,) = parse_manifest(manifest).build()
+    return workload.problem
 
 
 def _corpus():
@@ -64,6 +106,26 @@ def _corpus():
                 lifetimes, register_count=registers, horizon=horizon
             )
             instances[f"{name}-R{registers}"] = _instance(problem)
+    for name in ("fir", "dct"):
+        problem = AllocationProblem.from_schedule(
+            list_schedule(kernel_block(name)), register_count=4
+        )
+        for style in ("adjacent", "all_pairs"):
+            (instance,) = _chain_flows(
+                lambda: chain_flow.optimal_interval_chains(
+                    problem.lifetimes.values(),
+                    problem.horizon,
+                    pair_cost=lambda previous, item: 0.0 if previous else 1.0,
+                    style=style,
+                )
+            )
+            instances[f"chain-{name}-{style}"] = instance
+    for seed in (1, 2, 3):
+        problem = _banked_problem(seed)
+        instances[f"banked-{seed}"] = _instance(problem)
+        placements = _chain_flows(lambda: allocate(problem))
+        for index, instance in enumerate(placements):
+            instances[f"banked-{seed}-placement-{index}"] = instance
     for seed in range(30):
         net = random_network(seed)
         # Values 1-6 leave some instances short of their flow value.

@@ -33,6 +33,13 @@ BAD_JOBS = {
     "negative-voltage": {
         "kind": "kernel", "name": "fir", "taps": 4, "voltage": -1,
     },
+    # Python's json reads (and writes) NaN and Infinity tokens.
+    "nan-voltage": {
+        "kind": "kernel", "name": "fir", "registers": 4, "voltage": float("nan"),
+    },
+    "infinite-voltage": {
+        "kind": "kernel", "name": "fir", "registers": 4, "voltage": float("inf"),
+    },
     "zero-divisor": {"kind": "kernel", "name": "fir", "taps": 4, "divisor": 0},
 }
 
