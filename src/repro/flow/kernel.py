@@ -55,12 +55,11 @@ the staging passes with the clamp at zero fused in; the Dijkstra call;
 the hop lookup, which takes the one arc into each hop's head when no
 parallel arc competes for it; one push; and, since every member
 reached its sink, ``pot += min(dist, cap)`` over every node, which is
-the masked fold bit for bit.  The counters such rounds raise alike for
-every member are added once, when the cohort ends.  Every other round
-(an unvetted, non-finite or label-correcting member, or a sink out of
-reach) takes the masked fold.  Both follow the same trajectory:
-the same staged weights in the same float order, the same CSR order,
-the same scipy call and sources, the same first-active-tight-arc rule.
+the masked fold bit for bit.  Every other round (an unvetted,
+non-finite or label-correcting member, or a sink out of reach) takes
+the masked fold.  Both follow the same trajectory: the same staged
+weights in the same float order, the same CSR order, the same scipy
+call and sources, the same first-active-tight-arc rule.
 
 An instance whose sink becomes unreachable leaves the lockstep with its
 own :class:`~repro.exceptions.InfeasibleFlowError`; the others carry on.
@@ -119,8 +118,9 @@ def csr_slices(
     """
     starts = indptr[frontier]
     degs = indptr[frontier + 1] - starts
-    run_starts = np.cumsum(degs) - degs
-    pos = np.repeat(starts - run_starts, degs) + np.arange(int(degs.sum()))
+    stops = np.add.accumulate(degs)
+    total = int(stops[-1]) if stops.size else 0
+    pos = (starts - stops + degs).repeat(degs) + np.arange(total)
     return pos, degs
 
 
@@ -168,18 +168,13 @@ def dag_distances(
     # distance; only other costs (say, RA604's NaN models) need each
     # layer's non-finite sums screened out.
     screen = not costs.min(initial=0.0) * n > -1e300
-    degree = np.diff(indptr)
-    count = np.arange(heads.size)
     # One slot per node, to keep a single copy of each ready node.
     slot = np.empty(n, dtype=np.intp)
     frontier = (indeg == 0).nonzero()[0]
     while frontier.size:
-        degs = degree[frontier]
-        ends = np.add.accumulate(degs)
-        total = int(ends[-1])
-        if not total:
+        pos, degs = csr_slices(indptr, frontier)
+        if not pos.size:
             break
-        pos = (indptr[frontier] - ends + degs).repeat(degs) + count[:total]
         vv = heads[pos]
         nd = dist[frontier].repeat(degs) + costs[pos]
         if screen:
@@ -191,7 +186,7 @@ def dag_distances(
         ready = vv[indeg[vv] == 0]
         # Arcs of one layer may share a head; the minimum is exact, so
         # the frontier's order is free and one copy of each is kept.
-        rank = count[:ready.size]
+        rank = np.arange(ready.size)
         slot[ready] = rank
         frontier = ready[slot[ready] == rank]
     if (indeg > 0).any():
@@ -208,9 +203,6 @@ def _segment_sum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def _runs(members: np.ndarray) -> list[tuple[int, int]]:
     """Maximal ``[first, stop)`` ranges of consecutive sorted *members*."""
-    first, last = int(members[0]), int(members[-1])
-    if last - first + 1 == members.size:
-        return [(first, last + 1)]
     cuts = np.flatnonzero(np.diff(members) != 1) + 1
     firsts = members[np.concatenate(([0], cuts))]
     lasts = members[np.concatenate((cuts - 1, [members.size - 1]))]
@@ -729,8 +721,7 @@ class _Cohort:
     of its residual columns, for staging, and of its node range, for
     folding, so a round slices nothing itself.  Members stay vetted, so
     once all of a cohort's members are, its rounds skip the scan until
-    one leaves; the counters such rounds raise alike for every member
-    are credited when the cohort ends (:meth:`_Lockstep._credit`).
+    one leaves.
     """
 
     def __init__(self, lockstep: "_Lockstep", members: np.ndarray) -> None:
@@ -745,10 +736,6 @@ class _Cohort:
         self.want = lockstep.want[members]
         self.ends = list(zip(self.sources.tolist(), self.sinks.tolist()))
         self.vetted = bool(lockstep.vetted[members].all())
-        # Vetted searches (one round each) and capped folds (one path
-        # and one update per node each) not yet credited.
-        self.searches = 0
-        self.folds = 0
         aoff, noff = kernel.aoff.tolist(), kernel.noff.tolist()
         self.staging: list[tuple[Any, ...]] = []
         self.folding: list[tuple[Any, ...]] = []
@@ -842,7 +829,6 @@ class _Lockstep:
             done = self._round(cohort)
             while not done.any():
                 done = self._round(cohort)
-            self._credit(cohort)
             members = members[~done]
 
     def _round(self, cohort: _Cohort) -> np.ndarray:
@@ -858,19 +844,11 @@ class _Lockstep:
             arcs, counts = self._tree_arcs(cohort.ends, pred_node, dist)
             self._augment(sel, arcs, counts)
             self._fold_capped(cohort, dist, sink_dist)
-            cohort.folds += 1
+            self.paths[sel] += 1
+            self.potential_updates[sel] += self.node_counts[sel]
             return self.shipped[sel] >= cohort.want
         self._settle(cohort, dist, sink_dist, reached, labelled, pred_node, pred_arc)
         return ~reached | (self.shipped[sel] >= cohort.want)
-
-    def _credit(self, cohort: _Cohort) -> None:
-        """Add a cohort's uncredited rounds, paths and updates."""
-        sel = cohort.sel
-        if cohort.searches:
-            self.rounds[sel] += cohort.searches
-        if cohort.folds:
-            self.paths[sel] += cohort.folds
-            self.potential_updates[sel] += cohort.folds * self.node_counts[sel]
 
     def _settle(
         self, cohort, dist, sink_dist, reached, labelled, pred_node, pred_arc
@@ -928,7 +906,7 @@ class _Lockstep:
         elif cohort.vetted:
             self._stage(cohort, clamp=True)
             self.relaxations[sel] += self.active_arcs[sel]
-            cohort.searches += 1
+            self.rounds[sel] += 1
             dijkstra, spfa = members, members[:0]
         else:
             self._stage(cohort, clamp=False)
@@ -1016,7 +994,6 @@ class _Lockstep:
                 np.count_nonzero(np.isfinite(kernel._weights[lo:hi]))
             )
 
-
     def _label_correcting(
         self, members: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1085,7 +1062,6 @@ class _Lockstep:
             frontier = np.unique(winners)
         return dist, pred
 
-
     def _tree_arcs(
         self, ends: list[tuple[int, int]], pred_node: np.ndarray, dist: np.ndarray
     ) -> tuple[np.ndarray, list[int]]:
@@ -1120,12 +1096,8 @@ class _Lockstep:
             heads += path[:-1]
             counts.append(len(path) - 1)
         tail, head = np.array((tails, heads), dtype=np.intp)
-        indptr = kernel.csr.indptr
         # Every out-arc position of every hop's tail, hop after hop.
-        starts = indptr[tail]
-        degs = indptr[tail + 1] - starts
-        stops = np.add.accumulate(degs)
-        pos = (starts - stops + degs).repeat(degs) + np.arange(int(stops[-1]))
+        pos, degs = csr_slices(kernel.csr.indptr, tail)
         into = (kernel.res_head[pos] == head.repeat(degs)).nonzero()[0]
         gap = dist[head] - dist[tail]
         if into.size == tail.size:
@@ -1183,8 +1155,8 @@ class _Lockstep:
 
         Each capped distance is then finite and every potential known,
         so every node is updated: ``pot += min(dist, cap)`` is the masked
-        update, bit for bit.  The updates (every node) are credited with
-        the cohort's paths.
+        update, bit for bit, and :meth:`_round` counts every node as
+        updated.
         """
         for members, sinks, nodes, counts, starts, pot in cohort.folding:
             raw = dist[nodes]
